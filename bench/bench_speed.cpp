@@ -1,10 +1,9 @@
 /**
  * @file
  * Simulator speed tracker: measures the wall-clock of the parallel
- * cluster engine against the sequential baseline and the event-queue
- * hot path against the seed implementation, then writes the numbers
- * as machine-readable JSON so the perf trajectory is tracked across
- * PRs.
+ * cluster engine against the sequential baseline, then writes the
+ * numbers as machine-readable JSON so the perf trajectory is tracked
+ * across PRs.
  *
  * Usage:  bench_speed [output.json]
  *   default output: BENCH_sim_speed.json in the current directory.
@@ -33,7 +32,6 @@
  * the bounded-state contract for 64-128 server fleets.
  */
 
-#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -43,9 +41,6 @@
 #include "bench_util.h"
 #include "exp/codec.h"
 #include "exp/scheduler.h"
-#include "legacy_event_queue.h"
-#include "sim/event_queue.h"
-#include "sim/event_queue_heap.h"
 #include "sim/prof.h"
 #include "sim/thread_pool.h"
 #include "snapshot/archive.h"
@@ -61,40 +56,6 @@ secondsSince(Clock::time_point start)
 {
     return std::chrono::duration<double>(Clock::now() - start)
         .count();
-}
-
-/** Ops/sec of one schedule/cancel/pop mix over @p rounds rounds. */
-template <typename Queue>
-double
-measureQueueMix(std::uint64_t rounds,
-                const hh::bench::QueueMixPreset &p)
-{
-    std::uint64_t sink = 0;
-    hh::sim::Rng rng(7, 0xE0);
-    Queue q;
-    hh::sim::Cycles now = 0;
-    std::vector<typename Queue::EventId> pending;
-    for (int i = 0; i < 64; ++i)
-        pending.push_back(
-            q.schedule(now + 1 + (i % 13), [&sink] { ++sink; }));
-    const auto start = Clock::now();
-    for (std::uint64_t r = 0; r < rounds; ++r)
-        hh::bench::eventQueueMixRound(q, rng, now, pending, sink,
-                                      p.horizon, p.cancelProb);
-    const double sec = secondsSince(start);
-    return sec > 0 ? static_cast<double>(rounds) / sec : 0.0;
-}
-
-/** One queue variant's ops/sec across the three workload presets. */
-template <typename Queue>
-std::array<double, 3>
-measureQueueVariant(std::uint64_t rounds)
-{
-    std::array<double, 3> ops{};
-    for (std::size_t i = 0; i < 3; ++i)
-        ops[i] = measureQueueMix<Queue>(
-            rounds, hh::bench::kQueueMixPresets[i]);
-    return ops;
 }
 
 /** A /proc/self/status field in kB (0 when unreadable, e.g. !linux). */
@@ -400,19 +361,6 @@ main(int argc, char **argv)
                        1.0)
             : -100.0;
 
-    std::printf("event-queue shootout (legacy / heap / wheel x "
-                "near / far / cancel)...\n");
-    const std::uint64_t rounds = 4'000'000;
-    const auto legacy_ops = measureQueueVariant<LegacyEventQueue>(rounds);
-    const auto heap_ops =
-        measureQueueVariant<hh::sim::HeapEventQueue>(rounds);
-    const auto wheel_ops =
-        measureQueueVariant<hh::sim::EventQueue>(rounds);
-    // Headline speedup stays the near-future (server-like) mix of
-    // the production queue vs the seed implementation.
-    const double queue_speedup =
-        legacy_ops[0] > 0 ? wheel_ops[0] / legacy_ops[0] : 0.0;
-
     // Profile pass: re-run a reduced sequential slice with the
     // scoped cycle counters on, then report where kernel time goes.
     // Separate from the timed runs above so the (small) rdtsc +
@@ -434,15 +382,6 @@ main(int argc, char **argv)
                 "bit-identical %s\n",
                 seq_sec, par_sec, speedup,
                 identical ? "yes" : "NO");
-    for (std::size_t i = 0; i < 3; ++i) {
-        std::printf("eventq/%-6s legacy %6.2f  heap %6.2f  wheel "
-                    "%6.2f Mops/s  (wheel %.2fx legacy)\n",
-                    hh::bench::kQueueMixPresets[i].name,
-                    legacy_ops[i] / 1e6, heap_ops[i] / 1e6,
-                    wheel_ops[i] / 1e6,
-                    legacy_ops[i] > 0 ? wheel_ops[i] / legacy_ops[i]
-                                      : 0.0);
-    }
     std::printf("profile:  %.2fs instrumented slice, top sites:\n",
                 prof_sec);
     for (std::size_t i = 0; i < prof_sites.size() && i < 5; ++i) {
@@ -525,28 +464,6 @@ main(int argc, char **argv)
     std::fprintf(f, "    \"speedup\": %.3f,\n", speedup);
     std::fprintf(f, "    \"bit_identical\": %s\n",
                  identical ? "true" : "false");
-    std::fprintf(f, "  },\n");
-    std::fprintf(f, "  \"event_queue\": {\n");
-    std::fprintf(f, "    \"mix_rounds\": %llu,\n",
-                 static_cast<unsigned long long>(rounds));
-    const struct
-    {
-        const char *name;
-        const std::array<double, 3> &ops;
-    } variants[] = {{"legacy", legacy_ops},
-                    {"heap", heap_ops},
-                    {"wheel", wheel_ops}};
-    for (const auto &v : variants) {
-        std::fprintf(f, "    \"%s\": {\n", v.name);
-        for (std::size_t i = 0; i < 3; ++i) {
-            std::fprintf(
-                f, "      \"%s_ops_per_sec\": %.0f%s\n",
-                hh::bench::kQueueMixPresets[i].name, v.ops[i],
-                i + 1 < 3 ? "," : "");
-        }
-        std::fprintf(f, "    },\n");
-    }
-    std::fprintf(f, "    \"speedup\": %.3f\n", queue_speedup);
     std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"profile\": {\n");
     std::fprintf(f, "    \"instrumented_sec\": %.4f,\n", prof_sec);

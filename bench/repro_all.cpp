@@ -338,8 +338,8 @@ main(int argc, char **argv)
     }
 
     // --graphs: the service-graph fleet sweep (src/svc/): layered
-    // RPC DAGs of depth 1..3 over every non-legacy harvest policy,
-    // with the fleet harvesting-economics table and the per-policy
+    // RPC DAGs of depth 1..3 over every harvest policy, with the
+    // fleet harvesting-economics table and the per-policy
     // depth-monotone P99 check. Fleet runs are cross-server
     // simulations outside the scheduler: the ledger codec carries
     // single-server results only.
@@ -347,11 +347,6 @@ main(int argc, char **argv)
     if (args.graphs) {
         const unsigned graph_servers = envUnsigned(
             "HH_GRAPH_SERVERS", args.scale == "full" ? 64 : 16);
-        std::vector<std::string> policies;
-        for (const std::string &p : hh::policy::harvestPolicyNames()) {
-            if (p != "legacy")
-                policies.push_back(p);
-        }
         // Graph fleets multiply the classic cluster's work by the
         // fleet size, so they run at a quarter of the per-VM arrival
         // budget (HH_REQUESTS still wins through the usual quarter).
@@ -363,7 +358,8 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(scale.seed));
         const auto gpoints = runGraphSweep(gscale, graph_servers,
                                            {1, 2, 3}, /*fanout=*/2,
-                                           policies, args.workers);
+                                           hh::policy::harvestPolicyNames(),
+                                           args.workers);
         std::printf("\n");
         printGraphEconomics(gpoints);
         graph_failures = checkGraphMonotone(gpoints);

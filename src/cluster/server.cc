@@ -72,8 +72,7 @@ ServerSim::ServerSim(const SystemConfig &cfg, const std::string &batchApp,
     buildCores();
 
     // Harvest policy (PR 8): constructed eagerly so snapshot restore
-    // always finds its re-arm target; "legacy" keeps the pre-policy
-    // inlined knob reads (differential testing).
+    // always finds its re-arm target.
     std::string policy_err;
     policy_ = hh::policy::makeHarvestPolicy(policyConfig(),
                                             &policy_err);
@@ -127,7 +126,19 @@ ServerSim::ServerSim(const SystemConfig &cfg, const std::string &batchApp,
     });
 }
 
-ServerSim::~ServerSim() = default;
+ServerSim::~ServerSim()
+{
+    // A server dropped before finished() (a bounded advanceRun, a
+    // snapshot source) abandons its in-flight requests on purpose.
+    // Only a finished server that still holds requests has leaked
+    // them, and ~SubQueue reports that.
+    if (done_)
+        return;
+    for (const auto &v : vms_) {
+        if (auto *qm = ctrl_->qmFor(v.desc.id))
+            qm->queue().discard();
+    }
+}
 
 void
 ServerSim::buildVms(const std::string &batchApp)
@@ -1333,32 +1344,19 @@ ServerSim::completeRequest(unsigned core, std::uint64_t reqId)
 bool
 ServerSim::blockHarvestAllowed(std::uint32_t vm) const
 {
-    if (policy_) {
-        switch (policy_->decision(vm).blockMode) {
-        case hh::policy::BlockHarvestMode::Never:
-            return false;
-        case hh::policy::BlockHarvestMode::AdaptiveEwma:
-            // Adaptive extension (§4.1.5): the EWMA updates at I/O
-            // block time, between policy epochs, so it is evaluated
-            // here at lend time rather than frozen into the decision.
-            return ewma_block_cycles_[vm] >=
-                   static_cast<double>(cfg_.adaptiveBlockThreshold);
-        case hh::policy::BlockHarvestMode::Always:
-            return true;
-        }
+    switch (policy_->decision(vm).blockMode) {
+    case hh::policy::BlockHarvestMode::Never:
+        return false;
+    case hh::policy::BlockHarvestMode::AdaptiveEwma:
+        // Adaptive extension (§4.1.5): when this VM's requests block
+        // only briefly, harvesting the core is a net loss. The EWMA
+        // updates at I/O block time, between policy epochs, so it is
+        // evaluated here at lend time rather than frozen into the
+        // decision.
+        return ewma_block_cycles_[vm] >=
+               static_cast<double>(cfg_.adaptiveBlockThreshold);
+    case hh::policy::BlockHarvestMode::Always:
         return true;
-    }
-    // Legacy inlined path ("policy=legacy"): kept verbatim so the
-    // StaticPolicy extraction can be differentially tested.
-    if (!cfg_.harvestOnBlock)
-        return false;
-    // Adaptive extension (§4.1.5): when this VM's requests block
-    // only briefly, harvesting the core is a net loss; fall back to
-    // harvest-on-termination behaviour.
-    if (cfg_.adaptiveHarvest &&
-        ewma_block_cycles_[vm] <
-            static_cast<double>(cfg_.adaptiveBlockThreshold)) {
-        return false;
     }
     return true;
 }
@@ -1373,17 +1371,15 @@ ServerSim::coreLendable(unsigned core) const
     if (ctx.phase != Phase::Idle || ctx.onLoan)
         return false;
     // Policy gate: a held VM lends nothing at all.
-    if (policy_ && !policy_->decision(vm).lendAllowed)
+    const auto &d = policy_->decision(vm);
+    if (!d.lendAllowed)
         return false;
     // Term-style harvesting never lends a core whose request is
     // blocked on I/O (the core is kept for the response).
     if (!blockHarvestAllowed(vm) && ctx.anchoredBlocked > 0)
         return false;
     // Burst-buffer extension (§4.1.5): keep some idle cores ready.
-    const unsigned ebuf = policy_
-                              ? policy_->decision(vm).emergencyBuffer
-                              : cfg_.hwEmergencyBuffer;
-    if (ebuf > 0 && idleBoundCores(vm) <= ebuf)
+    if (d.emergencyBuffer > 0 && idleBoundCores(vm) <= d.emergencyBuffer)
         return false;
     const auto *qm = ctrl_->qmFor(vm);
     return !qm->queue().hasReady();
@@ -1883,7 +1879,7 @@ ServerSim::agentTick()
             continue;
         // Policy gate mirroring coreLendable's: a held VM lends
         // nothing through the software agent either.
-        if (policy_ && !policy_->decision(vm).lendAllowed)
+        if (!policy_->decision(vm).lendAllowed)
             continue;
 
         // Thrash avoidance: after a reclaim, wait out a backoff
@@ -2096,8 +2092,6 @@ ServerSim::stopPolicy()
 void
 ServerSim::applyPolicyDecisions()
 {
-    if (!policy_)
-        return;
     for (auto &v : vms_) {
         if (!v.desc.isPrimary())
             continue;
@@ -2139,26 +2133,17 @@ ServerSim::leaseTick()
         if (!v.desc.isPrimary())
             continue;
         const std::uint32_t vm = v.desc.id;
-        // The policy's per-VM cache-lend decision; the "legacy"
-        // selector falls back to the raw config knobs (== static).
-        bool allowed = cfg_.cacheLendEnabled;
-        double l2f = cfg_.cacheLendL2WayFraction;
-        unsigned l3w = cfg_.cacheLendL3Ways;
-        if (policy_) {
-            const auto &d = policy_->decision(vm);
-            allowed = d.cacheLendAllowed;
-            l2f = d.cacheLendL2Fraction;
-            l3w = d.cacheLendL3Ways;
-        }
+        // The policy's per-VM cache-lend decision.
+        const auto &d = policy_->decision(vm);
         if (lease_mgr_->active(vm)) {
-            if (!allowed)
+            if (!d.cacheLendAllowed)
                 leaseRelease(vm, false);
             else if (lease_mgr_->expired(vm, sim_.now()))
                 leaseRelease(vm, true); // eligible to re-grant below
         }
-        if (!lease_mgr_->active(vm) && allowed && l3w > 0 &&
-            vmHasIdleCapacity(vm))
-            leaseGrant(vm, l2f, l3w);
+        if (!lease_mgr_->active(vm) && d.cacheLendAllowed &&
+            d.cacheLendL3Ways > 0 && vmHasIdleCapacity(vm))
+            leaseGrant(vm, d.cacheLendL2Fraction, d.cacheLendL3Ways);
     }
     lease_pending_ = sim_.schedule(
         std::max<Cycles>(1, cfg_.cacheLendPeriod),
@@ -2382,10 +2367,9 @@ ServerSim::startRun()
             cfg_.telemetryPeriod, tag(SnapTag::kTelemetryTick),
             [this] { telemetryTick(); });
     }
-    // Policy epoch tick. The static policy wants no tick, so its
-    // event stream (and thus the run) is identical to the legacy
-    // path's — the extraction is pure refactoring there.
-    if (policy_ && policy_->wantsEpochTick()) {
+    // Policy epoch tick. The static policy wants no tick, so it adds
+    // no events to the run.
+    if (policy_->wantsEpochTick()) {
         policy_view_ = std::make_unique<hh::stats::ObservationView>();
         policy_running_ = true;
         policy_pending_ = sim_.schedule(
@@ -2671,8 +2655,7 @@ ServerSim::serializeState(hh::snap::Archive &ar)
         telemetry_ = std::make_unique<hh::stats::ObservationView>();
     // And for the policy's epoch view (pending kPolicyTick re-arm
     // target); policy state arrives in section 0x16 below.
-    if (ar.loading() && policy_ && policy_->wantsEpochTick() &&
-        !policy_view_)
+    if (ar.loading() && policy_->wantsEpochTick() && !policy_view_)
         policy_view_ = std::make_unique<hh::stats::ObservationView>();
 
     ar.section(0x10, "simulator");
@@ -2815,30 +2798,28 @@ ServerSim::serializeState(hh::snap::Archive &ar)
         return;
 
     // Harvest policy (PR 8). cfg_.policy is part of the config
-    // fingerprint, so cluster-level restores reject mismatches
-    // before reaching this check; the presence flag guards direct
-    // saveState/loadState users the same way section 0x15 does.
+    // fingerprint, so cluster-level restores reject mismatches before
+    // reaching this section. Every server has a policy; the presence
+    // byte stays in the layout, always true. A false one can only come
+    // from a checkpoint of the removed no-policy selector.
     ar.section(0x16, "policy");
-    bool have_policy = policy_ != nullptr;
+    bool have_policy = true;
     ar.io(have_policy);
-    if (ar.loading() && have_policy != (policy_ != nullptr)) {
-        ar.fail("checkpoint harvest-policy state does not match this "
-                "run; restore with the same policy= setting the "
-                "saving run used");
+    if (!have_policy) {
+        ar.fail("checkpoint was written under the removed \"legacy\" "
+                "harvest-policy selector; re-run it with policy=static");
         return;
     }
-    if (policy_) {
-        policy_->serialize(ar);
-        ar.io(policy_applied_fraction_);
-        // The repartitioned way masks themselves ride sections 0x11
-        // (QM masks) and 0x13 (core hierarchies), so nothing is
-        // re-applied here; policy_applied_fraction_ keeps the
-        // change-detection in applyPolicyDecisions coherent.
-        if (policy_->wantsEpochTick()) {
-            ar.io(policy_running_);
-            ar.io(policy_pending_);
-            ar.io(*policy_view_);
-        }
+    policy_->serialize(ar);
+    ar.io(policy_applied_fraction_);
+    // The repartitioned way masks themselves ride sections 0x11 (QM
+    // masks) and 0x13 (core hierarchies), so nothing is re-applied
+    // here; policy_applied_fraction_ keeps the change-detection in
+    // applyPolicyDecisions coherent.
+    if (policy_->wantsEpochTick()) {
+        ar.io(policy_running_);
+        ar.io(policy_pending_);
+        ar.io(*policy_view_);
     }
     if (!ar.ok())
         return;

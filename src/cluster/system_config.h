@@ -118,9 +118,7 @@ struct SystemConfig
     /**
      * Harvest/reclaim policy selector (src/policy/): "static" (the
      * default — freezes the knobs above into one immutable decision
-     * set, bit-identical to the legacy inlined path), "hysteresis",
-     * "critical", "bandit", or "legacy" (no policy object at all;
-     * kept for differential testing of the extraction).
+     * set), "hysteresis", "critical" or "bandit".
      */
     std::string policy = "static";
     /** Policy epoch length in cycles (1 ms at 3 GHz by default). */

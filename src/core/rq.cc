@@ -175,6 +175,15 @@ SubQueue::preempt(std::uint64_t payload)
 }
 
 void
+SubQueue::discard()
+{
+    ready_.clear();
+    running_.clear();
+    blocked_.clear();
+    overflow_.clear();
+}
+
+void
 SubQueue::drainOverflow()
 {
     while (!overflow_.empty() && occupancy() < capacity()) {

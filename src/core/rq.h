@@ -125,7 +125,8 @@ class SubQueue
      * leak: each payload is warned about once per destruction and
      * added to the process-wide teardownPayloadLeaks() counter so
      * the leak is visible instead of silently vanishing with the
-     * queue.
+     * queue. Owners that abandon a run on purpose call discard()
+     * first.
      */
     ~SubQueue();
 
@@ -205,6 +206,12 @@ class SubQueue
      * FIFO (Fig 10: ID5 returns to a ready state).
      */
     void preempt(std::uint64_t payload);
+
+    /**
+     * Drop every request payload without counting a leak (the owner
+     * was torn down before its run finished). Chunks stay mapped.
+     */
+    void discard();
 
     /** Current RQ-Map: physical chunk ids in logical order. */
     const std::vector<unsigned> &rqMap() const { return rq_map_; }

@@ -281,8 +281,8 @@ applySpecKey(hh::cluster::SystemConfig &cfg, const std::string &key,
     // harvest policy (PR 8)
     if (key == "policy") {
         if (!hh::policy::knownHarvestPolicy(value))
-            return fail("unknown harvest policy (expected legacy, "
-                        "static, hysteresis, critical or bandit), got");
+            return fail("unknown harvest policy (expected static, "
+                        "hysteresis, critical or bandit), got");
         cfg.policy = value;
         return true;
     }

@@ -107,7 +107,7 @@ const std::vector<std::string> &
 harvestPolicyNames()
 {
     static const std::vector<std::string> kNames = {
-        "legacy", "static", "hysteresis", "critical", "bandit"};
+        "static", "hysteresis", "critical", "bandit"};
     return kNames;
 }
 
@@ -123,8 +123,6 @@ makeHarvestPolicy(const PolicyConfig &cfg, std::string *error)
 {
     if (error)
         error->clear();
-    if (cfg.kind == "legacy")
-        return nullptr;
     if (cfg.kind == "static")
         return std::make_unique<StaticPolicy>(cfg);
     if (cfg.kind == "hysteresis")
@@ -135,8 +133,8 @@ makeHarvestPolicy(const PolicyConfig &cfg, std::string *error)
         return std::make_unique<BanditPolicy>(cfg);
     if (error) {
         *error = "unknown harvest policy \"" + cfg.kind +
-                 "\" (expected legacy, static, hysteresis, critical "
-                 "or bandit)";
+                 "\" (expected static, hysteresis, critical or "
+                 "bandit)";
     }
     return nullptr;
 }

@@ -7,43 +7,26 @@
  * be cancelled by id (used for timers that are superseded, e.g. a
  * polling core that gets a hardware notification first).
  *
- * Hot-path design: a three-level hierarchical timing wheel replaces
- * the earlier binary heap (kept as `HeapEventQueue` for differential
- * testing). Level g covers 256 buckets of 2^(8g)-cycle granularity,
- * so the wheel spans 2^24 cycles (~5.6 ms at 3 GHz) from its origin;
- * later events wait in an overflow min-heap ("far list") ordered by
- * (when, seq). Bucket occupancy is tracked in 256-bit bitmaps, so
- * finding the earliest event is a handful of countr_zero scans, and a
- * level-0 bucket holds exactly one timestamp, making same-cycle pops
- * a bump of the bucket cursor — the property `Simulator::run()`'s
- * batched dispatch exploits.
- *
+ * Design: a binary min-heap of plain (when, seq, slot, gen) entries.
  * Callbacks live in a slab of reusable records and are stored in a
  * small-buffer-optimised `InlineFunction`, so the schedule/pop cycle
  * performs no heap allocation for typical events. An `EventId`
  * encodes (generation, slot); cancellation bumps the slot's
- * generation, which is O(1) and needs no hash-map lookup — stale
- * wheel nodes are recognised by a generation mismatch and discarded
- * lazily, with periodic compaction keeping stored nodes proportional
+ * generation, which is O(1) and needs no hash-map lookup — stale heap
+ * entries are recognised by a generation mismatch and discarded
+ * lazily, with periodic compaction keeping stored entries proportional
  * to the number of live events.
  *
- * Determinism contract (identical to the heap implementation):
- * pops deliver the globally minimal (when, seq) pair, where seq is
- * the schedule-order sequence number. Cascading preserves this
- * because (a) within any bucket, equal-time nodes appear in ascending
- * seq order — schedules append in seq order, cascades redistribute in
- * stored order, and the far heap drains in (when, seq) order — and
- * (b) every node moved by a cascade was scheduled before any node a
- * later schedule() appends behind it. The serialize() encoding is
- * structure-independent (live events sorted by seq, plus the slab
- * generation/free-slot state), so checkpoints written by the heap
- * restore on the wheel byte-for-byte and vice versa.
+ * Determinism contract: pops deliver the globally minimal (when, seq)
+ * pair, where seq is the schedule-order sequence number. The
+ * serialize() encoding is structure-independent (live events sorted
+ * by seq, plus the slab generation/free-slot state) and is pinned by a
+ * golden test, so 'HHCP' checkpoints stay byte-identical.
  */
 
 #ifndef HH_SIM_EVENT_QUEUE_H
 #define HH_SIM_EVENT_QUEUE_H
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -71,8 +54,7 @@ using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEventId = 0;
 
 /**
- * Hierarchical timing wheel of timestamped callbacks with stable
- * FIFO tie-breaking.
+ * Min-heap of timestamped callbacks with stable FIFO tie-breaking.
  */
 class EventQueue
 {
@@ -129,17 +111,15 @@ class EventQueue
     Callback pop(Cycles &when);
 
     /** @name Introspection (tests/benchmarks) @{ */
-    /** Nodes currently stored across all wheel levels and the far
-     *  list, including not-yet-reaped cancelled ones. Bounded by
-     *  compaction to O(live). */
-    std::size_t heapEntries() const { return live_ + dead_; }
+    /** Heap entries, including not-yet-reaped cancelled ones.
+     *  Bounded by compaction to O(live). */
+    std::size_t heapEntries() const { return heap_.size(); }
     /** Slab records allocated (high-water mark of concurrent
      *  events, live or reusable). */
     std::size_t slabSlots() const { return slab_.size(); }
     /** Pops whose timestamp went backwards relative to the previous
      *  pop. Always 0 for a correct queue; the invariant auditor
-     *  asserts it (a regression in the wheel/cascade logic would
-     *  silently reorder the simulation otherwise). */
+     *  asserts it. */
     std::uint64_t monotonicViolations() const
     {
         return monotonic_violations_;
@@ -158,30 +138,25 @@ class EventQueue
      * components (e.g. a core's pending completion) remain valid
      * verbatim across a restore. Saving panics on a live untagged
      * event; loading invokes @p rearm once per live event to rebuild
-     * its callback into the original slot. Dead (cancelled) nodes
+     * its callback into the original slot. Dead (cancelled) entries
      * are dropped at save, which is observationally equivalent to
-     * compaction having run. The byte stream is identical to the one
-     * `HeapEventQueue` produces for the same logical state.
+     * compaction having run.
      */
     void serialize(hh::snap::Archive &ar, const RearmFn &rearm);
 
   private:
-    /** Buckets per wheel level (one byte of the timestamp each). */
-    static constexpr unsigned kSlots = 256;
-    static constexpr unsigned kLevels = 3;
-
     /** One reusable event record. */
     struct Record
     {
         Callback cb;
         /** Serializable identity of cb; kNone for untagged events. */
         hh::snap::SnapTag tag;
-        /** Bumped on cancel/pop; mismatching nodes are dead. */
+        /** Bumped on cancel/pop; mismatching entries are dead. */
         std::uint32_t gen = 1;
     };
 
-    /** Wheel node: plain data, no callback, no hashing. */
-    struct Node
+    /** Heap entry: plain data, no callback, no hashing. */
+    struct Entry
     {
         Cycles when;
         std::uint64_t seq;
@@ -193,7 +168,7 @@ class EventQueue
     struct Later
     {
         bool
-        operator()(const Node &a, const Node &b) const
+        operator()(const Entry &a, const Entry &b) const
         {
             if (a.when != b.when)
                 return a.when > b.when;
@@ -201,80 +176,26 @@ class EventQueue
         }
     };
 
-    /** A bucket: append-only vector drained through a cursor. */
-    struct Bucket
+    bool dead(const Entry &e) const
     {
-        std::vector<Node> v;
-        std::uint32_t head = 0;
-
-        bool drained() const { return head >= v.size(); }
-        void
-        reset()
-        {
-            v.clear();
-            head = 0;
-        }
-    };
-
-    /** 256-bit occupancy bitmap, one bit per bucket. */
-    struct Occupancy
-    {
-        std::array<std::uint64_t, 4> w{};
-
-        void set(unsigned s) { w[s >> 6] |= 1ull << (s & 63); }
-        void clear(unsigned s) { w[s >> 6] &= ~(1ull << (s & 63)); }
-        bool
-        any() const
-        {
-            return (w[0] | w[1] | w[2] | w[3]) != 0;
-        }
-        /** Lowest set bit, or kSlots when empty. */
-        unsigned first() const;
-    };
-
-    bool dead(const Node &n) const
-    {
-        return slab_[n.slot].gen != n.gen;
+        return slab_[e.slot].gen != e.gen;
     }
 
-    /** Wheel level and bucket for @p when. @pre when >= org_. */
-    void place(const Node &n);
+    /** Drop dead entries off the heap top. */
+    void skipDead() const;
 
-    /** Move the earliest occupied coarse bucket down one level,
-     *  advancing org_. @pre level 0 is drained. */
-    void cascade();
-
-    /** Advance a bucket's cursor past dead nodes; false if it
-     *  drained (bucket reset, occupancy cleared). */
-    bool skipDeadL0(unsigned s) const;
-
-    /** Drop dead far-list tops. */
-    void skipDeadFar() const;
-
-    /** Re-anchor the wheel at @p when's window (contract-violating
-     *  schedule into the past; O(n), never hit by legal callers). */
-    void rebaseDown(Cycles when);
-
-    /** Sweep cancelled nodes out of every bucket and the far list
-     *  once they dominate. */
+    /** Sweep cancelled entries out once they dominate. */
     void maybeCompact();
 
     std::uint32_t allocSlot();
     void freeSlot(std::uint32_t slot);
 
-    /** Level-0 window base; multiple of kSlots, only advances
-     *  (except in rebaseDown). Every stored node has when >= org_. */
-    Cycles org_ = 0;
-    mutable std::array<std::array<Bucket, kSlots>, kLevels> wheel_{};
-    mutable std::array<Occupancy, kLevels> occ_{};
-    /** Overflow events >= 2^24 cycles past org_; (when, seq) heap. */
-    mutable std::vector<Node> far_;
-
+    mutable std::vector<Entry> heap_;
     std::vector<Record> slab_;
     std::vector<std::uint32_t> free_slots_;
     std::uint64_t next_seq_ = 0;
     std::size_t live_ = 0;
-    /** Cancelled nodes still stored in buckets or the far list. */
+    /** Cancelled entries still stored in heap_. */
     mutable std::size_t dead_ = 0;
     Cycles last_popped_ = 0;
     std::uint64_t monotonic_violations_ = 0;

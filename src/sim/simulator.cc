@@ -59,20 +59,10 @@ Simulator::run(Cycles horizon)
 {
     HH_PROF_SCOPE("sim.run");
     std::uint64_t n = 0;
-    while (!stop_requested_ && !queue_.empty()) {
-        const Cycles t = queue_.nextTime();
-        if (t > horizon)
-            break;
-        // Batched same-timestamp dispatch: drain every event sharing
-        // this cycle in one burst. The wheel's level-0 bucket holds
-        // exactly one timestamp, so the repeated nextTime() checks
-        // resolve through the O(1) bucket-cursor fast path instead
-        // of re-sifting a heap per event.
-        do {
-            step();
-            ++n;
-        } while (!stop_requested_ && !queue_.empty() &&
-                 queue_.nextTime() == t);
+    while (!stop_requested_ && !queue_.empty() &&
+           queue_.nextTime() <= horizon) {
+        step();
+        ++n;
     }
     stop_requested_ = false;
     return n;

@@ -1,81 +1,81 @@
 /**
  * @file
- * Differential fuzz: the hierarchical timing wheel (`EventQueue`)
- * and the binary heap it replaced (`HeapEventQueue`) must produce
- * identical (time, seq) pop orders under randomized interleavings
- * of schedule / cancel / pop.
+ * Model-based fuzz: `EventQueue` must pop exactly what a
+ * `std::set<(when, seq)>` reference model pops under randomized
+ * interleavings of schedule / cancel / pop.
  *
- * Every operation is applied to both structures with the same
- * arguments; pops are compared pairwise on (when, ordinal), where
- * the ordinal is the schedule-time sequence number baked into each
- * callback. Equal ordinal streams at equal times imply equal
- * (time, seq) order, since both queues assign seq in schedule()
- * call order. Cancels target the same scheduled event in both and
- * must agree on whether it was still live.
+ * Every operation is applied to the queue and the model with the same
+ * arguments. The model's seq is the schedule-order ordinal, which is
+ * also baked into each callback, so comparing the queue's
+ * (when, ordinal) pops with the model's minimum checks the full
+ * (time, seq) order. Cancels target the same scheduled event in both
+ * and must agree on whether it was still live.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.h"
-#include "sim/event_queue_heap.h"
 #include "sim/rng.h"
 
 using hh::sim::Cycles;
 using hh::sim::EventQueue;
-using hh::sim::HeapEventQueue;
 
 namespace {
 
-struct PopRec
-{
-    Cycles when;
-    std::uint64_t ordinal;
+/** The reference model: live events ordered by (when, seq). */
+using Model = std::set<std::pair<Cycles, std::uint64_t>>;
 
-    bool
-    operator==(const PopRec &o) const
-    {
-        return when == o.when && ordinal == o.ordinal;
-    }
-};
-
-/** Pop one event from @p q and record (when, ordinal) into @p log. */
-template <typename Queue>
+/**
+ * Pop one event from both @p q and @p model and check they agree on
+ * (when, ordinal).
+ */
 void
-popInto(Queue &q, std::vector<PopRec> &log)
+popBoth(EventQueue &q, Model &model, std::vector<std::uint64_t> &fired,
+        Cycles &now)
 {
+    ASSERT_FALSE(model.empty());
+    const auto want = *model.begin();
+    model.erase(model.begin());
+    ASSERT_EQ(q.nextTime(), want.first);
     Cycles when = 0;
     auto cb = q.pop(when);
-    const std::size_t before = log.size();
+    const std::size_t before = fired.size();
     cb();
-    ASSERT_EQ(log.size(), before + 1) << "callback did not fire";
-    log.back().when = when;
+    ASSERT_EQ(fired.size(), before + 1) << "callback did not fire";
+    ASSERT_EQ(when, want.first);
+    ASSERT_EQ(fired.back(), want.second)
+        << "pop at t=" << when << " delivered ordinal " << fired.back()
+        << ", model expected " << want.second;
+    now = when;
 }
 
 /**
- * Drive both queues through @p ops random operations and verify the
- * pop streams match. The delay mix is shaped by @p nearWeight /
- * @p farWeight / @p cancelProb so distinct profiles stress the
- * wheel's level-0 fast path, the far heap + cascade path, and the
- * tombstone path respectively.
+ * Drive the queue and the model through @p ops random operations. The
+ * delay mix is shaped by @p nearWeight / @p farWeight / @p cancelProb
+ * so distinct profiles stress same-cycle ties, deadlines far past the
+ * current time, and the tombstone/compaction path respectively.
  */
 void
 fuzzRound(std::uint64_t seed, int ops, double nearWeight,
           double farWeight, double cancelProb)
 {
     hh::sim::Rng rng(seed, 77);
-    EventQueue wheel;
-    HeapEventQueue heap;
+    EventQueue q;
+    Model model;
 
-    std::vector<PopRec> wheel_log, heap_log;
-    // Per-ordinal ids; an ordinal is "live" until cancelled/popped.
-    std::vector<hh::sim::EventId> wheel_ids, heap_ids;
+    std::vector<std::uint64_t> fired;
+    // Per-ordinal ids and deadlines; an ordinal is "live" until
+    // cancelled or popped.
+    std::vector<hh::sim::EventId> ids;
+    std::vector<Cycles> deadline;
     std::vector<std::uint64_t> cancellable;
 
     Cycles now = 0;
-    std::uint64_t next_ordinal = 0;
 
     for (int i = 0; i < ops; ++i) {
         const double r = rng.uniform();
@@ -85,21 +85,17 @@ fuzzRound(std::uint64_t seed, int ops, double nearWeight,
             const std::uint64_t ord = cancellable[pick];
             cancellable[pick] = cancellable.back();
             cancellable.pop_back();
-            const bool cw = wheel.cancel(wheel_ids[ord]);
-            const bool ch = heap.cancel(heap_ids[ord]);
-            ASSERT_EQ(cw, ch) << "cancel liveness diverged, op " << i;
+            const bool live = model.erase({deadline[ord], ord}) == 1;
+            ASSERT_EQ(q.cancel(ids[ord]), live)
+                << "cancel liveness diverged, op " << i;
             continue;
         }
-        if (r < cancelProb + 0.25 && !wheel.empty()) {
-            ASSERT_FALSE(heap.empty());
-            ASSERT_EQ(wheel.nextTime(), heap.nextTime());
-            popInto(wheel, wheel_log);
-            popInto(heap, heap_log);
-            now = wheel_log.back().when;
+        if (r < cancelProb + 0.25 && !q.empty()) {
+            ASSERT_NO_FATAL_FAILURE(popBoth(q, model, fired, now));
             continue;
         }
-        // Schedule. Delay mix: ties at `now` exercise FIFO order,
-        // near hits level 0, far lands in higher levels / far heap.
+        // Schedule. Delay mix: ties at `now` exercise FIFO order;
+        // near, mid and far deadlines interleave across the heap.
         Cycles delay = 0;
         const double d = rng.uniform();
         if (d < 0.15)
@@ -111,35 +107,20 @@ fuzzRound(std::uint64_t seed, int ops, double nearWeight,
         else
             delay = rng.uniformInt(std::uint64_t{1} << 14);
         const Cycles when = now + delay;
-        const std::uint64_t ord = next_ordinal++;
-        wheel_ids.push_back(wheel.schedule(when, [&, ord] {
-            wheel_log.push_back({0, ord});
-        }));
-        heap_ids.push_back(heap.schedule(when, [&, ord] {
-            heap_log.push_back({0, ord});
-        }));
+        const std::uint64_t ord = ids.size();
+        ids.push_back(
+            q.schedule(when, [&fired, ord] { fired.push_back(ord); }));
+        deadline.push_back(when);
+        model.insert({when, ord});
         cancellable.push_back(ord);
+        ASSERT_EQ(q.size(), model.size());
     }
 
     // Drain everything that is left.
-    while (!wheel.empty()) {
-        ASSERT_FALSE(heap.empty());
-        ASSERT_EQ(wheel.nextTime(), heap.nextTime());
-        popInto(wheel, wheel_log);
-        popInto(heap, heap_log);
-    }
-    EXPECT_TRUE(heap.empty());
-
-    ASSERT_EQ(wheel_log.size(), heap_log.size());
-    for (std::size_t i = 0; i < wheel_log.size(); ++i) {
-        ASSERT_TRUE(wheel_log[i] == heap_log[i])
-            << "pop " << i << " diverged: wheel=("
-            << wheel_log[i].when << "," << wheel_log[i].ordinal
-            << ") heap=(" << heap_log[i].when << ","
-            << heap_log[i].ordinal << ")";
-    }
-    EXPECT_EQ(wheel.monotonicViolations(), 0u);
-    EXPECT_EQ(heap.monotonicViolations(), 0u);
+    while (!q.empty())
+        ASSERT_NO_FATAL_FAILURE(popBoth(q, model, fired, now));
+    EXPECT_TRUE(model.empty());
+    EXPECT_EQ(q.monotonicViolations(), 0u);
 }
 
 } // namespace

@@ -1,7 +1,6 @@
 /**
  * @file
- * Harvest-policy subsystem tests (PR 8): the StaticPolicy A/B
- * differential against the legacy inlined knob reads, per-policy unit
+ * Harvest-policy subsystem tests (PR 8): the factory, per-policy unit
  * behavior (hysteresis bands, critical-aware clustering, bandit
  * seeded determinism), the conformance contract (byte-identical
  * results and telemetry JSONL across worker counts and checkpoint
@@ -12,11 +11,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "cluster/checkpoint.h"
 #include "cluster/experiment.h"
+#include "cluster/server.h"
 #include "cluster/telemetry_hub.h"
 #include "exp/spec.h"
 #include "policy/policies.h"
@@ -106,19 +108,15 @@ vmMpki(std::uint32_t vm, double mpki, double occupancy)
 
 // ----------------------------------------------------------- factory
 
-TEST(PolicyFactory, KnownNamesConstructLegacyIsNull)
+TEST(PolicyFactory, KnownNamesConstructAPolicy)
 {
     for (const std::string &name : harvestPolicyNames()) {
         EXPECT_TRUE(knownHarvestPolicy(name)) << name;
         std::string err;
         auto p = makeHarvestPolicy(unitConfig(name, 9, 8), &err);
         EXPECT_TRUE(err.empty()) << err;
-        if (name == "legacy") {
-            EXPECT_EQ(p, nullptr);
-        } else {
-            ASSERT_NE(p, nullptr) << name;
-            EXPECT_EQ(p->name(), name);
-        }
+        ASSERT_NE(p, nullptr) << name;
+        EXPECT_EQ(p->name(), name);
     }
     EXPECT_FALSE(knownHarvestPolicy("nonsense"));
     std::string err;
@@ -268,42 +266,6 @@ TEST(BanditPolicyTest, DefaultArmReproducesTheConfiguredKnobs)
     EXPECT_DOUBLE_EQ(d.harvestWayFraction, 0.9);
 }
 
-// ------------------------------------------- legacy/static differential
-
-TEST(PolicyDifferential, StaticIsBitIdenticalToLegacyInlinedPath)
-{
-    // The tentpole regression guard: extracting the knob reads into
-    // StaticPolicy must not change a single byte of any run,
-    // including the adaptive-EWMA block mode and a nonzero emergency
-    // buffer, which exercise every read the extraction moved.
-    SystemConfig base = makeSystem(SystemKind::HardHarvestBlock);
-    base.requestsPerVm = 40;
-    base.accessSampling = 16;
-
-    SystemConfig adaptive = base;
-    adaptive.adaptiveHarvest = true;
-    SystemConfig buffered = base;
-    buffered.hwEmergencyBuffer = 2;
-
-    const struct
-    {
-        const char *label;
-        const SystemConfig &cfg;
-    } cases[] = {{"base", base},
-                 {"adaptiveHarvest", adaptive},
-                 {"emergencyBuffer", buffered}};
-    for (const auto &c : cases) {
-        SCOPED_TRACE(c.label);
-        SystemConfig legacy = c.cfg;
-        legacy.policy = "legacy";
-        SystemConfig extracted = c.cfg;
-        extracted.policy = "static";
-        const ClusterResults l = runCluster(legacy, 2, 5, 2);
-        const ClusterResults s = runCluster(extracted, 2, 5, 2);
-        EXPECT_EQ(l.serialized(), s.serialized());
-    }
-}
-
 // ----------------------------------------------- conformance contract
 
 class PolicyConformance
@@ -371,6 +333,45 @@ TEST(PolicyCheckpoint, MismatchedPolicyRejectsCheckpoint)
         << err;
 }
 
+TEST(PolicyCheckpoint, NoPolicyPresenceByteNamesTheRemovedSelector)
+{
+    // Section 0x16 still writes its presence byte, now always true. A
+    // false byte is what the removed no-policy selector wrote; loading
+    // it must fail with a message naming that selector.
+    SystemConfig cfg = policyConfig("static");
+    cfg.telemetryEnabled = false;
+    ServerSim a(cfg, "BFS", 3);
+    a.startRun();
+    a.advanceRun(hh::sim::msToCycles(0.5));
+    auto save = hh::snap::Archive::forSave();
+    a.saveState(save);
+    ASSERT_TRUE(save.ok());
+    std::vector<std::uint8_t> bytes = save.take();
+
+    // Section id 0x16, presence byte 1, then the decision vector's
+    // length (one entry per VM): unique in the stream.
+    const std::uint32_t id = 0x16;
+    const std::uint64_t vms = cfg.primaryVms + 1;
+    std::vector<std::uint8_t> marker(13);
+    std::memcpy(marker.data(), &id, 4);
+    marker[4] = 1;
+    std::memcpy(marker.data() + 5, &vms, 8);
+    const auto at = std::search(bytes.begin(), bytes.end(),
+                                marker.begin(), marker.end());
+    ASSERT_NE(at, bytes.end());
+    ASSERT_EQ(std::search(at + 1, bytes.end(), marker.begin(),
+                          marker.end()),
+              bytes.end());
+    at[4] = 0;
+
+    ServerSim b(cfg, "BFS", 3);
+    auto load = hh::snap::Archive::forLoad(bytes);
+    b.loadState(load);
+    EXPECT_FALSE(load.ok());
+    EXPECT_NE(load.error().find("\"legacy\""), std::string::npos)
+        << load.error();
+}
+
 // ------------------------------------------------- spec validation
 
 TEST(PolicySpec, PolicyKeysParseIntoTheConfig)
@@ -410,6 +411,14 @@ TEST(PolicySpec, BadPolicyValuesFailWithLineNumbers)
                            &err));
     EXPECT_NE(err.find("line 2"), std::string::npos) << err;
     EXPECT_NE(err.find("unknown harvest policy"), std::string::npos)
+        << err;
+    // The retired no-policy selector is an unknown name like any other.
+    EXPECT_FALSE(hh::exp::parseSpec("name = p\n\npolicy = legacy\n",
+                                    &spec, &err));
+    EXPECT_NE(err.find("line 3"), std::string::npos) << err;
+    EXPECT_NE(err.find("expected static, hysteresis, critical or "
+                       "bandit"),
+              std::string::npos)
         << err;
 
     EXPECT_FALSE(hh::exp::parseSpec("policyEpsilon = 1.5\n", &spec,

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <vector>
 
 #include "cache/repl_cdp.h"
@@ -378,6 +379,13 @@ struct MaskCase
     WayMask candidate; //!< May be disjoint from allowed.
     bool incomingShared;
 };
+
+// Print a case by its name. The default printer dumps the raw struct
+// bytes, pointer included, so test names would change from run to run.
+void PrintTo(const MaskCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
 
 /**
  * Scenarios that historically defeated the class-5 / safety-net

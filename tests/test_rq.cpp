@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include "cluster/server.h"
+#include "cluster/system_config.h"
+#include "core/controller.h"
 #include "core/rq.h"
 
 using hh::core::RequestQueue;
@@ -360,4 +363,30 @@ TEST(SubQueue, DestructorCountsOverflowLeaks)
     }
     EXPECT_EQ(SubQueue::teardownPayloadLeaks(), 2u);
     SubQueue::resetTeardownPayloadLeaks();
+}
+
+// A server dropped mid-run (before finished()) abandons its in-flight
+// requests on purpose: that is not a leak and must not be counted.
+TEST(SubQueue, ServerTornDownMidRunLeaksNothing)
+{
+    SubQueue::resetTeardownPayloadLeaks();
+    hh::cluster::SystemConfig cfg = hh::cluster::makeSystem(
+        hh::cluster::SystemKind::HardHarvestBlock);
+    cfg.requestsPerVm = 40;
+    {
+        hh::cluster::ServerSim sim(cfg, "BFS", 3);
+        sim.startRun();
+        sim.advanceRun(hh::sim::msToCycles(0.5));
+        ASSERT_FALSE(sim.finished());
+        // Non-vacuous: some subqueue still holds requests.
+        std::size_t held = 0;
+        for (std::uint32_t vm = 0; vm <= cfg.primaryVms; ++vm) {
+            if (const auto *qm = sim.controller().qmFor(vm)) {
+                held += qm->queue().occupancy() +
+                        qm->queue().overflowSize();
+            }
+        }
+        EXPECT_GT(held, 0u);
+    }
+    EXPECT_EQ(SubQueue::teardownPayloadLeaks(), 0u);
 }

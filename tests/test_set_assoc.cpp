@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <ostream>
 #include <vector>
 
 #include "cache/repl_lru.h"
@@ -228,6 +229,13 @@ struct PartitionMoveCase
     WayMask before;    //!< harvest mask before the move
     WayMask after;     //!< harvest mask after the move
 };
+
+// Print a case by its label. The default printer dumps the raw struct
+// bytes, pointer included, so test names would change from run to run.
+void PrintTo(const PartitionMoveCase &c, std::ostream *os)
+{
+    *os << c.label;
+}
 
 class SetAssocPartitionMove
     : public ::testing::TestWithParam<PartitionMoveCase>

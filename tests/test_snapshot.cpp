@@ -3,8 +3,8 @@
  * Unit tests for the snapshot subsystem's component round-trips: Rng
  * position-exactness and stream independence, SubQueue state with
  * overflow pending, a cache hierarchy mid-flush (hidden harvest
- * ways), and a full server saved while a lend/reclaim race is in
- * flight (the PR-1 regression state).
+ * ways), a full server saved while a lend/reclaim race is in flight
+ * (the PR-1 regression state), and the event queue's pinned encoding.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 
 #include "cache/hierarchy.h"
 #include "sim/event_queue.h"
-#include "sim/event_queue_heap.h"
 #include "cluster/server.h"
 #include "cluster/system_config.h"
 #include "core/rq.h"
@@ -323,65 +322,14 @@ TEST(SnapshotServer, ObservabilityMismatchIsRejected)
 
 namespace {
 
-/**
- * Build a queue with a mix of live and cancelled tagged events.
- * The schedule pattern lands events across wheel levels (and the
- * heap's sift paths): ties, near, mid and far deadlines.
- */
-template <typename Queue>
-void
-populateQueue(Queue &q)
-{
-    using hh::snap::SnapTag;
-    std::vector<hh::sim::EventId> ids;
-    for (std::uint64_t i = 0; i < 40; ++i) {
-        SnapTag tag;
-        tag.kind = SnapTag::kCoreIdle;
-        tag.a = i; // ordinal; checked by the rearm callbacks
-        const hh::sim::Cycles when =
-            (i % 4 == 0) ? 100
-                         : (i % 4 == 1) ? 100 + i
-                                        : (i % 4 == 2)
-                                  ? 5000 + 17 * i
-                                  : (hh::sim::Cycles{1} << 21) + i;
-        ids.push_back(q.schedule(when, tag, [] {}));
-    }
-    // Tombstones: cancelled events must vanish from the snapshot
-    // without perturbing the surviving (time, seq) order.
-    for (std::size_t i = 0; i < ids.size(); i += 5)
-        EXPECT_TRUE(q.cancel(ids[i]));
-}
+using PopStream = std::vector<std::pair<hh::sim::Cycles, std::uint64_t>>;
 
-template <typename Queue>
-std::vector<std::uint8_t>
-saveQueue(Queue &q)
+/** Pop @p q empty, pairing each pop's time with the ordinal its
+ *  callback appends to @p log. */
+PopStream
+drainQueue(hh::sim::EventQueue &q, std::vector<std::uint64_t> &log)
 {
-    auto ar = Archive::forSave();
-    q.serialize(ar, nullptr);
-    EXPECT_TRUE(ar.ok());
-    return ar.take();
-}
-
-/** Restore @p bytes into @p q, rearming each event to log tag.a. */
-template <typename Queue>
-void
-loadQueue(Queue &q, const std::vector<std::uint8_t> &bytes,
-          std::vector<std::uint64_t> &log)
-{
-    auto ar = Archive::forLoad(bytes);
-    q.serialize(ar, [&log](const hh::snap::SnapTag &tag) {
-        const std::uint64_t ord = tag.a;
-        return typename Queue::Callback(
-            [&log, ord] { log.push_back(ord); });
-    });
-    ASSERT_TRUE(ar.ok());
-}
-
-template <typename Queue>
-std::vector<std::pair<hh::sim::Cycles, std::uint64_t>>
-drainQueue(Queue &q, std::vector<std::uint64_t> &log)
-{
-    std::vector<std::pair<hh::sim::Cycles, std::uint64_t>> out;
+    PopStream out;
     while (!q.empty()) {
         hh::sim::Cycles when = 0;
         auto cb = q.pop(when);
@@ -391,59 +339,95 @@ drainQueue(Queue &q, std::vector<std::uint64_t> &log)
     return out;
 }
 
+/** FNV-1a over a byte string. */
+std::uint64_t
+fnv1a(const std::vector<std::uint8_t> &bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const std::uint8_t b : bytes) {
+        h ^= b;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
 } // namespace
 
-// The serialized event-queue encoding is a structure-independent
-// contract: a checkpoint written by the binary heap restores on the
-// timing wheel (and vice versa), re-serializes byte-identically,
-// and pops the same (time, seq) stream.
-TEST(SnapshotEventQueue, HeapCheckpointRestoresOnWheel)
-{
-    hh::sim::HeapEventQueue heap;
-    populateQueue(heap);
-    const auto bytes = saveQueue(heap);
-
-    std::vector<std::uint64_t> log;
-    hh::sim::EventQueue wheel;
-    loadQueue(wheel, bytes, log);
-    EXPECT_EQ(wheel.size(), heap.size());
-
-    // Round-trip through the wheel is byte-identical.
-    EXPECT_EQ(saveQueue(wheel), bytes);
-
-    // And the restored wheel pops the heap's exact event stream.
-    std::vector<std::uint64_t> heap_log;
-    hh::sim::HeapEventQueue heap2;
-    loadQueue(heap2, bytes, heap_log);
-    EXPECT_EQ(drainQueue(wheel, log), drainQueue(heap2, heap_log));
-}
-
-TEST(SnapshotEventQueue, WheelCheckpointRestoresOnHeap)
-{
-    hh::sim::EventQueue wheel;
-    populateQueue(wheel);
-    const auto bytes = saveQueue(wheel);
-
-    std::vector<std::uint64_t> log;
-    hh::sim::HeapEventQueue heap;
-    loadQueue(heap, bytes, log);
-    EXPECT_EQ(heap.size(), wheel.size());
-
-    EXPECT_EQ(saveQueue(heap), bytes);
-
-    std::vector<std::uint64_t> wheel_log;
-    hh::sim::EventQueue wheel2;
-    loadQueue(wheel2, bytes, wheel_log);
-    EXPECT_EQ(drainQueue(heap, log), drainQueue(wheel2, wheel_log));
-}
-
-// Both implementations must write identical bytes for identical
-// schedule/cancel histories in the first place.
+// The serialized event-queue encoding is part of the 'HHCP' contract.
+// A fixed schedule/cancel/pop history must write exactly the pinned
+// bytes, and restoring them must pop the same (time, seq) stream as
+// the uninterrupted queue. Events land as ties, near, mid and far
+// deadlines; tombstones must vanish from the snapshot; the tail
+// schedules reuse freed slots, so slot generations and the free-slot
+// order are exercised too.
 TEST(SnapshotEventQueue, IdenticalHistoryIdenticalBytes)
 {
-    hh::sim::EventQueue wheel;
-    hh::sim::HeapEventQueue heap;
-    populateQueue(wheel);
-    populateQueue(heap);
-    EXPECT_EQ(saveQueue(wheel), saveQueue(heap));
+    using hh::snap::SnapTag;
+    hh::sim::EventQueue q;
+    std::vector<std::uint64_t> log;
+    const auto logOrdinal = [&log](std::uint64_t ord) {
+        return hh::sim::EventQueue::Callback(
+            [&log, ord] { log.push_back(ord); });
+    };
+    std::vector<hh::sim::EventId> ids;
+    for (std::uint64_t i = 0; i < 40; ++i) {
+        const hh::sim::Cycles when =
+            (i % 4 == 0)   ? 100
+            : (i % 4 == 1) ? 100 + i
+            : (i % 4 == 2) ? 5000 + 17 * i
+                           : (hh::sim::Cycles{1} << 21) + i;
+        ids.push_back(q.schedule(
+            when, hh::snap::tag(SnapTag::kCoreIdle, i), logOrdinal(i)));
+    }
+    for (std::size_t i = 0; i < ids.size(); i += 5)
+        EXPECT_TRUE(q.cancel(ids[i]));
+    hh::sim::Cycles now = 0;
+    for (int k = 0; k < 6; ++k) {
+        auto cb = q.pop(now);
+        cb();
+    }
+    EXPECT_EQ(now, 100u);
+    EXPECT_EQ(log.back(), 28u);
+    for (std::uint64_t i = 40; i < 43; ++i) {
+        const hh::sim::Cycles delay =
+            i == 40 ? 0 : i == 41 ? 300 : hh::sim::Cycles{1} << 23;
+        ids.push_back(q.schedule(now + delay,
+                                 hh::snap::tag(SnapTag::kCoreIdle, i),
+                                 logOrdinal(i)));
+    }
+    EXPECT_TRUE(q.cancel(ids[41]));
+
+    auto save = Archive::forSave();
+    q.serialize(save, nullptr);
+    ASSERT_TRUE(save.ok());
+    const std::vector<std::uint8_t> bytes = save.take();
+    // Captured when two queue implementations still cross-checked
+    // each other byte-for-byte; any change here breaks checkpoints.
+    EXPECT_EQ(bytes.size(), 2164u);
+    EXPECT_EQ(fnv1a(bytes), 0x9014619315a956b1ull);
+
+    std::vector<std::uint64_t> restored_log;
+    hh::sim::EventQueue restored;
+    auto load = Archive::forLoad(bytes);
+    restored.serialize(load, [&restored_log](const SnapTag &tag) {
+        const std::uint64_t ord = tag.a;
+        return hh::sim::EventQueue::Callback(
+            [&restored_log, ord] { restored_log.push_back(ord); });
+    });
+    ASSERT_TRUE(load.ok()) << load.error();
+    EXPECT_EQ(restored.size(), q.size());
+
+    auto resave = Archive::forSave();
+    restored.serialize(resave, nullptr);
+    EXPECT_EQ(resave.take(), bytes);
+
+    const PopStream want = drainQueue(q, log);
+    ASSERT_EQ(want.size(), 28u);
+    EXPECT_EQ(want.front(), std::make_pair(hh::sim::Cycles{100},
+                                           std::uint64_t{32}));
+    EXPECT_EQ(want.back(),
+              std::make_pair(hh::sim::Cycles{100} +
+                                 (hh::sim::Cycles{1} << 23),
+                             std::uint64_t{42}));
+    EXPECT_EQ(drainQueue(restored, restored_log), want);
 }
