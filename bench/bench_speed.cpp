@@ -39,8 +39,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "exp/codec.h"
-#include "exp/scheduler.h"
 #include "sim/prof.h"
 #include "sim/thread_pool.h"
 #include "snapshot/archive.h"
@@ -214,11 +212,11 @@ main(int argc, char **argv)
         lease.serialized() == par.serialized();
 
     // Snapshot subsystem: cost of one full-state save and load at the
-    // server level, then the cluster-level warm-start path — snapshot
-    // the whole cluster after a warm-up prefix, resume it, and compare
-    // the resumed wall-clock against re-running the prefix (the win a
-    // checkpoint-sharing sweep gets per fork).
-    std::printf("snapshot save/load + warm-start resume...\n");
+    // server level, then the cluster-level checkpoint-resume path —
+    // snapshot the whole cluster after a warm-up prefix, resume it,
+    // and compare the resumed wall-clock against a full run from
+    // t=0.
+    std::printf("snapshot save/load + checkpoint resume...\n");
     const hh::sim::Cycles t_warm = hh::sim::msToCycles(
         envDouble("HH_WARMUP_MS", 2.0));
     double save_sec = 0;
@@ -265,65 +263,6 @@ main(int argc, char **argv)
         resume_sec > 0 ? par_sec / resume_sec : 0.0;
     const double snap_overhead_pct =
         par_sec > 0 ? 100.0 * (save_sec + load_sec) / par_sec : 0.0;
-
-    // Experiment-engine warm starts: a 3-point arrival-budget sweep
-    // {R/2, 3R/4, R} run cold (every point from t=0) vs through the
-    // JobScheduler's config-prefix warm start (donor R simulates once;
-    // the smaller budgets resume from its snapshot). Unlike the
-    // cluster speedup, the win here survives a single-core host — warm
-    // starts skip simulated work, they don't add parallelism.
-    std::printf("experiment warm-start sweep (cold vs warm)...\n");
-    const std::vector<unsigned> budgets = {
-        std::max(scale.requests / 2, 1u),
-        std::max(3 * scale.requests / 4, 2u), scale.requests};
-    const std::string sweep_app =
-        hh::workload::batchApplications().front().name;
-    const auto submitSweep = [&](hh::exp::JobScheduler &s) {
-        std::vector<hh::exp::JobScheduler::Handle> hs;
-        for (const unsigned b : budgets) {
-            SystemConfig c = cfg;
-            c.requestsPerVm = b;
-            // The shareable prefix ends when the *fastest* primary VM
-            // reaches the smallest member's warmup boundary
-            // (bit-identity: samples past it must be recorded by the
-            // member, not the donor). The default 10% warmup leaves
-            // nothing worth sharing, and the heterogeneous 8-service
-            // mix caps the prefix at the fastest service's rate — so
-            // the sweep uses a steady-state warmup share and a
-            // uniform single-primary config, the regime prefix
-            // sharing is built for.
-            c.warmupFraction = 0.5;
-            c.primaryVms = 1;
-            hs.push_back(s.addServer(c, sweep_app, scale.seed));
-        }
-        return hs;
-    };
-    hh::exp::JobScheduler::Options cold_opts;
-    cold_opts.warmStart = false;
-    hh::exp::JobScheduler cold_sched(cold_opts);
-    const auto cold_handles = submitSweep(cold_sched);
-    const auto t_cold = Clock::now();
-    cold_sched.run();
-    const double exp_cold_sec = secondsSince(t_cold);
-
-    hh::exp::JobScheduler warm_sched;
-    const auto warm_handles = submitSweep(warm_sched);
-    const auto t_wstart = Clock::now();
-    warm_sched.run();
-    const double exp_warm_sec = secondsSince(t_wstart);
-
-    bool exp_identical = true;
-    for (std::size_t i = 0; i < budgets.size(); ++i) {
-        exp_identical =
-            exp_identical &&
-            hh::exp::encodeServerResults(
-                cold_sched.serverResult(cold_handles[i])) ==
-                hh::exp::encodeServerResults(
-                    warm_sched.serverResult(warm_handles[i]));
-    }
-    const double exp_speedup =
-        exp_warm_sec > 0 ? exp_cold_sec / exp_warm_sec : 0.0;
-    const auto &warm_stats = warm_sched.stats();
 
     // Service-graph fleet footprint: a 64-server three-tier RPC-DAG
     // fleet at a reduced arrival budget. The interesting number is
@@ -413,17 +352,11 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(lease.leaseGrants),
                 lease_identical ? "yes" : "NO");
     std::printf("snapshot: save %.1fms  load %.1fms  (%zu KiB)  "
-                "warm-start %.2fs vs full %.2fs  speedup %.2fx  "
+                "resume %.2fs vs full %.2fs  speedup %.2fx  "
                 "bit-identical %s\n",
                 save_sec * 1e3, load_sec * 1e3, state_bytes / 1024,
                 resume_sec, par_sec, warm_speedup,
                 snap_identical ? "yes" : "NO");
-    std::printf("experiment: budget sweep cold %.2fs  warm %.2fs  "
-                "speedup %.2fx  (%zu warm-started, %zu groups)  "
-                "bit-identical %s\n",
-                exp_cold_sec, exp_warm_sec, exp_speedup,
-                warm_stats.warmStarted, warm_stats.prefixGroups,
-                exp_identical ? "yes" : "NO");
     std::printf("graph:    %u servers x %u tiers in %.2fs  "
                 "%.1f MiB/server resident (budget %.0f)  "
                 "peakLiveNodes/server %llu  engine %llu B/server\n",
@@ -540,22 +473,6 @@ main(int argc, char **argv)
     std::fprintf(f, "    \"bit_identical\": %s\n",
                  snap_identical ? "true" : "false");
     std::fprintf(f, "  },\n");
-    // Warm-start wins hold on a single-core host (less simulated
-    // work); host.single_core_host only discounts the cluster speedup.
-    std::fprintf(f, "  \"experiment\": {\n");
-    std::fprintf(f, "    \"budgets\": [%u, %u, %u],\n", budgets[0],
-                 budgets[1], budgets[2]);
-    std::fprintf(f, "    \"cold_sec\": %.4f,\n", exp_cold_sec);
-    std::fprintf(f, "    \"warm_sec\": %.4f,\n", exp_warm_sec);
-    std::fprintf(f, "    \"warm_start_speedup\": %.3f,\n",
-                 exp_speedup);
-    std::fprintf(f, "    \"warm_started\": %zu,\n",
-                 warm_stats.warmStarted);
-    std::fprintf(f, "    \"prefix_groups\": %zu,\n",
-                 warm_stats.prefixGroups);
-    std::fprintf(f, "    \"bit_identical\": %s\n",
-                 exp_identical ? "true" : "false");
-    std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"graph\": {\n");
     std::fprintf(f, "    \"servers\": %u,\n", gres.servers);
     std::fprintf(f, "    \"depth\": %u,\n", gres.depth);
@@ -653,14 +570,8 @@ main(int argc, char **argv)
     }
     if (!snap_identical) {
         std::fprintf(stderr,
-                     "warm-start resume is not bit-identical to the "
+                     "checkpoint resume is not bit-identical to the "
                      "full run\n");
-        return 1;
-    }
-    if (!exp_identical) {
-        std::fprintf(stderr,
-                     "experiment warm-start sweep is not "
-                     "bit-identical to the cold sweep\n");
         return 1;
     }
     return identical ? 0 : 1;

@@ -2,11 +2,10 @@
  * @file
  * One-shot paper reproduction through the experiment engine
  * (src/exp/): runs the Figure 11 / 14 / 17 harnesses through the
- * JobScheduler — deduplicated, memoized against a crash-resumable
- * result ledger, and warm-started where configs share a prefix —
- * renders each figure byte-identically to its standalone binary, and
- * finishes with the machine-checked FidelityGate over the
- * EXPERIMENTS.md verdict tables.
+ * JobScheduler — deduplicated and memoized against a crash-resumable
+ * result ledger — renders each figure byte-identically to its
+ * standalone binary, and finishes with the machine-checked
+ * FidelityGate over the EXPERIMENTS.md verdict tables.
  *
  * Usage:
  *   repro_all [--scale quick|default|full] [--seeds N]
@@ -392,10 +391,8 @@ main(int argc, char **argv)
 
     const auto &st = sched.stats();
     std::printf("\nEngine: %zu submitted, %zu unique, %zu memoized, "
-                "%zu simulated (%zu warm-started, %zu prefix "
-                "groups)\n",
-                st.submitted, st.unique, st.memoized, st.simulated,
-                st.warmStarted, st.prefixGroups);
+                "%zu simulated\n",
+                st.submitted, st.unique, st.memoized, st.simulated);
     if (ledger)
         std::printf("ledger: %s now holds %zu rows\n",
                     ledger->path().c_str(), ledger->rows());

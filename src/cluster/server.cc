@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <unordered_set>
 
-#include "cluster/checkpoint.h"
 #include "sim/log.h"
 #include "sim/prof.h"
 
@@ -2281,72 +2280,6 @@ ServerSim::run()
     startRun();
     advanceRun(horizon());
     return finishRun();
-}
-
-std::vector<ServerSim::ArrivalProgress>
-ServerSim::arrivalProgress() const
-{
-    std::vector<ArrivalProgress> out;
-    for (const auto &v : vms_) {
-        if (!v.desc.isPrimary())
-            continue;
-        ArrivalProgress p;
-        p.consumed = cfg_.requestsPerVm - v.arrivalsRemaining;
-        p.completed = v.completed;
-        out.push_back(p);
-    }
-    return out;
-}
-
-bool
-ServerSim::retargetArrivalBudget(const SystemConfig &donorCfg,
-                                 std::string *error)
-{
-    const auto fail = [&](const std::string &what) {
-        if (error)
-            *error = "retargetArrivalBudget: " + what;
-        return false;
-    };
-    if (donorCfg.requestsPerVm < cfg_.requestsPerVm)
-        return fail("donor budget " +
-                    std::to_string(donorCfg.requestsPerVm) +
-                    " is smaller than target budget " +
-                    std::to_string(cfg_.requestsPerVm));
-    SystemConfig donor_prefix = donorCfg;
-    SystemConfig target_prefix = cfg_;
-    donor_prefix.requestsPerVm = 0;
-    target_prefix.requestsPerVm = 0;
-    if (configFingerprint(donor_prefix) !=
-        configFingerprint(target_prefix))
-        return fail("donor config differs beyond the arrival budget");
-
-    const unsigned delta = donorCfg.requestsPerVm - cfg_.requestsPerVm;
-    const unsigned donor_warm = static_cast<unsigned>(
-        donorCfg.warmupFraction *
-        static_cast<double>(donorCfg.requestsPerVm));
-    const unsigned target_warm = static_cast<unsigned>(
-        cfg_.warmupFraction * static_cast<double>(cfg_.requestsPerVm));
-    const unsigned warm_cap = std::min(donor_warm, target_warm);
-
-    // Validate every VM before touching any: a half-retargeted sim
-    // would be unusable.
-    for (const auto &v : vms_) {
-        if (!v.desc.isPrimary())
-            continue;
-        if (v.arrivalsRemaining <= delta)
-            return fail("vm" + std::to_string(v.desc.id) +
-                        " consumed arrivals past the target budget");
-        if (v.completed > warm_cap)
-            return fail("vm" + std::to_string(v.desc.id) +
-                        " completed past the warmup boundary");
-    }
-    for (auto &v : vms_) {
-        if (!v.desc.isPrimary())
-            continue;
-        v.arrivalsRemaining -= delta;
-        v.warmupSkip = target_warm;
-    }
-    return true;
 }
 
 void

@@ -276,34 +276,6 @@ class ServerSim
     void loadState(hh::snap::Archive &ar) { serializeState(ar); }
     /** @} */
 
-    /** @name Warm-start support (src/exp/ JobScheduler) @{ */
-
-    /** Arrival-budget progress of one Primary VM. */
-    struct ArrivalProgress
-    {
-        unsigned consumed = 0;  //!< Arrivals drawn from the budget.
-        unsigned completed = 0; //!< Requests completed.
-    };
-
-    /** Per-Primary-VM progress, in VM order (donor pacing). */
-    std::vector<ArrivalProgress> arrivalProgress() const;
-
-    /**
-     * Retarget state loaded from a donor run — same config apart from
-     * a larger `requestsPerVm` — to this sim's smaller budget.
-     *
-     * Arrivals are chained per VM and the warmup boundary is a fixed
-     * completion count, so a donor trajectory is byte-identical to
-     * this config's until the smaller budget exhausts or the warmup
-     * boundary is crossed. This call validates both conditions for
-     * every Primary VM and patches `arrivalsRemaining` and
-     * `warmupSkip`; on any violation it returns false (with @p error
-     * set) and the caller must fall back to a cold run.
-     */
-    bool retargetArrivalBudget(const SystemConfig &donorCfg,
-                               std::string *error);
-    /** @} */
-
     /** The embedded HardHarvest controller (tests). */
     hh::core::HardHarvestController &controller() { return *ctrl_; }
 

@@ -1,19 +1,17 @@
 #include "exp/scheduler.h"
 
-#include <algorithm>
 #include <cstdlib>
 
 #include "cluster/checkpoint.h"
 #include "cluster/parallel.h"
 #include "exp/codec.h"
 #include "sim/log.h"
-#include "snapshot/archive.h"
 
 namespace hh::exp {
 
 namespace {
 
-/** May this job's result be memoized / warm-started? */
+/** May this job's result be memoized? */
 bool
 cacheableConfig(const hh::cluster::SystemConfig &cfg)
 {
@@ -29,28 +27,7 @@ cacheableConfig(const hh::cluster::SystemConfig &cfg)
     return true;
 }
 
-/** Snapshot a sim's full state; empty on serialization failure. */
-std::vector<std::uint8_t>
-trySave(hh::cluster::ServerSim &sim)
-{
-    hh::snap::Archive ar = hh::snap::Archive::forSave();
-    sim.saveState(ar);
-    if (!ar.ok())
-        return {};
-    return ar.take();
-}
-
 } // namespace
-
-std::string
-warmPrefixKey(const hh::cluster::SystemConfig &cfg,
-              const std::string &batchApp, std::uint64_t seed)
-{
-    hh::cluster::SystemConfig prefix = cfg;
-    prefix.requestsPerVm = 0;
-    return hh::cluster::configFingerprint(prefix) + '\x1f' + batchApp +
-           '\x1f' + std::to_string(seed);
-}
 
 JobScheduler::Handle
 JobScheduler::intern(Slot &&slot)
@@ -111,89 +88,6 @@ JobScheduler::addCustom(const std::string &kind, const std::string &key,
 }
 
 void
-JobScheduler::runServerCold(std::size_t slot)
-{
-    Slot &s = slots_[slot];
-    const hh::sim::LogTagScope tag("job" + std::to_string(slot));
-    s.result =
-        hh::cluster::runServer(s.cfg, s.batchApp, s.key.seed);
-}
-
-void
-JobScheduler::runDonor(WarmGroup &g)
-{
-    Slot &s = slots_[g.donor];
-    const hh::sim::LogTagScope tag("job" + std::to_string(g.donor) +
-                                   "-donor");
-    hh::cluster::ServerSim sim(s.cfg, s.batchApp, s.key.seed);
-    sim.startRun();
-
-    // No snapshot yet: if no probe lands inside the warm window the
-    // blob stays empty and the members simply run cold (a t=0 blob
-    // would only add a pointless save/load round trip).
-    std::vector<std::uint8_t> valid;
-    const auto goal = static_cast<unsigned>(
-        opts_.warmFraction * static_cast<double>(g.warmCap));
-    // Snapshots are the expensive part of probing (a full state
-    // serialization), so probe with cheap progress counters every
-    // step but save only when completion crosses a milestone —
-    // halfway to the goal, then the goal. An invalidating step in
-    // between costs at most half the warm window, not the blob.
-    unsigned next_milestone = std::max(goal / 2, 1u);
-    hh::sim::Cycles until = 0;
-    while (!sim.finished() && until < hh::cluster::ServerSim::horizon()) {
-        until = std::max(until, sim.now()) + opts_.warmStep;
-        sim.advanceRun(until);
-        bool ok = true;
-        unsigned max_completed = 0;
-        for (const auto &p : sim.arrivalProgress()) {
-            if (p.consumed >= g.minBudget || p.completed > g.warmCap)
-                ok = false;
-            max_completed = std::max(max_completed, p.completed);
-        }
-        if (!ok)
-            break;
-        if (max_completed >= next_milestone) {
-            std::vector<std::uint8_t> blob = trySave(sim);
-            if (!blob.empty())
-                valid = std::move(blob);
-            if (max_completed >= goal)
-                break;
-            next_milestone = goal;
-        }
-    }
-    g.blob = std::move(valid);
-
-    sim.advanceRun(hh::cluster::ServerSim::horizon());
-    s.result = sim.finishRun();
-}
-
-void
-JobScheduler::runWarmMember(const WarmGroup &g, std::size_t slot)
-{
-    Slot &s = slots_[slot];
-    if (!g.blob.empty()) {
-        const hh::sim::LogTagScope tag("job" + std::to_string(slot) +
-                                       "-warm");
-        hh::cluster::ServerSim sim(s.cfg, s.batchApp, s.key.seed);
-        hh::snap::Archive ar = hh::snap::Archive::forLoad(g.blob);
-        sim.loadState(ar);
-        std::string err;
-        if (ar.ok() &&
-            sim.retargetArrivalBudget(slots_[g.donor].cfg, &err)) {
-            sim.advanceRun(hh::cluster::ServerSim::horizon());
-            s.result = sim.finishRun();
-            return;
-        }
-        hh::sim::warn("warm start of job ", slot, " failed (",
-                      ar.ok() ? err : ar.error(),
-                      "); falling back to a cold run");
-    }
-    s.done = false; // marker read by run(): fell back to cold
-    runServerCold(slot);
-}
-
-void
 JobScheduler::run()
 {
     // 1. Memoize from the ledger.
@@ -218,105 +112,31 @@ JobScheduler::run()
         ++stats_.memoized;
     }
 
-    // 2. Form warm-start groups over the pending server jobs.
+    // 2. Run every pending job.
     std::vector<std::size_t> pending;
     for (std::size_t i = 0; i < slots_.size(); ++i) {
         if (!slots_[i].done)
             pending.push_back(i);
     }
-    std::map<std::string, std::vector<std::size_t>> by_prefix;
-    if (opts_.warmStart) {
-        for (std::size_t i : pending) {
-            const Slot &s = slots_[i];
-            if (s.isServer && s.cacheable)
-                by_prefix[warmPrefixKey(s.cfg, s.batchApp, s.key.seed)]
-                    .push_back(i);
-        }
-    }
-    std::vector<WarmGroup> groups;
-    std::vector<bool> in_group(slots_.size(), false);
-    for (auto &[prefix, members] : by_prefix) {
-        if (members.size() < 2)
-            continue;
-        WarmGroup g;
-        g.donor = members[0];
-        for (std::size_t i : members) {
-            if (slots_[i].cfg.requestsPerVm >
-                slots_[g.donor].cfg.requestsPerVm)
-                g.donor = i;
-        }
-        g.minBudget = slots_[members[0]].cfg.requestsPerVm;
-        for (std::size_t i : members) {
-            g.minBudget =
-                std::min(g.minBudget, slots_[i].cfg.requestsPerVm);
-            if (i != g.donor)
-                g.members.push_back(i);
-            in_group[i] = true;
-        }
-        const double wf = slots_[g.donor].cfg.warmupFraction;
-        g.warmCap = static_cast<unsigned>(
-            wf * static_cast<double>(g.minBudget));
-        groups.push_back(std::move(g));
-    }
-    stats_.prefixGroups += groups.size();
-
-    // 3. Phase A: customs, ungrouped servers, and the group donors.
-    struct TaskRef
-    {
-        std::size_t slot = 0;
-        WarmGroup *group = nullptr; //!< Donor task when set.
-    };
-    std::vector<TaskRef> phase_a;
-    for (std::size_t i : pending) {
-        if (!in_group[i])
-            phase_a.push_back({i, nullptr});
-    }
-    for (WarmGroup &g : groups)
-        phase_a.push_back({g.donor, &g});
     hh::cluster::runParallel<char>(
-        phase_a.size(),
+        pending.size(),
         [&](std::size_t t) -> char {
-            const TaskRef &ref = phase_a[t];
-            Slot &s = slots_[ref.slot];
-            if (ref.group) {
-                runDonor(*ref.group);
-            } else if (s.isServer) {
-                runServerCold(ref.slot);
-            } else {
-                const hh::sim::LogTagScope tag(
-                    "job" + std::to_string(ref.slot));
+            Slot &s = slots_[pending[t]];
+            const hh::sim::LogTagScope tag("job" +
+                                           std::to_string(pending[t]));
+            if (s.isServer)
+                s.result =
+                    hh::cluster::runServer(s.cfg, s.batchApp, s.key.seed);
+            else
                 s.payloadText = s.fn();
-            }
             return 0;
         },
         opts_.workers);
-    stats_.simulated += phase_a.size();
-
-    // 4. Phase B: warm-start the remaining group members.
-    std::vector<std::pair<const WarmGroup *, std::size_t>> phase_b;
-    for (const WarmGroup &g : groups) {
-        for (std::size_t i : g.members)
-            phase_b.push_back({&g, i});
-    }
-    const std::vector<char> warm = hh::cluster::runParallel<char>(
-        phase_b.size(),
-        [&](std::size_t t) -> char {
-            slots_[phase_b[t].second].done = true; // warm marker
-            runWarmMember(*phase_b[t].first, phase_b[t].second);
-            return slots_[phase_b[t].second].done ? 1 : 0;
-        },
-        opts_.workers);
-    for (std::size_t t = 0; t < phase_b.size(); ++t) {
-        if (warm[t])
-            ++stats_.warmStarted;
-        else
-            ++stats_.simulated;
-    }
-
+    stats_.simulated += pending.size();
     for (std::size_t i : pending)
         slots_[i].done = true;
 
-    // 5. Append the new rows, in deterministic slot order, so an
+    // 3. Append the new rows, in deterministic slot order, so an
     // interrupted-and-resumed ledger is byte-identical to an
     // uninterrupted one.
     if (opts_.ledger) {

@@ -4,8 +4,7 @@
  *
  * The scheduler batches simulation jobs from any number of
  * ExperimentSpecs (or hand-built points) and runs them over the
- * ThreadPool with three cost savers stacked in front of the
- * simulator:
+ * ThreadPool with two cost savers in front of the simulator:
  *
  *  1. **Deduplication.** Jobs are keyed by (kind, config
  *     fingerprint, batch app, seed) — the same identity the
@@ -15,22 +14,11 @@
  *  2. **Memoization.** With a ResultLedger attached, previously
  *     simulated jobs are answered from the ledger; only missing keys
  *     simulate, and their rows are appended for the next run.
- *  3. **Warm starts.** Pending server jobs that share a *config
- *     prefix* — identical fingerprint apart from `requestsPerVm`,
- *     same app and seed — share the early trajectory (arrivals are
- *     chained, the warmup boundary is a fixed count), so the largest-
- *     budget member runs first as the *donor*, snapshots its state
- *     through src/snapshot/ while still inside every member's warmup
- *     window, and the other members resume from that snapshot with
- *     their arrival budget retargeted
- *     (ServerSim::retargetArrivalBudget). Results are byte-identical
- *     to cold runs; any validation failure falls back to a cold run.
  *
  * Jobs with tracing, metric sampling, auditing (including the
  * HH_AUDIT environment override) or fault injection enabled are
- * never deduplicated against clean jobs, memoized, or warm-started:
- * their results carry payloads the ledger codec deliberately
- * excludes.
+ * never deduplicated against clean jobs or memoized: their results
+ * carry payloads the ledger codec deliberately excludes.
  */
 
 #ifndef HH_EXP_SCHEDULER_H
@@ -45,15 +33,8 @@
 #include "cluster/system_config.h"
 #include "exp/ledger.h"
 #include "exp/spec.h"
-#include "sim/time.h"
 
 namespace hh::exp {
-
-/** Prefix key grouping warm-start candidates: the fingerprint with
- *  the arrival budget zeroed, plus app and seed. */
-std::string warmPrefixKey(const hh::cluster::SystemConfig &cfg,
-                          const std::string &batchApp,
-                          std::uint64_t seed);
 
 class JobScheduler
 {
@@ -62,19 +43,6 @@ class JobScheduler
     {
         /** Thread-pool workers; 0 = HH_THREADS or hardware. */
         unsigned workers = 0;
-        /** Enable warm-starting of config-prefix groups. */
-        bool warmStart = true;
-        /**
-         * Donor checkpoint target: fraction of the group's smallest
-         * warmup boundary the leading VM reaches before the final
-         * snapshot. Must stay below 1.0 — the snapshot must precede
-         * every member's boundary — with enough margin that one
-         * probe step cannot overshoot the boundary (overshoot falls
-         * back to the halfway-milestone snapshot).
-         */
-        double warmFraction = 0.85;
-        /** Donor advance step between snapshot probes (cycles). */
-        hh::sim::Cycles warmStep = hh::sim::msToCycles(0.25);
         /** Memoization cache; may be nullptr (no caching). */
         ResultLedger *ledger = nullptr;
     };
@@ -84,9 +52,9 @@ class JobScheduler
         std::size_t submitted = 0;    //!< add*() calls.
         std::size_t unique = 0;       //!< Jobs after deduplication.
         std::size_t memoized = 0;     //!< Answered from the ledger.
-        std::size_t simulated = 0;    //!< Cold runs (incl. donors).
-        std::size_t warmStarted = 0;  //!< Resumed from a donor.
-        std::size_t prefixGroups = 0; //!< Warm groups formed.
+        std::size_t simulated = 0;    //!< Jobs actually run.
+        /** Always 0: warm starts are gone; simbench still reads it. */
+        std::size_t warmStarted = 0;
     };
 
     /** Identifies a submitted job; stable across run(). */
@@ -145,22 +113,7 @@ class JobScheduler
         bool fromLedger = false;
     };
 
-    /** A warm-start group: donor + members, all pending. */
-    struct WarmGroup
-    {
-        std::size_t donor = 0;        //!< Slot index.
-        std::vector<std::size_t> members; //!< Non-donor slots.
-        unsigned minBudget = 0;       //!< Smallest member budget.
-        unsigned warmCap = 0;         //!< min warmupSkip over group.
-        std::vector<std::uint8_t> blob; //!< Donor state snapshot.
-    };
-
     Handle intern(Slot &&slot);
-    void runServerCold(std::size_t slot);
-    /** Donor run: capture the latest valid snapshot, then finish. */
-    void runDonor(WarmGroup &g);
-    /** Member run: load donor blob, retarget, finish; cold fallback. */
-    void runWarmMember(const WarmGroup &g, std::size_t slot);
 
     Options opts_;
     Stats stats_;

@@ -3,8 +3,7 @@
  * JobScheduler contract tests: deduplication, bit-identity of engine
  * results against direct runServer() calls, ledger memoization across
  * scheduler instances, the non-cacheable bypass for observability
- * configs, custom-job replay, and warm-started sweep members being
- * byte-identical to cold runs.
+ * configs, and custom-job replay.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +11,6 @@
 #include <atomic>
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "cluster/experiment.h"
 #include "cluster/system_config.h"
@@ -36,23 +34,6 @@ tinyConfig()
     SystemConfig cfg = makeSystem(SystemKind::HardHarvestBlock);
     cfg.requestsPerVm = 30;
     cfg.accessSampling = 32;
-    return cfg;
-}
-
-/**
- * Sweep point for the warm-start group: a single uniform primary VM
- * keeps per-VM completion skew from shrinking the shareable prefix,
- * and warmupFraction 0.5 gives the donor a wide snapshot window
- * (mirrors the bench_speed "experiment" sweep).
- */
-SystemConfig
-sweepConfig(unsigned budget)
-{
-    SystemConfig cfg = makeSystem(SystemKind::HardHarvestBlock);
-    cfg.requestsPerVm = budget;
-    cfg.accessSampling = 32;
-    cfg.primaryVms = 1;
-    cfg.warmupFraction = 0.5;
     return cfg;
 }
 
@@ -102,6 +83,21 @@ TEST(ExpScheduler, DedupAndBitIdentityToDirectRun)
     sched2.addServer(cfg, "BFS", 1);
     sched2.addServer(cfg, "BFS", 2);
     EXPECT_EQ(sched2.stats().unique, 2u);
+
+    // So is a different arrival budget: each point of a budget sweep
+    // runs on its own and matches a standalone run at that budget.
+    SystemConfig larger = cfg;
+    larger.requestsPerVm = 2 * cfg.requestsPerVm;
+    JobScheduler sweep;
+    const auto small_h = sweep.addServer(cfg, "BFS", 1);
+    const auto large_h = sweep.addServer(larger, "BFS", 1);
+    EXPECT_EQ(sweep.stats().unique, 2u);
+    sweep.run();
+    EXPECT_EQ(encodeServerResults(sweep.serverResult(small_h)),
+              via_engine);
+    EXPECT_EQ(encodeServerResults(sweep.serverResult(large_h)),
+              encodeServerResults(
+                  hh::cluster::runServer(larger, "BFS", 1)));
 }
 
 TEST(ExpScheduler, LedgerMemoizesAcrossSchedulers)
@@ -170,51 +166,6 @@ TEST(ExpScheduler, ObservabilityConfigsBypassTheCache)
     sched.run();
     EXPECT_EQ(sched.stats().memoized, 0u);
     EXPECT_EQ(sched.stats().simulated, 1u);
-}
-
-TEST(ExpScheduler, WarmStartedSweepIsBitIdenticalToCold)
-{
-    const std::vector<unsigned> budgets = {60, 120};
-
-    JobScheduler::Options cold_opts;
-    cold_opts.warmStart = false;
-    JobScheduler cold(cold_opts);
-    std::vector<JobScheduler::Handle> cold_handles;
-    for (const unsigned b : budgets)
-        cold_handles.push_back(cold.addServer(sweepConfig(b), "BFS", 3));
-    cold.run();
-    EXPECT_EQ(cold.stats().prefixGroups, 0u);
-    EXPECT_EQ(cold.stats().warmStarted, 0u);
-
-    JobScheduler warm;
-    std::vector<JobScheduler::Handle> warm_handles;
-    for (const unsigned b : budgets)
-        warm_handles.push_back(warm.addServer(sweepConfig(b), "BFS", 3));
-    warm.run();
-    EXPECT_EQ(warm.stats().prefixGroups, 1u);
-    EXPECT_EQ(warm.stats().warmStarted, 1u);
-
-    for (std::size_t i = 0; i < budgets.size(); ++i)
-        EXPECT_EQ(
-            encodeServerResults(warm.serverResult(warm_handles[i])),
-            encodeServerResults(cold.serverResult(cold_handles[i])))
-            << "budget " << budgets[i];
-}
-
-TEST(ExpScheduler, WarmPrefixKeyIgnoresOnlyTheBudget)
-{
-    const SystemConfig a = sweepConfig(60);
-    const SystemConfig b = sweepConfig(120);
-    EXPECT_EQ(hh::exp::warmPrefixKey(a, "BFS", 3),
-              hh::exp::warmPrefixKey(b, "BFS", 3));
-    EXPECT_NE(hh::exp::warmPrefixKey(a, "BFS", 3),
-              hh::exp::warmPrefixKey(a, "BFS", 4));
-    EXPECT_NE(hh::exp::warmPrefixKey(a, "BFS", 3),
-              hh::exp::warmPrefixKey(a, "PRank", 3));
-    SystemConfig c = a;
-    c.candidateFraction = 0.5;
-    EXPECT_NE(hh::exp::warmPrefixKey(a, "BFS", 3),
-              hh::exp::warmPrefixKey(c, "BFS", 3));
 }
 
 TEST(ExpScheduler, SpecPointsRunThroughTheEngine)
