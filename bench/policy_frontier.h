@@ -1,12 +1,12 @@
 /**
  * @file
  * Shared harvest-policy frontier sweep: one telemetry-free cluster
- * run per policy in {static, hysteresis, critical, bandit}, rendered
+ * run per policy in harvestPolicyNames() (static, hysteresis), rendered
  * as a batch-throughput vs request-P99 frontier table plus one
  * machine-checked `policy-check` line:
  *
  *   policy-check hysteresis>=static: PASS|FAIL
- *       The first adaptive policy must not lose batch throughput
+ *       The adaptive policy must not lose batch throughput
  *       against the frozen baseline at this scale.
  *
  * Used by fig_policy_frontier and `repro_all --policies` so both

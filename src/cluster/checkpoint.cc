@@ -183,10 +183,6 @@ configFingerprint(const SystemConfig &cfg)
        << " policyEwmaAlpha=" << cfg.policyEwmaAlpha
        << " policyLendUtil=" << cfg.policyLendUtil
        << " policyHoldUtil=" << cfg.policyHoldUtil
-       << " policyClusters=" << cfg.policyClusters
-       << " policyEpsilon=" << cfg.policyEpsilon
-       << " policyP99TargetMs=" << cfg.policyP99TargetMs
-       << " policyP99Penalty=" << cfg.policyP99Penalty
        << " cacheLendEnabled=" << cfg.cacheLendEnabled
        << " cacheLendL2WayFraction=" << cfg.cacheLendL2WayFraction
        << " cacheLendL3Ways=" << cfg.cacheLendL3Ways

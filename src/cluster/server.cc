@@ -2040,7 +2040,6 @@ ServerSim::policyConfig() const
     pc.kind = cfg_.policy;
     pc.vmCount = static_cast<std::uint32_t>(cfg_.primaryVms + 1);
     pc.harvestVm = harvest_vm_;
-    pc.seed = seed_;
     pc.harvestOnBlock = cfg_.harvestOnBlock;
     pc.adaptiveHarvest = cfg_.adaptiveHarvest;
     pc.hwEmergencyBuffer = cfg_.hwEmergencyBuffer;
@@ -2051,10 +2050,6 @@ ServerSim::policyConfig() const
     pc.lendUtil = cfg_.policyLendUtil;
     pc.holdUtil = cfg_.policyHoldUtil;
     pc.ewmaAlpha = cfg_.policyEwmaAlpha;
-    pc.clusters = cfg_.policyClusters;
-    pc.epsilon = cfg_.policyEpsilon;
-    pc.p99TargetMs = cfg_.policyP99TargetMs;
-    pc.p99Penalty = cfg_.policyP99Penalty;
     return pc;
 }
 

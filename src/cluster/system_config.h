@@ -118,12 +118,12 @@ struct SystemConfig
     /**
      * Harvest/reclaim policy selector (src/policy/): "static" (the
      * default — freezes the knobs above into one immutable decision
-     * set), "hysteresis", "critical" or "bandit".
+     * set) or "hysteresis".
      */
     std::string policy = "static";
     /** Policy epoch length in cycles (1 ms at 3 GHz by default). */
     hh::sim::Cycles policyPeriod = hh::sim::msToCycles(1.0);
-    /** Hysteresis/critical: EWMA smoothing of epoch features. */
+    /** Hysteresis: EWMA smoothing of epoch core utilization. */
     double policyEwmaAlpha = 0.3;
     /** Hysteresis: lend aggressively below this EWMA utilization. */
     double policyLendUtil = 0.35;
@@ -133,14 +133,6 @@ struct SystemConfig
      * docs/POLICIES.md for the throughput/tail trade).
      */
     double policyHoldUtil = 1.0;
-    /** Critical-aware: k-means cluster count. */
-    unsigned policyClusters = 2;
-    /** Bandit: exploration probability. */
-    double policyEpsilon = 0.1;
-    /** Bandit: epoch-P99 target (ms) before the penalty kicks in. */
-    double policyP99TargetMs = 10.0;
-    /** Bandit: penalty weight per ms of epoch P99 over target. */
-    double policyP99Penalty = 1.0;
     /** @} */
 
     /** @name Cache-capacity harvesting (src/lease/) @{ */

@@ -281,23 +281,20 @@ applySpecKey(hh::cluster::SystemConfig &cfg, const std::string &key,
     // harvest policy (PR 8)
     if (key == "policy") {
         if (!hh::policy::knownHarvestPolicy(value))
-            return fail("unknown harvest policy (expected static, "
-                        "hysteresis, critical or bandit), got");
+            return fail("unknown harvest policy (expected static or "
+                        "hysteresis), got");
         cfg.policy = value;
         return true;
     }
     if (key == "policyPeriodMs") {
         double ms = 0;
-        if (!parseDouble(value, &ms) || ms <= 0.0)
+        if (!parseDouble(value, &ms) || !(ms > 0.0))
             return fail("bad positive double");
+        // A 0-cycle period would re-arm the policy tick at delay 0
+        // forever, and simulated time would never advance.
+        if (hh::sim::msToCycles(ms) == 0)
+            return fail("policy period rounds to 0 cycles, got");
         cfg.policyPeriod = hh::sim::msToCycles(ms);
-        return true;
-    }
-    if (key == "policyClusters") {
-        unsigned n = 0;
-        if (!parseUnsigned(value, &n) || n == 0)
-            return fail("bad positive unsigned");
-        cfg.policyClusters = n;
         return true;
     }
     if (key == "policyEwmaAlpha") {
@@ -314,27 +311,6 @@ applySpecKey(hh::cluster::SystemConfig &cfg, const std::string &key,
                         "got");
         (key == "policyLendUtil" ? cfg.policyLendUtil
                                  : cfg.policyHoldUtil) = u;
-        return true;
-    }
-    if (key == "policyEpsilon") {
-        double e = 0;
-        if (!parseDouble(value, &e) || e < 0.0 || e > 1.0)
-            return fail("epsilon must be in [0, 1], got");
-        cfg.policyEpsilon = e;
-        return true;
-    }
-    if (key == "policyP99TargetMs") {
-        double t = 0;
-        if (!parseDouble(value, &t) || t < 0.0)
-            return fail("bad non-negative double");
-        cfg.policyP99TargetMs = t;
-        return true;
-    }
-    if (key == "policyP99Penalty") {
-        double p = 0;
-        if (!parseDouble(value, &p) || p < 0.0)
-            return fail("bad non-negative double");
-        cfg.policyP99Penalty = p;
         return true;
     }
 

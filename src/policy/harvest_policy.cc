@@ -106,8 +106,7 @@ HysteresisPolicy::serializeState(hh::snap::Archive &ar)
 const std::vector<std::string> &
 harvestPolicyNames()
 {
-    static const std::vector<std::string> kNames = {
-        "static", "hysteresis", "critical", "bandit"};
+    static const std::vector<std::string> kNames = {"static", "hysteresis"};
     return kNames;
 }
 
@@ -127,14 +126,9 @@ makeHarvestPolicy(const PolicyConfig &cfg, std::string *error)
         return std::make_unique<StaticPolicy>(cfg);
     if (cfg.kind == "hysteresis")
         return std::make_unique<HysteresisPolicy>(cfg);
-    if (cfg.kind == "critical")
-        return std::make_unique<CriticalAwarePolicy>(cfg);
-    if (cfg.kind == "bandit")
-        return std::make_unique<BanditPolicy>(cfg);
     if (error) {
         *error = "unknown harvest policy \"" + cfg.kind +
-                 "\" (expected static, hysteresis, critical or "
-                 "bandit)";
+                 "\" (expected static or hysteresis)";
     }
     return nullptr;
 }

@@ -13,28 +13,20 @@
  * boundaries; the lend/reclaim *mechanism* (transition costs,
  * flushes, RQ wiring) stays in src/cluster/server.cc.
  *
- * Four implementations ship:
+ * Two implementations ship:
  *  - `static`     — freezes today's SystemConfig knobs into one
  *                   immutable decision set (the default).
  *  - `hysteresis` — per-VM EWMA core-utilization thresholds with a
  *                   reclaim guard band between them.
- *  - `critical`   — k-means clustering of VMs by MPKI/occupancy with
- *                   way distribution across the clusters (after the
- *                   CAT framework's critical-aware policy).
- *  - `bandit`     — epsilon-greedy over lend-aggressiveness arms,
- *                   reward = batch per lent core-second minus a
- *                   P99-violation penalty (the same economics the
- *                   TelemetryHub reports fleet-wide).
  *
  * Every server owns exactly one policy object; the lend/reclaim sites
  * read the SystemConfig knobs only through its decisions.
  *
  * Determinism contract: policies are plain deterministic state
- * machines over the observation stream (the bandit's exploration
- * draws come from a seeded, serialized Rng stream), and their full
- * state rides the 'HHCP' snapshot (section 0x16), so runs stay
- * byte-identical across worker counts and checkpoint save/load/
- * resume. See docs/POLICIES.md.
+ * machines over the observation stream, and their full state rides
+ * the 'HHCP' snapshot (section 0x16), so runs stay byte-identical
+ * across worker counts and checkpoint save/load/resume. See
+ * docs/POLICIES.md.
  */
 
 #ifndef HH_POLICY_HARVEST_POLICY_H
@@ -45,8 +37,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/rng.h"
-#include "sim/time.h"
 #include "snapshot/archive.h"
 #include "stats/observation_view.h"
 
@@ -111,7 +101,6 @@ struct PolicyConfig
     std::string kind = "static"; //!< Selector; see makeHarvestPolicy.
     std::uint32_t vmCount = 0;   //!< Primary VMs + the Harvest VM.
     std::uint32_t harvestVm = 0; //!< Id of the Harvest VM.
-    std::uint64_t seed = 1;      //!< Experiment seed (bandit stream).
 
     /** @name Static knobs the extracted StaticPolicy freezes @{ */
     bool harvestOnBlock = true;
@@ -126,7 +115,7 @@ struct PolicyConfig
     unsigned cacheLendL3Ways = 4;
     /** @} */
 
-    /** @name Dynamic-policy parameters @{ */
+    /** @name Hysteresis parameters @{ */
     double lendUtil = 0.35;  //!< hysteresis: lend below this EWMA util
     /**
      * Hysteresis: arm the reclaim guard band strictly above this EWMA
@@ -136,11 +125,7 @@ struct PolicyConfig
      * fewer loan/reclaim cycles and primary tail latency.
      */
     double holdUtil = 1.0;
-    double ewmaAlpha = 0.3;  //!< EWMA smoothing of epoch features
-    unsigned clusters = 2;   //!< critical: k-means cluster count
-    double epsilon = 0.1;    //!< bandit: exploration probability
-    double p99TargetMs = 10.0; //!< bandit: epoch-P99 violation target
-    double p99Penalty = 1.0;   //!< bandit: penalty weight per ms over
+    double ewmaAlpha = 0.3;  //!< EWMA smoothing of epoch utilization
     /** @} */
 };
 

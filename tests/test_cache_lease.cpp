@@ -300,6 +300,15 @@ TEST(LeaseSpec, CacheLendKeysParseIntoTheConfig)
     EXPECT_DOUBLE_EQ(cfg.cacheLendL2WayFraction, 0.25);
     EXPECT_EQ(cfg.cacheLendPeriod, hh::sim::msToCycles(0.5));
     EXPECT_EQ(cfg.cacheLendTerm, hh::sim::msToCycles(2.0));
+
+    // The lease-geometry sweep EXPERIMENTS.md shows: 1 app x 3 x 3.
+    ASSERT_TRUE(hh::exp::parseSpec("apps = BFS\n"
+                                   "cacheLendEnabled = true\n"
+                                   "sweep.cacheLendL3Ways = 2 4 6\n"
+                                   "sweep.cacheLendTermMs = 2 4 8\n",
+                                   &spec, &err))
+        << err;
+    EXPECT_EQ(spec.points().size(), 9u);
 }
 
 TEST(LeaseSpec, DegenerateLendValuesFailWithLineNumbers)

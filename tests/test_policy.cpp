@@ -1,10 +1,9 @@
 /**
  * @file
- * Harvest-policy subsystem tests (PR 8): the factory, per-policy unit
- * behavior (hysteresis bands, critical-aware clustering, bandit
- * seeded determinism), the conformance contract (byte-identical
- * results and telemetry JSONL across worker counts and checkpoint
- * save/load/resume for every policy), spec-level validation of the
+ * Harvest-policy subsystem tests: the factory, the hysteresis bands,
+ * the conformance contract (byte-identical results and telemetry
+ * JSONL across worker counts and checkpoint save/load/resume for
+ * every policy), spec-level validation of the
  * policy keys and degenerate harvest-way fractions, and the
  * ObservationView epoch-boundary edges the policy tick relies on.
  */
@@ -91,16 +90,6 @@ vmUtil(std::uint32_t vm, double util)
     VmFeatures f;
     f.vm = vm;
     f.coreUtil = util;
-    return f;
-}
-
-VmFeatures
-vmMpki(std::uint32_t vm, double mpki, double occupancy)
-{
-    VmFeatures f;
-    f.vm = vm;
-    f.mpki = mpki;
-    f.cacheOccupancy = occupancy;
     return f;
 }
 
@@ -197,75 +186,6 @@ TEST(HysteresisPolicyTest, DefaultHoldUtilDisarmsTheGuard)
               pc.hwEmergencyBuffer);
 }
 
-// ---------------------------------------------------- critical-aware
-
-TEST(CriticalAwarePolicyTest, ClustersRankAndWayDistribution)
-{
-    PolicyConfig pc = unitConfig("critical", 4, 3);
-    pc.clusters = 2;
-    pc.harvestWayFraction = 0.5;
-    CriticalAwarePolicy p(pc);
-
-    // VM 0 thrashes (high MPKI), VMs 1-2 are cache-friendly.
-    for (std::uint64_t e = 1; e < 4; ++e) {
-        p.observe(rowWith({vmMpki(0, 50.0, 0.9), vmMpki(1, 1.0, 0.2),
-                           vmMpki(2, 2.0, 0.3)},
-                          e));
-    }
-    EXPECT_EQ(p.clusterOf(0), 0u); // most critical rank
-    EXPECT_EQ(p.clusterOf(1), 1u);
-    EXPECT_EQ(p.clusterOf(2), 1u);
-    // The critical cluster holds a burst guard and donates the
-    // narrowest harvest region; the friendly cluster donates widest.
-    EXPECT_GE(p.decision(0).emergencyBuffer, 1u);
-    EXPECT_EQ(p.decision(1).emergencyBuffer, pc.hwEmergencyBuffer);
-    EXPECT_LT(p.decision(0).harvestWayFraction,
-              p.decision(1).harvestWayFraction);
-}
-
-// ------------------------------------------------------------ bandit
-
-TEST(BanditPolicyTest, SameSeedSameArmSequence)
-{
-    PolicyConfig pc = unitConfig("bandit", 3, 2);
-    pc.epsilon = 1.0; // pure exploration: the sequence is the stream
-    const auto run = [&pc](std::uint64_t seed) {
-        pc.seed = seed;
-        BanditPolicy p(pc);
-        for (std::uint64_t e = 1; e <= 64; ++e) {
-            ObservationRow row = rowWith({}, e);
-            row.harvestedCyclesDelta = 3'000'000 * e;
-            row.batchLoanedDelta = 10 * e;
-            p.observe(row);
-        }
-        return p.armHistory();
-    };
-    const auto a = run(42);
-    EXPECT_EQ(a, run(42));
-    EXPECT_NE(a, run(43));
-    ASSERT_EQ(a.size(), 64u);
-    // Pure exploration over 64 epochs visits more than one arm.
-    bool varied = false;
-    for (const auto arm : a)
-        varied = varied || arm != a[0];
-    EXPECT_TRUE(varied);
-}
-
-TEST(BanditPolicyTest, DefaultArmReproducesTheConfiguredKnobs)
-{
-    PolicyConfig pc = unitConfig("bandit", 3, 2);
-    pc.epsilon = 0.0; // greedy: stays on the initial "default" arm
-    pc.hwEmergencyBuffer = 3;
-    pc.harvestWayFraction = 0.9; // outside the delta-arm clamp range
-    pc.adaptiveHarvest = true;
-    BanditPolicy p(pc);
-    const VmDecision &d = p.decision(0);
-    EXPECT_TRUE(d.lendAllowed);
-    EXPECT_EQ(d.blockMode, BlockHarvestMode::AdaptiveEwma);
-    EXPECT_EQ(d.emergencyBuffer, 3u);
-    EXPECT_DOUBLE_EQ(d.harvestWayFraction, 0.9);
-}
-
 // ----------------------------------------------- conformance contract
 
 class PolicyConformance
@@ -306,8 +226,7 @@ TEST_P(PolicyConformance, WorkerCountsAndResumeAreByteIdentical)
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, PolicyConformance,
-                         ::testing::Values("static", "hysteresis",
-                                           "critical", "bandit"));
+                         ::testing::Values("static", "hysteresis"));
 
 TEST(PolicyCheckpoint, MismatchedPolicyRejectsCheckpoint)
 {
@@ -383,11 +302,7 @@ TEST(PolicySpec, PolicyKeysParseIntoTheConfig)
                                    "policyPeriodMs = 0.5\n"
                                    "policyLendUtil = 0.2\n"
                                    "policyHoldUtil = 0.8\n"
-                                   "policyEwmaAlpha = 0.4\n"
-                                   "policyClusters = 3\n"
-                                   "policyEpsilon = 0.2\n"
-                                   "policyP99TargetMs = 5\n"
-                                   "policyP99Penalty = 2\n",
+                                   "policyEwmaAlpha = 0.4\n",
                                    &spec, &err))
         << err;
     const auto pts = spec.points();
@@ -398,8 +313,15 @@ TEST(PolicySpec, PolicyKeysParseIntoTheConfig)
     EXPECT_DOUBLE_EQ(cfg.policyLendUtil, 0.2);
     EXPECT_DOUBLE_EQ(cfg.policyHoldUtil, 0.8);
     EXPECT_DOUBLE_EQ(cfg.policyEwmaAlpha, 0.4);
-    EXPECT_EQ(cfg.policyClusters, 3u);
-    EXPECT_DOUBLE_EQ(cfg.policyEpsilon, 0.2);
+
+    // The threshold sweep EXPERIMENTS.md shows: 1 app x 3 x 2.
+    ASSERT_TRUE(hh::exp::parseSpec("apps = BFS\n"
+                                   "policy = hysteresis\n"
+                                   "sweep.policyLendUtil = 0.25 0.35 0.50\n"
+                                   "sweep.policyHoldUtil = 0.90 1.00\n",
+                                   &spec, &err))
+        << err;
+    EXPECT_EQ(spec.points().size(), 6u);
 }
 
 TEST(PolicySpec, BadPolicyValuesFailWithLineNumbers)
@@ -416,19 +338,29 @@ TEST(PolicySpec, BadPolicyValuesFailWithLineNumbers)
     EXPECT_FALSE(hh::exp::parseSpec("name = p\n\npolicy = legacy\n",
                                     &spec, &err));
     EXPECT_NE(err.find("line 3"), std::string::npos) << err;
-    EXPECT_NE(err.find("expected static, hysteresis, critical or "
-                       "bandit"),
+    EXPECT_NE(err.find("expected static or hysteresis"),
               std::string::npos)
         << err;
+    // So are the retired k-means and bandit selectors.
+    for (const char *text : {"name = p\npolicy = critical\n",
+                             "name = p\npolicy = bandit\n"}) {
+        EXPECT_FALSE(hh::exp::parseSpec(text, &spec, &err));
+        EXPECT_NE(err.find("line 2"), std::string::npos) << err;
+        EXPECT_NE(err.find("expected static or hysteresis"),
+                  std::string::npos)
+            << err;
+    }
 
-    EXPECT_FALSE(hh::exp::parseSpec("policyEpsilon = 1.5\n", &spec,
-                                    &err));
-    EXPECT_NE(err.find("line 1"), std::string::npos) << err;
     EXPECT_FALSE(hh::exp::parseSpec("policyHoldUtil = -0.1\n", &spec,
                                     &err));
     EXPECT_NE(err.find("[0, 1]"), std::string::npos) << err;
     EXPECT_FALSE(hh::exp::parseSpec("policyPeriodMs = 0\n", &spec,
                                     &err));
+    // Positive but under one cycle: a 0-cycle tick would spin forever.
+    EXPECT_FALSE(hh::exp::parseSpec("name = p\npolicyPeriodMs = 1e-7\n",
+                                    &spec, &err));
+    EXPECT_NE(err.find("line 2"), std::string::npos) << err;
+    EXPECT_NE(err.find("0 cycles"), std::string::npos) << err;
 }
 
 TEST(PolicySpec, DegenerateHarvestFractionsAreRejected)
