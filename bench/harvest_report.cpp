@@ -64,8 +64,14 @@ parseArgs(int argc, char **argv)
             a.countersPath = argv[++i];
         } else if (arg == "--period-ms" && i + 1 < argc) {
             a.periodMs = std::strtod(argv[++i], nullptr);
-            if (a.periodMs <= 0)
+            // Rejects nan too; a period that rounds to 0 cycles would
+            // re-arm the telemetry tick at the same instant forever.
+            if (!(a.periodMs > 0) ||
+                hh::sim::msToCycles(a.periodMs) == 0) {
+                std::fprintf(stderr, "--period-ms must be a positive "
+                                     "period of at least one cycle\n");
                 usage(argv[0]);
+            }
         } else if (arg == "--workers" && i + 1 < argc) {
             a.workers = static_cast<unsigned>(
                 std::strtoul(argv[++i], nullptr, 10));

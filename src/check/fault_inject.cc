@@ -4,14 +4,14 @@
 
 #include "sim/log.h"
 #include "snapshot/archive.h"
-#include "snapshot/tag.h"
 #include "stats/registry.h"
 
 namespace hh::check {
 
 FaultInjector::FaultInjector(hh::sim::Simulator &sim,
                              std::uint64_t seed, const FaultConfig &cfg)
-    : sim_(sim), cfg_(cfg), rng_(seed, 0xFA17ULL)
+    : cfg_(cfg), rng_(seed, 0xFA17ULL),
+      task_(sim, hh::snap::SnapTag::kFaultTick, [this] { return tick(); })
 {
     if (cfg_.meanPeriod == 0)
         hh::sim::fatal("FaultInjector: meanPeriod must be > 0");
@@ -28,34 +28,11 @@ FaultInjector::addAction(std::string name, Action fn)
 void
 FaultInjector::start()
 {
-    if (actions_.empty() || pending_ != hh::sim::kInvalidEventId)
-        return;
-    const hh::sim::Cycles first =
-        std::max<hh::sim::Cycles>(1, cfg_.startAt);
-    scheduleNext(first);
+    if (!actions_.empty())
+        task_.start(std::max<hh::sim::Cycles>(1, cfg_.startAt));
 }
 
-void
-FaultInjector::stop()
-{
-    if (pending_ != hh::sim::kInvalidEventId) {
-        sim_.cancel(pending_);
-        pending_ = hh::sim::kInvalidEventId;
-    }
-}
-
-void
-FaultInjector::scheduleNext(hh::sim::Cycles delay)
-{
-    pending_ = sim_.schedule(delay,
-                             hh::snap::tag(hh::snap::SnapTag::kFaultTick),
-                             [this] {
-                                 pending_ = hh::sim::kInvalidEventId;
-                                 tick();
-                             });
-}
-
-void
+hh::sim::Cycles
 FaultInjector::tick()
 {
     ++ticks_;
@@ -68,11 +45,10 @@ FaultInjector::tick()
         a.fn(rng_);
     }
     if (fired_ >= cfg_.maxActions)
-        return;
-    const auto delay = static_cast<hh::sim::Cycles>(std::max(
+        return 0;
+    return static_cast<hh::sim::Cycles>(std::max(
         1.0,
         rng_.exponential(static_cast<double>(cfg_.meanPeriod))));
-    scheduleNext(delay);
 }
 
 std::uint64_t
@@ -91,7 +67,8 @@ FaultInjector::serialize(hh::snap::Archive &ar)
     ar.io(rng_);
     ar.io(fired_);
     ar.io(ticks_);
-    ar.io(pending_);
+    // No running byte in this section: the pending id alone.
+    task_.serializePending(ar);
     std::uint64_t n = actions_.size();
     ar.io(n);
     if (ar.loading() && n != actions_.size()) {

@@ -10,12 +10,12 @@
  * exact same perturbation schedule — a violation found by the fuzz
  * driver is reproducible from its seed alone.
  *
- * The injector is a self-rescheduling event: each tick fires a few
- * randomly chosen registered actions, then reschedules itself after
- * an exponentially distributed delay. The owner must stop() it when
- * the workload drains (mirroring MetricSampler), or the tick chain
- * would keep the event queue non-empty to the horizon; maxActions
- * additionally bounds runaway configurations.
+ * The injector is a PeriodicTask (kFaultTick): each tick fires a few
+ * randomly chosen registered actions, then returns an exponentially
+ * distributed delay to the next one. The owner must stop() it when
+ * the workload drains, or the tick chain would keep the event queue
+ * non-empty to the horizon; maxActions additionally bounds runaway
+ * configurations (the tick returns 0 and the chain ends).
  */
 
 #ifndef HH_CHECK_FAULT_INJECT_H
@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/periodic_task.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
@@ -99,7 +100,7 @@ class FaultInjector
     void start();
 
     /** Cancel the tick chain (idempotent). */
-    void stop();
+    void stop() { task_.stop(); }
 
     /** Total actions fired so far. */
     std::uint64_t actionsFired() const { return fired_; }
@@ -117,18 +118,8 @@ class FaultInjector
     void registerMetrics(hh::stats::MetricRegistry &reg,
                          const std::string &prefix);
 
-    /**
-     * Re-arm hook for snapshot restore: the callback a pending
-     * kFaultTick event invokes.
-     */
-    hh::sim::Simulator::Callback
-    rearmTick()
-    {
-        return [this] {
-            pending_ = hh::sim::kInvalidEventId;
-            tick();
-        };
-    }
+    /** The tick chain; the owner's re-arm dispatcher calls rearm(). */
+    hh::sim::PeriodicTask &task() { return task_; }
 
     /**
      * Save/restore the schedule state: Rng stream position, tick and
@@ -140,8 +131,8 @@ class FaultInjector
     void serialize(hh::snap::Archive &ar);
 
   private:
-    void tick();
-    void scheduleNext(hh::sim::Cycles delay);
+    /** Fire this tick's actions; the delay to the next tick or 0. */
+    hh::sim::Cycles tick();
 
     struct Named
     {
@@ -150,13 +141,12 @@ class FaultInjector
         std::uint64_t fired = 0;
     };
 
-    hh::sim::Simulator &sim_;
     FaultConfig cfg_;
     hh::sim::Rng rng_;
     std::vector<Named> actions_;
     std::uint64_t fired_ = 0;
     std::uint64_t ticks_ = 0;
-    hh::sim::EventId pending_ = hh::sim::kInvalidEventId;
+    hh::sim::PeriodicTask task_;
 };
 
 } // namespace hh::check

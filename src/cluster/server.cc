@@ -59,7 +59,23 @@ ServerSim::ServerSim(const SystemConfig &cfg, const std::string &batchApp,
 ServerSim::ServerSim(const SystemConfig &cfg, const std::string &batchApp,
                      const GraphServerPlan &plan, std::uint64_t seed)
     : cfg_(cfg), seed_(seed ? seed : cfg.seed), dram_(),
-      mesh_(6, 6), fabric_(), rng_(seed_, 0x5E8FULL), graph_plan_(plan)
+      mesh_(6, 6), fabric_(), rng_(seed_, 0x5E8FULL),
+      telemetry_task_(sim_, SnapTag::kTelemetryTick,
+                      [this] {
+                          telemetry_->record(telemetryCounters());
+                          return cfg_.telemetryPeriod;
+                      }),
+      policy_task_(sim_, SnapTag::kPolicyTick,
+                   [this] {
+                       policyTick();
+                       return cfg_.policyPeriod;
+                   }),
+      lease_task_(sim_, SnapTag::kLeaseTick,
+                  [this] {
+                      leaseTick();
+                      return cfg_.cacheLendPeriod;
+                  }),
+      graph_plan_(plan)
 {
     nic_ = std::make_unique<hh::net::Nic>(sim_);
     ctrl_ = std::make_unique<hh::core::HardHarvestController>(
@@ -70,8 +86,10 @@ ServerSim::ServerSim(const SystemConfig &cfg, const std::string &batchApp,
     buildVms(batchApp);
     buildCores();
 
-    // Harvest policy (PR 8): constructed eagerly so snapshot restore
-    // always finds its re-arm target.
+    // Every periodic service is built here when its flag is set, so
+    // a snapshot restore finds the re-arm target of a pending tick.
+    if (cfg_.telemetryEnabled)
+        telemetry_ = std::make_unique<hh::stats::ObservationView>();
     std::string policy_err;
     policy_ = hh::policy::makeHarvestPolicy(policyConfig(),
                                             &policy_err);
@@ -79,6 +97,11 @@ ServerSim::ServerSim(const SystemConfig &cfg, const std::string &batchApp,
         hh::sim::fatal("ServerSim: ", policy_err);
     policy_applied_fraction_.assign(vms_.size(),
                                     cfg_.harvestWayFraction);
+    // The policy rides its own ObservationView so its epoch cadence
+    // is independent of (and composable with) the telemetry plane's.
+    // The static policy wants no tick, so it adds no events.
+    if (policy_->wantsEpochTick())
+        policy_view_ = std::make_unique<hh::stats::ObservationView>();
 
     // Cache-capacity leasing (src/lease/): constructed only when the
     // second harvest dimension is on, so disabled runs carry no lease
@@ -91,6 +114,9 @@ ServerSim::ServerSim(const SystemConfig &cfg, const std::string &batchApp,
         tracer_ = std::make_unique<hh::trace::Tracer>(
             cfg_.traceCapacity);
     registerMetrics();
+    if (cfg_.metricsEnabled)
+        sampler_ = std::make_unique<hh::stats::MetricSampler>(
+            sim_, registry_, cfg_.metricsPeriod);
 
     // Invariant auditing (config flag or HH_AUDIT=1). Mirrors the
     // tracing gating: disabled means no Auditor exists and the
@@ -117,6 +143,16 @@ ServerSim::ServerSim(const SystemConfig &cfg, const std::string &batchApp,
         registerFaultActions();
         injector_->registerMetrics(registry_, "faults");
     }
+    if (sampler_)
+        periodic_.push_back(&sampler_->task());
+    if (injector_)
+        periodic_.push_back(&injector_->task());
+    if (telemetry_)
+        periodic_.push_back(&telemetry_task_);
+    if (policy_view_)
+        periodic_.push_back(&policy_task_);
+    if (lease_mgr_)
+        periodic_.push_back(&lease_task_);
 
     nic_->setHandler([this](const hh::net::Packet &p) { onPacket(p); });
     nic_->setLlcLookup([this](std::uint32_t vm)
@@ -1584,13 +1620,7 @@ ServerSim::setGraphDone(hh::sim::Cycles end)
         return;
     done_ = true;
     end_time_ = end;
-    if (sampler_)
-        sampler_->stop();
-    if (injector_)
-        injector_->stop();
-    stopTelemetry();
-    stopPolicy();
-    stopLease();
+    stopPeriodicTasks();
 }
 
 bool
@@ -2007,30 +2037,18 @@ ServerSim::telemetryCounters()
 }
 
 void
-ServerSim::telemetryTick()
+ServerSim::stopPeriodicTasks()
 {
-    telemetry_pending_ = hh::sim::kInvalidEventId;
-    if (!telemetry_running_)
-        return;
-    telemetry_->record(telemetryCounters());
-    telemetry_pending_ = sim_.schedule(
-        cfg_.telemetryPeriod, tag(SnapTag::kTelemetryTick),
-        [this] { telemetryTick(); });
-}
-
-void
-ServerSim::stopTelemetry()
-{
-    if (!telemetry_running_)
-        return;
-    telemetry_running_ = false;
-    if (telemetry_pending_ != hh::sim::kInvalidEventId) {
-        sim_.cancel(telemetry_pending_);
-        telemetry_pending_ = hh::sim::kInvalidEventId;
-    }
+    if (sampler_)
+        sampler_->stop();
+    if (injector_)
+        injector_->stop();
     // Final partial epoch; the view ignores the call when a periodic
     // tick already materialized this exact time.
-    telemetry_->record(telemetryCounters());
+    if (telemetry_task_.stop())
+        telemetry_->record(telemetryCounters());
+    policy_task_.stop();
+    lease_task_.stop();
 }
 
 hh::policy::PolicyConfig
@@ -2056,31 +2074,11 @@ ServerSim::policyConfig() const
 void
 ServerSim::policyTick()
 {
-    policy_pending_ = hh::sim::kInvalidEventId;
-    if (!policy_running_)
-        return;
-    // The policy rides its own ObservationView so its epoch cadence
-    // is independent of (and composable with) the telemetry plane's.
     policy_view_->record(telemetryCounters());
     const auto rows = policy_view_->takeRows();
     for (const auto &row : rows)
         policy_->observe(row);
     applyPolicyDecisions();
-    policy_pending_ = sim_.schedule(
-        cfg_.policyPeriod, tag(SnapTag::kPolicyTick),
-        [this] { policyTick(); });
-}
-
-void
-ServerSim::stopPolicy()
-{
-    if (!policy_running_)
-        return;
-    policy_running_ = false;
-    if (policy_pending_ != hh::sim::kInvalidEventId) {
-        sim_.cancel(policy_pending_);
-        policy_pending_ = hh::sim::kInvalidEventId;
-    }
 }
 
 void
@@ -2120,9 +2118,6 @@ ServerSim::vmHasIdleCapacity(std::uint32_t vm) const
 void
 ServerSim::leaseTick()
 {
-    lease_pending_ = hh::sim::kInvalidEventId;
-    if (!lease_running_)
-        return;
     for (const auto &v : vms_) {
         if (!v.desc.isPrimary())
             continue;
@@ -2138,21 +2133,6 @@ ServerSim::leaseTick()
         if (!lease_mgr_->active(vm) && d.cacheLendAllowed &&
             d.cacheLendL3Ways > 0 && vmHasIdleCapacity(vm))
             leaseGrant(vm, d.cacheLendL2Fraction, d.cacheLendL3Ways);
-    }
-    lease_pending_ = sim_.schedule(
-        std::max<Cycles>(1, cfg_.cacheLendPeriod),
-        tag(SnapTag::kLeaseTick), [this] { leaseTick(); });
-}
-
-void
-ServerSim::stopLease()
-{
-    if (!lease_running_)
-        return;
-    lease_running_ = false;
-    if (lease_pending_ != hh::sim::kInvalidEventId) {
-        sim_.cancel(lease_pending_);
-        lease_pending_ = hh::sim::kInvalidEventId;
     }
 }
 
@@ -2251,21 +2231,11 @@ ServerSim::noteDoneMaybeFinish()
     if (!done_ && allDone()) {
         done_ = true;
         end_time_ = sim_.now();
-        // The sampler's self-rescheduling tick would otherwise keep
-        // the event queue non-empty all the way to the horizon.
-        if (sampler_)
-            sampler_->stop();
-        // Likewise the injector's self-rescheduling perturbation tick.
-        if (injector_)
-            injector_->stop();
-        // And the telemetry epoch tick (records the partial epoch).
-        stopTelemetry();
-        // And the policy epoch tick (decisions after the last
-        // request are moot; the drain tail lends nothing new).
-        stopPolicy();
-        // And the lease tick (active leases stay put; the drain
-        // tail grants and recalls nothing new).
-        stopLease();
+        // The self-rescheduling ticks would otherwise keep the event
+        // queue non-empty all the way to the horizon. Policy decisions
+        // after the last request are moot, and active leases stay put:
+        // the drain tail lends, grants and recalls nothing new.
+        stopPeriodicTasks();
     }
 }
 
@@ -2280,37 +2250,17 @@ ServerSim::run()
 void
 ServerSim::startRun()
 {
-    if (cfg_.metricsEnabled) {
-        sampler_ = std::make_unique<hh::stats::MetricSampler>(
-            sim_, registry_, cfg_.metricsPeriod);
+    if (sampler_)
         sampler_->start();
-    }
-    if (cfg_.telemetryEnabled) {
-        telemetry_ = std::make_unique<hh::stats::ObservationView>();
-        telemetry_running_ = true;
-        // No row at t=0 (it would be all zeros); the first epoch is
-        // materialized at t=telemetryPeriod against an implicit
-        // all-zero baseline.
-        telemetry_pending_ = sim_.schedule(
-            cfg_.telemetryPeriod, tag(SnapTag::kTelemetryTick),
-            [this] { telemetryTick(); });
-    }
-    // Policy epoch tick. The static policy wants no tick, so it adds
-    // no events to the run.
-    if (policy_->wantsEpochTick()) {
-        policy_view_ = std::make_unique<hh::stats::ObservationView>();
-        policy_running_ = true;
-        policy_pending_ = sim_.schedule(
-            cfg_.policyPeriod, tag(SnapTag::kPolicyTick),
-            [this] { policyTick(); });
-    }
-    // Cache-lease grant/recall tick (second harvest dimension).
-    if (lease_mgr_) {
-        lease_running_ = true;
-        lease_pending_ = sim_.schedule(
-            std::max<Cycles>(1, cfg_.cacheLendPeriod),
-            tag(SnapTag::kLeaseTick), [this] { leaseTick(); });
-    }
+    // No telemetry row at t=0 (it would be all zeros); the first
+    // epoch is materialized at t=telemetryPeriod against an implicit
+    // all-zero baseline.
+    if (telemetry_)
+        telemetry_task_.start(cfg_.telemetryPeriod);
+    if (policy_view_)
+        policy_task_.start(cfg_.policyPeriod);
+    if (lease_mgr_)
+        lease_task_.start(cfg_.cacheLendPeriod);
 
     // Harvest VM's own cores start working immediately.
     for (unsigned c : vms_[harvest_vm_].desc.cores)
@@ -2354,13 +2304,7 @@ ServerSim::finishRun()
         }
         end_time_ = sim_.now();
     }
-    if (sampler_)
-        sampler_->stop();
-    if (injector_)
-        injector_->stop();
-    stopTelemetry();
-    stopPolicy();
-    stopLease();
+    stopPeriodicTasks();
     // Batch slices still in flight when all requests completed drain
     // after the all-done stop; one more row at the drain time captures
     // that tail, so the fleet timeline's deltas sum exactly to the
@@ -2542,24 +2486,15 @@ ServerSim::rearmEvent(const SnapTag &t)
         const auto pkt = hh::net::Packet::fromDeliveryTag(t);
         return [this, pkt] { nic_->receive(pkt); };
     }
-    case SnapTag::kSamplerTick:
-        return sampler_ ? sampler_->rearmTick()
-                        : hh::sim::Simulator::Callback{};
-    case SnapTag::kFaultTick:
-        return injector_ ? injector_->rearmTick()
-                         : hh::sim::Simulator::Callback{};
-    case SnapTag::kTelemetryTick:
-        return telemetry_ ? rearmTelemetryTick()
-                          : hh::sim::Simulator::Callback{};
-    case SnapTag::kPolicyTick:
-        return policy_view_ ? rearmPolicyTick()
-                            : hh::sim::Simulator::Callback{};
-    case SnapTag::kLeaseTick:
-        return lease_mgr_ ? rearmLeaseTick()
-                          : hh::sim::Simulator::Callback{};
     default:
-        // Empty: the event queue turns this into a hard error naming
-        // the tag, which is how unknown kinds surface.
+        // The periodic services present on this server. An absent
+        // service's kind, like an unknown kind, re-arms to an empty
+        // callback: the event queue turns that into a hard error
+        // naming the tag, so a mismatched checkpoint fails to load.
+        for (hh::sim::PeriodicTask *task : periodic_) {
+            if (task->kind() == t.kind)
+                return task->rearm();
+        }
         return {};
     }
 }
@@ -2567,25 +2502,8 @@ ServerSim::rearmEvent(const SnapTag &t)
 void
 ServerSim::serializeState(hh::snap::Archive &ar)
 {
-    // The sampler is created lazily in startRun(); a freshly
-    // constructed ServerSim being restored must have it before the
-    // event queue re-arms a pending kSamplerTick. No start() — the
-    // pending tick is restored with the queue, the collected rows in
-    // section 0x14 below.
-    if (ar.loading() && cfg_.metricsEnabled && !sampler_) {
-        sampler_ = std::make_unique<hh::stats::MetricSampler>(
-            sim_, registry_, cfg_.metricsPeriod);
-    }
-    // Same lazy construction for the telemetry view: a pending
-    // kTelemetryTick must find its re-arm target. State arrives in
-    // section 0x15 below.
-    if (ar.loading() && cfg_.telemetryEnabled && !telemetry_)
-        telemetry_ = std::make_unique<hh::stats::ObservationView>();
-    // And for the policy's epoch view (pending kPolicyTick re-arm
-    // target); policy state arrives in section 0x16 below.
-    if (ar.loading() && policy_->wantsEpochTick() && !policy_view_)
-        policy_view_ = std::make_unique<hh::stats::ObservationView>();
-
+    // Pending periodic ticks re-arm against the services built in the
+    // constructor; their tick state arrives in sections 0x14-0x18.
     ar.section(0x10, "simulator");
     sim_.serialize(ar,
                    [this](const SnapTag &t) { return rearmEvent(t); });
@@ -2718,8 +2636,7 @@ ServerSim::serializeState(hh::snap::Archive &ar)
         return;
     }
     if (telemetry_) {
-        ar.io(telemetry_running_);
-        ar.io(telemetry_pending_);
+        telemetry_task_.serialize(ar);
         ar.io(*telemetry_);
     }
     if (!ar.ok())
@@ -2744,9 +2661,8 @@ ServerSim::serializeState(hh::snap::Archive &ar)
     // masks) and 0x13 (core hierarchies), so nothing is re-applied
     // here; policy_applied_fraction_ keeps the change-detection in
     // applyPolicyDecisions coherent.
-    if (policy_->wantsEpochTick()) {
-        ar.io(policy_running_);
-        ar.io(policy_pending_);
+    if (policy_view_) {
+        policy_task_.serialize(ar);
         ar.io(*policy_view_);
     }
     if (!ar.ok())
@@ -2787,8 +2703,7 @@ ServerSim::serializeState(hh::snap::Archive &ar)
     }
     if (lease_mgr_) {
         lease_mgr_->serialize(ar);
-        ar.io(lease_running_);
-        ar.io(lease_pending_);
+        lease_task_.serialize(ar);
         if (ar.loading())
             rebindLeaseOverflow();
     }

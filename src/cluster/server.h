@@ -36,6 +36,7 @@
 #include "net/fabric.h"
 #include "net/nic.h"
 #include "noc/mesh.h"
+#include "sim/periodic_task.h"
 #include "sim/simulator.h"
 #include "snapshot/archive.h"
 #include "snapshot/tag.h"
@@ -518,6 +519,11 @@ class ServerSim
                        hh::sim::Cycles reassignCost,
                        hh::sim::Cycles flushCost);
     void preemptHarvestSlice(unsigned core);
+    /**
+     * Software agent period. Not a PeriodicTask: its snapshot carries
+     * no pending id, and it ends by firing once more after done_
+     * (cancelling it instead would change executedEvents).
+     */
     void agentTick();
     /** @} */
 
@@ -543,19 +549,19 @@ class ServerSim
     hh::sim::Cycles replayHarvest(unsigned core, HarvestSlice &slice);
     /** @} */
 
+    /** @name Periodic services @{ */
+    /**
+     * Stop every periodic service, in a fixed order (sampler,
+     * injector, telemetry, policy, lease): cancels shape the event
+     * slab's free list. The sampler and telemetry record their final
+     * partial row / epoch.
+     */
+    void stopPeriodicTasks();
+    /** @} */
+
     /** @name Telemetry plane @{ */
-    /** Epoch tick: materialize one ObservationRow, reschedule. */
-    void telemetryTick();
-    /** Cancel the tick and record the final partial epoch. */
-    void stopTelemetry();
     /** Cumulative counters for ObservationView::record(). */
     hh::stats::ServerCounters telemetryCounters();
-    /** Re-arm hook for a restored kTelemetryTick event. */
-    hh::sim::Simulator::Callback
-    rearmTelemetryTick()
-    {
-        return [this] { telemetryTick(); };
-    }
     /** @} */
 
     /** @name Harvest policy (PR 8) @{ */
@@ -563,23 +569,13 @@ class ServerSim
     hh::policy::PolicyConfig policyConfig() const;
     /** Epoch tick: feed the policy one row, apply its decisions. */
     void policyTick();
-    /** Cancel a pending policy tick (run teardown). */
-    void stopPolicy();
     /** Push decision changes into masks/partitions at the boundary. */
     void applyPolicyDecisions();
-    /** Re-arm hook for a restored kPolicyTick event. */
-    hh::sim::Simulator::Callback
-    rearmPolicyTick()
-    {
-        return [this] { policyTick(); };
-    }
     /** @} */
 
     /** @name Cache-capacity leasing (src/lease/) @{ */
-    /** Lease tick: expire/recall/grant per the policy, reschedule. */
+    /** Lease tick: expire/recall/grant per the policy. */
     void leaseTick();
-    /** Cancel a pending lease tick (run teardown). */
-    void stopLease();
     /** Grant @p vm's lease (flush + mask the leased ways). */
     void leaseGrant(std::uint32_t vm, double l2Fraction,
                     unsigned l3Ways);
@@ -589,12 +585,6 @@ class ServerSim
     bool vmHasIdleCapacity(std::uint32_t vm) const;
     /** Point every batch-running core at a lender's leased ways. */
     void rebindLeaseOverflow();
-    /** Re-arm hook for a restored kLeaseTick event. */
-    hh::sim::Simulator::Callback
-    rearmLeaseTick()
-    {
-        return [this] { leaseTick(); };
-    }
     /** @} */
 
     /** @name Helpers (cont.) @{ */
@@ -657,6 +647,7 @@ class ServerSim
 
     /** @name Observability @{ */
     hh::stats::MetricRegistry registry_;
+    /** Null unless cfg_.metricsEnabled. */
     std::unique_ptr<hh::stats::MetricSampler> sampler_;
     /** Null unless cfg_.traceEnabled: hot paths branch on this. */
     std::unique_ptr<hh::trace::Tracer> tracer_;
@@ -679,8 +670,7 @@ class ServerSim
     std::uint64_t batch_tasks_loaned_ = 0;
     /** Null unless cfg_.telemetryEnabled. */
     std::unique_ptr<hh::stats::ObservationView> telemetry_;
-    bool telemetry_running_ = false;
-    hh::sim::EventId telemetry_pending_ = hh::sim::kInvalidEventId;
+    hh::sim::PeriodicTask telemetry_task_;
     /** @} */
 
     /** @name Harvest policy (PR 8) @{ */
@@ -688,8 +678,7 @@ class ServerSim
     std::unique_ptr<hh::policy::HarvestPolicy> policy_;
     /** Policy's own epoch view; null unless wantsEpochTick(). */
     std::unique_ptr<hh::stats::ObservationView> policy_view_;
-    bool policy_running_ = false;
-    hh::sim::EventId policy_pending_ = hh::sim::kInvalidEventId;
+    hh::sim::PeriodicTask policy_task_;
     /** Last harvest-way fraction pushed into each VM's masks, so the
      *  boundary application only touches partitions that changed. */
     std::vector<double> policy_applied_fraction_;
@@ -698,8 +687,7 @@ class ServerSim
     /** @name Cache-capacity leasing (src/lease/) @{ */
     /** Null unless cfg_.cacheLendEnabled. */
     std::unique_ptr<hh::lease::CacheLeaseManager> lease_mgr_;
-    bool lease_running_ = false;
-    hh::sim::EventId lease_pending_ = hh::sim::kInvalidEventId;
+    hh::sim::PeriodicTask lease_task_;
     /** @} */
 
     /** @name Auditing / fault injection @{ */
@@ -708,6 +696,9 @@ class ServerSim
     /** Null unless cfg_.faults.enabled. */
     std::unique_ptr<hh::check::FaultInjector> injector_;
     /** @} */
+
+    /** The present services' tick chains, for the re-arm dispatcher. */
+    std::vector<hh::sim::PeriodicTask *> periodic_;
 
     /** @name Service-graph mode (src/svc/) @{ */
     /** Placement plan; enabled=false means classic single-hop mode. */

@@ -347,18 +347,17 @@ applySpecKey(hh::cluster::SystemConfig &cfg, const std::string &key,
         cfg.cacheLendL2WayFraction = f;
         return true;
     }
-    if (key == "cacheLendPeriodMs") {
+    if (key == "cacheLendPeriodMs" || key == "cacheLendTermMs") {
         double ms = 0;
-        if (!parseDouble(value, &ms) || ms <= 0.0)
+        if (!parseDouble(value, &ms) || !(ms > 0.0))
             return fail("bad positive double");
-        cfg.cacheLendPeriod = hh::sim::msToCycles(ms);
-        return true;
-    }
-    if (key == "cacheLendTermMs") {
-        double ms = 0;
-        if (!parseDouble(value, &ms) || ms <= 0.0)
-            return fail("bad positive double");
-        cfg.cacheLendTerm = hh::sim::msToCycles(ms);
+        // A 0-cycle period would re-arm the lease tick at delay 0
+        // forever; a 0-cycle term would expire every lease at grant.
+        if (hh::sim::msToCycles(ms) == 0)
+            return fail("lease period/term rounds to 0 cycles, got");
+        (key == "cacheLendPeriodMs" ? cfg.cacheLendPeriod
+                                    : cfg.cacheLendTerm) =
+            hh::sim::msToCycles(ms);
         return true;
     }
 

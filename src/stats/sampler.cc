@@ -3,19 +3,18 @@
 #include <cstdio>
 #include <sstream>
 
-#include "sim/log.h"
-#include "snapshot/tag.h"
 
 namespace hh::stats {
 
 MetricSampler::MetricSampler(hh::sim::Simulator &sim,
                              const MetricRegistry &reg,
                              hh::sim::Cycles period)
-    : sim_(sim), reg_(reg), period_(period)
-{
-    if (period_ == 0)
-        hh::sim::panic("MetricSampler: period must be > 0");
-}
+    : sim_(sim), reg_(reg), period_(period),
+      task_(sim, hh::snap::SnapTag::kSamplerTick, [this] {
+          sampleRow();
+          return period_;
+      })
+{}
 
 void
 MetricSampler::sampleRow()
@@ -34,38 +33,18 @@ MetricSampler::sampleRow()
 void
 MetricSampler::start()
 {
-    if (running_)
+    if (task_.running())
         return;
-    running_ = true;
     columns_ = reg_.names();
     sampleRow();
-    pending_ = sim_.schedule(period_,
-                             hh::snap::tag(hh::snap::SnapTag::kSamplerTick),
-                             [this] { tick(); });
-}
-
-void
-MetricSampler::tick()
-{
-    pending_ = hh::sim::kInvalidEventId;
-    if (!running_)
-        return;
-    sampleRow();
-    pending_ = sim_.schedule(period_,
-                             hh::snap::tag(hh::snap::SnapTag::kSamplerTick),
-                             [this] { tick(); });
+    task_.start(period_);
 }
 
 void
 MetricSampler::stop()
 {
-    if (!running_)
+    if (!task_.stop())
         return;
-    running_ = false;
-    if (pending_ != hh::sim::kInvalidEventId) {
-        sim_.cancel(pending_);
-        pending_ = hh::sim::kInvalidEventId;
-    }
     // Final partial-interval row — unless a periodic tick already
     // sampled this exact time, which would duplicate the row.
     if (rows_.empty() || rows_.back().t != sim_.now())

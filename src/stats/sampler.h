@@ -2,12 +2,12 @@
  * @file
  * Periodic time-series sampler over a MetricRegistry.
  *
- * Driven off the simulation's EventQueue: every @p period simulated
- * cycles the sampler snapshots all registered metrics into one row.
- * The sampler is read-only with respect to simulation state, so
- * enabling it cannot perturb results; the owner must stop() it once
- * the run's work is done or its self-rescheduling tick would keep
- * the event queue alive to the horizon.
+ * A PeriodicTask (kSamplerTick) snapshots all registered metrics into
+ * one row every @p period simulated cycles. The sampler is read-only
+ * with respect to simulation state, so enabling it cannot perturb
+ * results; the owner must stop() it once the run's work is done or
+ * its self-rescheduling tick would keep the event queue alive to the
+ * horizon.
  */
 
 #ifndef HH_STATS_SAMPLER_H
@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/periodic_task.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
 #include "snapshot/archive.h"
@@ -56,7 +57,7 @@ class MetricSampler
     /**
      * @param sim    Simulation driver supplying time and scheduling.
      * @param reg    Registry to sample (must outlive the sampler).
-     * @param period Sampling period in cycles (> 0).
+     * @param period Sampling period in cycles (start() panics on 0).
      */
     MetricSampler(hh::sim::Simulator &sim, const MetricRegistry &reg,
                   hh::sim::Cycles period);
@@ -73,48 +74,36 @@ class MetricSampler
      */
     void stop();
 
-    bool running() const { return running_; }
-
     const std::vector<std::string> &columns() const { return columns_; }
     const std::vector<SampleRow> &rows() const { return rows_; }
 
     /** Move the collected series out (label filled by the caller). */
     SampledSeries takeSeries();
 
-    /**
-     * Re-arm hook: the callback of a restored kSamplerTick event.
-     * Called by the owner's event re-arm dispatcher only.
-     */
-    hh::sim::Simulator::Callback
-    rearmTick()
-    {
-        return [this] { tick(); };
-    }
+    /** The tick chain; the owner's re-arm dispatcher calls rearm(). */
+    hh::sim::PeriodicTask &task() { return task_; }
 
     /**
-     * Save/restore the collected rows and the running/pending state.
-     * The restoring owner must construct the sampler (same registry,
-     * same period) *without* calling start(); the pending tick event
-     * itself is restored by the event queue via rearmTick().
+     * Save/restore the tick state and the collected rows. The
+     * restoring owner must construct the sampler (same registry, same
+     * period) *without* calling start(); the pending tick event itself
+     * is restored by the event queue via task().rearm().
      */
     void
     serialize(hh::snap::Archive &ar)
     {
-        ar.io(running_);
-        ar.io(pending_);
+        task_.serialize(ar);
         ar.io(columns_);
         ar.io(rows_);
     }
 
   private:
     void sampleRow();
-    void tick();
 
     hh::sim::Simulator &sim_;
     const MetricRegistry &reg_;
     hh::sim::Cycles period_;
-    bool running_ = false;
-    hh::sim::EventId pending_ = hh::sim::kInvalidEventId;
+    hh::sim::PeriodicTask task_;
     std::vector<std::string> columns_;
     std::vector<SampleRow> rows_;
 };

@@ -336,6 +336,16 @@ TEST(LeaseSpec, DegenerateLendValuesFailWithLineNumbers)
                                     &err));
     EXPECT_FALSE(hh::exp::parseSpec("cacheLendTermMs = -1\n", &spec,
                                     &err));
+    // A period that rounds to 0 cycles would re-arm the lease tick at
+    // the same instant forever, and nan passes a `<= 0` check.
+    for (const char *bad : {"cacheLendPeriodMs = 1e-9\n",
+                            "cacheLendPeriodMs = nan\n",
+                            "cacheLendTermMs = nan\n"}) {
+        EXPECT_FALSE(hh::exp::parseSpec(std::string("name = l\n") + bad,
+                                        &spec, &err))
+            << bad;
+        EXPECT_NE(err.find("line 2"), std::string::npos) << err;
+    }
     // Explicit 0 stays the documented way to disable the L2 bonus.
     EXPECT_TRUE(hh::exp::parseSpec("cacheLendL2WayFraction = 0\n",
                                    &spec, &err))

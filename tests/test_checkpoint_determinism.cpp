@@ -10,11 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "cluster/checkpoint.h"
 #include "cluster/experiment.h"
 #include "snapshot/archive.h"
 #include "snapshot/file.h"
+#include "stats/sampler.h"
+#include "workload/batch.h"
 
 using namespace hh::cluster;
 
@@ -37,6 +40,29 @@ fullObservabilityConfig()
     cfg.metricsPeriod = hh::sim::msToCycles(1.0);
     cfg.auditEnabled = true;
     cfg.auditPeriod = 4096;
+    return cfg;
+}
+
+/**
+ * Every periodic service at once: the metric sampler, the fault
+ * injector, the telemetry plane, the hysteresis policy's epoch tick
+ * and the cache-lease tick. The shortened lease period and term force
+ * grant/expiry rounds before the checkpoint.
+ */
+SystemConfig
+allPeriodicServicesConfig()
+{
+    SystemConfig cfg = makeSystem(SystemKind::HardHarvestBlock);
+    cfg.requestsPerVm = 40;
+    cfg.accessSampling = 32;
+    cfg.metricsEnabled = true;
+    cfg.metricsPeriod = hh::sim::msToCycles(0.5);
+    cfg.faults.enabled = true;
+    cfg.telemetryEnabled = true;
+    cfg.policy = "hysteresis";
+    cfg.cacheLendEnabled = true;
+    cfg.cacheLendPeriod = hh::sim::msToCycles(0.25);
+    cfg.cacheLendTerm = hh::sim::msToCycles(1.0);
     return cfg;
 }
 
@@ -66,38 +92,82 @@ tmpPath(const std::string &name)
 
 } // namespace
 
+/**
+ * At @p T, every server of the all-services input still has all five
+ * periodic ticks pending: no server finished (which stops them all)
+ * and the injector's chain has not run out at maxActions.
+ */
+void
+expectAllPeriodicTicksPending(const SystemConfig &cfg, unsigned servers,
+                              std::uint64_t seed, hh::sim::Cycles T)
+{
+    const auto batch = hh::workload::batchApplications();
+    for (unsigned s = 0; s < servers; ++s) {
+        ServerSim sim(cfg, batch[s].name, seed + s);
+        sim.startRun();
+        sim.advanceRun(T);
+        EXPECT_FALSE(sim.finished()) << "server " << s;
+        ASSERT_NE(sim.faultInjector(), nullptr);
+        EXPECT_TRUE(sim.faultInjector()->task().running())
+            << "server " << s;
+        EXPECT_NE(sim.telemetryView(), nullptr);
+        EXPECT_TRUE(sim.harvestPolicy()->wantsEpochTick());
+        EXPECT_NE(sim.leaseManager(), nullptr);
+    }
+}
+
 TEST(CheckpointDeterminism, ByteIdentityAcrossTimesAndWorkers)
 {
-    const SystemConfig cfg = fullObservabilityConfig();
-    const unsigned servers = 4;
+    struct Input
+    {
+        const char *name;
+        SystemConfig cfg;
+        unsigned servers;
+        std::vector<hh::sim::Cycles> times;
+    };
+    const Input inputs[] = {
+        {"observability", fullObservabilityConfig(), 4,
+         {hh::sim::msToCycles(1.0), hh::sim::msToCycles(3.0),
+          hh::sim::msToCycles(8.0)}},
+        {"periodic", allPeriodicServicesConfig(), 2,
+         {hh::sim::msToCycles(2.0)}},
+    };
     const std::uint64_t seed = 9;
 
-    const ClusterResults full = runCluster(cfg, servers, seed, 4);
-    const std::string want = full.serialized();
-    const std::string want_trace = full.traceJson();
-    ASSERT_FALSE(want.empty());
+    for (const Input &in : inputs) {
+        const ClusterResults full =
+            runCluster(in.cfg, in.servers, seed, 4);
+        const std::string want = full.serialized();
+        const std::string want_trace = full.traceJson();
+        const std::string want_csv =
+            hh::stats::metricsCsv(full.metricSeries);
+        ASSERT_FALSE(want.empty());
 
-    const hh::sim::Cycles times[] = {
-        hh::sim::msToCycles(1.0),
-        hh::sim::msToCycles(3.0),
-        hh::sim::msToCycles(8.0),
-    };
-    for (const hh::sim::Cycles T : times) {
-        const std::string path =
-            tmpPath("hh_ckpt_" + std::to_string(T) + ".hhcp");
-        std::string err;
-        ASSERT_TRUE(checkpointClusterAt(cfg, servers, seed, 4, T,
-                                        path, &err))
-            << err;
-        for (const unsigned workers : {1u, 4u, 8u}) {
-            const auto resumed =
-                resumeCluster(path, cfg, workers, &err);
-            ASSERT_TRUE(resumed.has_value())
-                << "T=" << T << " workers=" << workers << ": " << err;
-            EXPECT_EQ(resumed->serialized(), want)
-                << "T=" << T << " workers=" << workers;
-            EXPECT_EQ(resumed->traceJson(), want_trace)
-                << "T=" << T << " workers=" << workers;
+        for (const hh::sim::Cycles T : in.times) {
+            if (in.cfg.faults.enabled)
+                expectAllPeriodicTicksPending(in.cfg, in.servers, seed,
+                                              T);
+            const std::string path = tmpPath(
+                std::string("hh_ckpt_") + in.name + "_" +
+                std::to_string(T) + ".hhcp");
+            std::string err;
+            ASSERT_TRUE(checkpointClusterAt(in.cfg, in.servers, seed,
+                                            4, T, path, &err))
+                << err;
+            for (const unsigned workers : {1u, 4u, 8u}) {
+                const auto resumed =
+                    resumeCluster(path, in.cfg, workers, &err);
+                ASSERT_TRUE(resumed.has_value())
+                    << in.name << " T=" << T << " workers=" << workers
+                    << ": " << err;
+                EXPECT_EQ(resumed->serialized(), want)
+                    << in.name << " T=" << T << " workers=" << workers;
+                EXPECT_EQ(resumed->traceJson(), want_trace)
+                    << in.name << " T=" << T << " workers=" << workers;
+                EXPECT_EQ(hh::stats::metricsCsv(resumed->metricSeries),
+                          want_csv)
+                    << in.name << " T=" << T << " workers=" << workers;
+            }
         }
     }
 }

@@ -5,11 +5,18 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "sim/periodic_task.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
+#include "snapshot/archive.h"
+#include "snapshot/tag.h"
 
 using hh::sim::Cycles;
+using hh::sim::PeriodicTask;
 using hh::sim::Simulator;
+using hh::snap::SnapTag;
 
 TEST(Simulator, ClockStartsAtZero)
 {
@@ -117,6 +124,129 @@ TEST(Simulator, ZeroDelayRunsAtCurrentTime)
     s.schedule(0, [&] { when = s.now(); });
     s.run();
     EXPECT_EQ(when, 10u);
+}
+
+TEST(SimulatorPeriodicTask, FiresAtCadenceUntilFireReturnsZero)
+{
+    Simulator s;
+    std::vector<Cycles> fired;
+    PeriodicTask task(s, SnapTag::kPolicyTick, [&] {
+        fired.push_back(s.now());
+        return fired.size() < 3 ? Cycles{100} : Cycles{0};
+    });
+    task.start(50);
+    EXPECT_TRUE(task.running());
+    task.start(10); // no-op while running
+    s.run();
+    EXPECT_EQ(fired, (std::vector<Cycles>{50, 150, 250}));
+    EXPECT_FALSE(task.running());
+    EXPECT_TRUE(s.idle());
+}
+
+TEST(SimulatorPeriodicTask, ZeroPeriodPanics)
+{
+    Simulator s;
+    PeriodicTask task(s, SnapTag::kLeaseTick, [] { return Cycles{1}; });
+    EXPECT_THROW(task.start(0), std::logic_error);
+    EXPECT_FALSE(task.running());
+    EXPECT_TRUE(s.idle());
+}
+
+TEST(SimulatorPeriodicTask, StopInCancelledOrFinishedChainIsNoOp)
+{
+    Simulator s;
+    int fires = 0;
+    PeriodicTask task(s, SnapTag::kTelemetryTick, [&] {
+        ++fires;
+        return Cycles{0};
+    });
+    task.start(10);
+    EXPECT_TRUE(task.stop());
+    EXPECT_FALSE(task.stop()); // cancelled chain
+    EXPECT_TRUE(s.idle());
+
+    task.start(10);
+    s.run();
+    EXPECT_EQ(fires, 1);
+    EXPECT_FALSE(task.stop()); // finished chain
+    EXPECT_EQ(s.now(), 10u);
+
+    // Inside fire() no tick is pending either: stop() there changes
+    // nothing, and fire()'s return value alone decides the chain.
+    bool stopped_inside = true;
+    PeriodicTask self(s, SnapTag::kFaultTick, [&] {
+        stopped_inside = self.stop();
+        return s.now() < 40 ? Cycles{10} : Cycles{0};
+    });
+    self.start(10);
+    s.run();
+    EXPECT_FALSE(stopped_inside);
+    EXPECT_EQ(s.now(), 40u);
+    EXPECT_FALSE(self.running());
+}
+
+TEST(SimulatorPeriodicTask, SaveLoadAtTickBoundaryKeepsNextFireTime)
+{
+    // Reference: an uninterrupted chain, sampled past the boundary.
+    Simulator a;
+    std::vector<Cycles> a_fired;
+    PeriodicTask ta(a, SnapTag::kSamplerTick, [&] {
+        a_fired.push_back(a.now());
+        return Cycles{100};
+    });
+    ta.start(100);
+    a.run(200); // the t=200 tick has just fired and re-armed
+    ASSERT_EQ(a_fired, (std::vector<Cycles>{100, 200}));
+
+    auto save = hh::snap::Archive::forSave();
+    a.serialize(save, [](const SnapTag &) -> Simulator::Callback {
+        return {};
+    });
+    ta.serialize(save);
+    ASSERT_TRUE(save.ok()) << save.error();
+    a.run(450);
+
+    Simulator b;
+    std::vector<Cycles> b_fired;
+    PeriodicTask tb(b, SnapTag::kSamplerTick, [&] {
+        b_fired.push_back(b.now());
+        return Cycles{100};
+    });
+    auto load = hh::snap::Archive::forLoad(save.take());
+    b.serialize(load, [&](const SnapTag &t) -> Simulator::Callback {
+        return t.kind == tb.kind() ? tb.rearm() : Simulator::Callback{};
+    });
+    tb.serialize(load);
+    ASSERT_TRUE(load.ok()) << load.error();
+    EXPECT_TRUE(tb.running());
+    EXPECT_EQ(b.nextEventTime(), 300u);
+    b.run(450);
+    EXPECT_EQ(b_fired, (std::vector<Cycles>{300, 400}));
+    EXPECT_EQ(a_fired, (std::vector<Cycles>{100, 200, 300, 400}));
+
+    // The restored id is the live event's: stop() cancels it.
+    EXPECT_TRUE(tb.stop());
+    EXPECT_TRUE(b.idle());
+}
+
+TEST(SimulatorPeriodicTask, RunningByteContradictingPendingIdFailsLoad)
+{
+    for (const bool running : {false, true}) {
+        auto save = hh::snap::Archive::forSave();
+        bool byte = running;
+        std::uint64_t id = running ? hh::sim::kInvalidEventId : 7;
+        save.io(byte);
+        save.io(id);
+
+        Simulator s;
+        PeriodicTask task(s, SnapTag::kLeaseTick,
+                          [] { return Cycles{1}; });
+        auto load = hh::snap::Archive::forLoad(save.take());
+        task.serialize(load);
+        EXPECT_FALSE(load.ok()) << "running byte " << running;
+        EXPECT_NE(load.error().find("running byte"), std::string::npos)
+            << load.error();
+    }
 }
 
 TEST(Time, Conversions)
