@@ -134,8 +134,8 @@ CoreHierarchy::access(Cycles now, const MemAccess &a)
     // latency: CAT way masks constrain fills, not lookups — the
     // leased ways sit in the same physical L3 slice the set index
     // already selected, so a hit here is an ordinary L3 hit.
-    if (lease_l3_ && lease_l3_ways_) {
-        if (lease_l3_->access(line_key, shared, lease_l3_ways_).hit)
+    if (lease_l3_ && lease_l3_mask_) {
+        if (lease_l3_->access(line_key, shared, lease_l3_mask_).hit)
             return lat;
     }
 

@@ -134,10 +134,10 @@ class CoreHierarchy
     setLeaseL3(SetAssocArray *l3, WayMask ways)
     {
         lease_l3_ = l3;
-        lease_l3_ways_ = ways;
+        lease_l3_mask_ = ways;
     }
     SetAssocArray *leaseL3() const { return lease_l3_; }
-    WayMask leaseL3Ways() const { return lease_l3_ways_; }
+    WayMask leaseL3Ways() const { return lease_l3_mask_; }
 
     /**
      * Extra private-L2 ways granted to the harvest region while this
@@ -246,7 +246,7 @@ class CoreHierarchy
 
     /** Borrowed L3 overflow partition (cache lease), or null. */
     SetAssocArray *lease_l3_ = nullptr;
-    WayMask lease_l3_ways_ = 0;
+    WayMask lease_l3_mask_ = 0;
     /** Extra L2 harvest ways while this core's VM leases capacity. */
     unsigned l2_lease_bonus_ = 0;
 

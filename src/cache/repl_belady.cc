@@ -27,43 +27,39 @@ unsigned
 BeladyPolicy::victim(const SetContext &ctx, bool incoming_shared)
 {
     (void)incoming_shared;
-    const WayMask inv = detail::invalidMask(ctx.ways, ctx.allowedMask);
-    if (inv) {
-        for (unsigned w = 0; w < ctx.ways.size(); ++w) {
-            if (inv & (WayMask{1} << w))
-                return w;
-        }
-    }
+    const WayMask allowed = ctx.allowedMask & ctx.wayMask();
+    const WayMask inv = allowed & ~ctx.validMask;
+    if (inv)
+        return static_cast<unsigned>(std::countr_zero(inv));
     // Evict the way whose next use is farthest (never-used wins).
-    unsigned best = static_cast<unsigned>(ctx.ways.size());
+    unsigned best = 64;
     std::uint64_t best_next = 0;
-    for (unsigned w = 0; w < ctx.ways.size(); ++w) {
-        if (!(ctx.allowedMask & (WayMask{1} << w)))
-            continue;
-        const std::uint64_t nu = oracle_.nextUse(ctx.ways[w].tag, pos_);
-        if (best >= ctx.ways.size() || nu > best_next) {
+    for (WayMask m = allowed; m; m &= m - 1) {
+        const auto w = static_cast<unsigned>(std::countr_zero(m));
+        const std::uint64_t nu = oracle_.nextUse(ctx.tags[w], pos_);
+        if (best >= 64 || nu > best_next) {
             best = w;
             best_next = nu;
         }
         if (nu == NextUseOracle::kNever)
             break; // cannot do better
     }
-    if (best >= ctx.ways.size())
+    if (best >= ctx.ways)
         hh::sim::panic("BeladyPolicy: empty allowed mask");
     return best;
 }
 
 void
-BeladyPolicy::touch(WayState &way, std::uint64_t tick)
+BeladyPolicy::touch(std::uint8_t &rrpv)
 {
-    way.lastUse = tick;
+    (void)rrpv;
     ++pos_;
 }
 
 void
-BeladyPolicy::fill(WayState &way, std::uint64_t tick)
+BeladyPolicy::fill(std::uint8_t &rrpv)
 {
-    way.lastUse = tick;
+    (void)rrpv;
     ++pos_;
 }
 

@@ -57,8 +57,8 @@ class BeladyPolicy : public ReplacementPolicy
     {}
 
     unsigned victim(const SetContext &ctx, bool incoming_shared) override;
-    void touch(WayState &way, std::uint64_t tick) override;
-    void fill(WayState &way, std::uint64_t tick) override;
+    void touch(std::uint8_t &rrpv) override;
+    void fill(std::uint8_t &rrpv) override;
     const char *name() const override { return "Belady"; }
 
     /** Current trace position (number of completed accesses). */

@@ -1,109 +1,15 @@
 #include "cache/repl_cdp.h"
 
-#include "sim/log.h"
-
 namespace hh::cache {
-
-namespace {
-
-/** Mask of allowed ways whose valid entry is data (not instr). */
-WayMask
-dataEntryMask(const SetContext &ctx, WayMask among)
-{
-    WayMask m = 0;
-    for (unsigned w = 0; w < ctx.ways.size(); ++w) {
-        const WayMask bit = WayMask{1} << w;
-        if ((among & bit) && ctx.ways[w].valid && !ctx.ways[w].instr)
-            m |= bit;
-    }
-    return m;
-}
-
-} // namespace
 
 unsigned
 CdpPolicy::victim(const SetContext &ctx, bool incoming_shared)
 {
-    if (ctx.lastUse) {
-        // SoA fast path; see HardHarvestPolicy::victim. CDP differs
-        // only in protecting instruction entries instead of shared
-        // ones.
-        const WayMask allowed = ctx.allowedMask;
-        const WayMask non_harvest = allowed & ~ctx.harvestMask;
-        const WayMask harvest = allowed & ctx.harvestMask;
-
-        const WayMask inv = allowed & ~ctx.validMask;
-        if (inv) {
-            const WayMask preferred =
-                inv & (incoming_shared ? non_harvest : harvest);
-            return static_cast<unsigned>(
-                std::countr_zero(preferred ? preferred : inv));
-        }
-
-        const WayMask cand = ctx.candidateMask & allowed;
-        const WayMask data = ctx.validMask & ~ctx.instrMask;
-        const WayMask first_region =
-            incoming_shared ? non_harvest : harvest;
-        const WayMask second_region =
-            incoming_shared ? harvest : non_harvest;
-
-        WayMask victims = cand & first_region & data;
-        if (!victims)
-            victims = cand & second_region & data;
-        if (!victims)
-            victims = cand;
-        if (!victims)
-            victims = allowed;
-
-        const unsigned v =
-            detail::lruAmongFast(ctx.lastUse, victims);
-        if (v >= ctx.ways.size())
-            hh::sim::panic("CdpPolicy: empty allowed mask");
-        return v;
-    }
-
-    // Strip out-of-range mask bits first (same degenerate-mask guard
-    // as HardHarvestPolicy::victim): phantom ways beyond the set's
-    // geometry would survive into `victims`, defeat the safety net,
-    // and panic in lruAmong() despite valid in-range allowed ways.
-    const WayMask in_range =
-        ctx.ways.size() >= 64
-            ? ~WayMask{0}
-            : static_cast<WayMask>((WayMask{1} << ctx.ways.size()) - 1);
-    const WayMask allowed = ctx.allowedMask & in_range;
-    const WayMask non_harvest = allowed & ~ctx.harvestMask;
-    const WayMask harvest = allowed & ctx.harvestMask;
-
-    // Invalid slots first, same region preference as HardHarvest.
-    const WayMask inv = detail::invalidMask(ctx.ways, allowed);
-    if (inv) {
-        const WayMask preferred =
-            inv & (incoming_shared ? non_harvest : harvest);
-        const WayMask pick_from = preferred ? preferred : inv;
-        for (unsigned w = 0; w < ctx.ways.size(); ++w) {
-            if (pick_from & (WayMask{1} << w))
-                return w;
-        }
-    }
-
     // CDP's defining choice: protect instruction entries; evict data
     // entries first, regardless of their shared/private nature.
-    const WayMask cand = ctx.candidateMask & allowed;
-    const WayMask first_region = incoming_shared ? non_harvest : harvest;
-    const WayMask second_region = incoming_shared ? harvest : non_harvest;
-
-    WayMask victims = dataEntryMask(ctx, cand & first_region);
-    if (!victims)
-        victims = dataEntryMask(ctx, cand & second_region);
-    if (!victims)
-        victims = cand; // all candidates are instructions: plain LRU
-    if (!victims)
-        victims = allowed;
-
-    const unsigned v = detail::lruAmong(ctx.ways, victims);
-    if (v >= ctx.ways.size())
-        hh::sim::panic("CdpPolicy: empty allowed mask");
-    return v;
+    return detail::steeredVictim(ctx, incoming_shared,
+                                 ctx.validMask & ~ctx.instrMask,
+                                 "CdpPolicy");
 }
 
 } // namespace hh::cache

@@ -1,122 +1,14 @@
 #include "cache/repl_hardharvest.h"
 
-#include "sim/log.h"
-
 namespace hh::cache {
-
-namespace {
-
-/** Mask of allowed ways whose valid entry is private. */
-WayMask
-privateEntryMask(const SetContext &ctx, WayMask among)
-{
-    WayMask m = 0;
-    for (unsigned w = 0; w < ctx.ways.size(); ++w) {
-        const WayMask bit = WayMask{1} << w;
-        if ((among & bit) && ctx.ways[w].valid && !ctx.ways[w].shared)
-            m |= bit;
-    }
-    return m;
-}
-
-} // namespace
 
 unsigned
 HardHarvestPolicy::victim(const SetContext &ctx, bool incoming_shared)
 {
-    if (ctx.lastUse) {
-        // SoA fast path: every mask is pre-clipped to the set's
-        // geometry, and validity/sharedness come as bitmaps, so the
-        // five priority classes reduce to mask algebra plus one
-        // lruAmongFast scan. Mirrors the span path below exactly.
-        const WayMask allowed = ctx.allowedMask;
-        const WayMask non_harvest = allowed & ~ctx.harvestMask;
-        const WayMask harvest = allowed & ctx.harvestMask;
-
-        const WayMask inv = allowed & ~ctx.validMask;
-        if (inv) {
-            const WayMask preferred =
-                inv & (incoming_shared ? non_harvest : harvest);
-            return static_cast<unsigned>(
-                std::countr_zero(preferred ? preferred : inv));
-        }
-
-        const WayMask cand = ctx.candidateMask & allowed;
-        const WayMask priv = ctx.validMask & ~ctx.sharedMask;
-        const WayMask first_region =
-            incoming_shared ? non_harvest : harvest;
-        const WayMask second_region =
-            incoming_shared ? harvest : non_harvest;
-
-        WayMask victims = cand & first_region & priv;
-        if (!victims)
-            victims = cand & second_region & priv;
-        if (!victims)
-            victims = cand;
-        if (!victims)
-            victims = allowed;
-
-        const unsigned v =
-            detail::lruAmongFast(ctx.lastUse, victims);
-        if (v >= ctx.ways.size())
-            hh::sim::panic("HardHarvestPolicy: empty allowed mask");
-        return v;
-    }
-
-    // Strip mask bits beyond the set's geometry first. A caller-side
-    // mask wider than the set (e.g. a HarvestMask programmed for a
-    // larger structure, or a candidate mask carried across a way
-    // rescale) would otherwise leave phantom ways in `victims`:
-    // lruAmong() ignores out-of-range bits, so a victims mask whose
-    // only bits are out of range defeats the class-5/safety-net
-    // fallbacks and turns into a spurious "empty allowed mask" panic
-    // even though in-range allowed ways exist.
-    const WayMask in_range =
-        ctx.ways.size() >= 64
-            ? ~WayMask{0}
-            : static_cast<WayMask>((WayMask{1} << ctx.ways.size()) - 1);
-    const WayMask allowed = ctx.allowedMask & in_range;
-    const WayMask non_harvest = allowed & ~ctx.harvestMask;
-    const WayMask harvest = allowed & ctx.harvestMask;
-
-    // Classes 1-2: invalid slots, preferred region first. These are
-    // exempt from the eviction-candidate restriction (nothing is
-    // evicted when filling an empty slot).
-    const WayMask inv = detail::invalidMask(ctx.ways, allowed);
-    if (inv) {
-        const WayMask preferred =
-            inv & (incoming_shared ? non_harvest : harvest);
-        const WayMask pick_from = preferred ? preferred : inv;
-        for (unsigned w = 0; w < ctx.ways.size(); ++w) {
-            if (pick_from & (WayMask{1} << w))
-                return w;
-        }
-    }
-
-    // Classes 3-4: private entries, region order depends on the
-    // incoming entry's type; restricted to eviction candidates.
-    const WayMask cand = ctx.candidateMask & allowed;
-    const WayMask first_region = incoming_shared ? non_harvest : harvest;
-    const WayMask second_region = incoming_shared ? harvest : non_harvest;
-
-    WayMask victims = privateEntryMask(ctx, cand & first_region);
-    if (!victims)
-        victims = privateEntryMask(ctx, cand & second_region);
-
-    // Class 5: every candidate holds a shared entry; LRU among them.
-    if (!victims)
-        victims = cand;
-
-    // Safety net: a degenerate candidate mask (e.g. all candidates
-    // outside the allowed region) falls back to plain LRU over
-    // allowed ways.
-    if (!victims)
-        victims = allowed;
-
-    const unsigned v = detail::lruAmong(ctx.ways, victims);
-    if (v >= ctx.ways.size())
-        hh::sim::panic("HardHarvestPolicy: empty allowed mask");
-    return v;
+    // Private entries are the evictable ones (classes 3-4).
+    return detail::steeredVictim(ctx, incoming_shared,
+                                 ctx.validMask & ~ctx.sharedMask,
+                                 "HardHarvestPolicy");
 }
 
 } // namespace hh::cache

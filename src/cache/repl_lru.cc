@@ -8,27 +8,12 @@ unsigned
 LruPolicy::victim(const SetContext &ctx, bool incoming_shared)
 {
     (void)incoming_shared;
-    if (ctx.lastUse) {
-        // SoA fast path: masks are pre-clipped to the geometry.
-        const WayMask inv = ctx.allowedMask & ~ctx.validMask;
-        if (inv)
-            return static_cast<unsigned>(std::countr_zero(inv));
-        const unsigned v =
-            detail::lruAmongFast(ctx.lastUse, ctx.allowedMask);
-        if (v >= ctx.ways.size())
-            hh::sim::panic("LruPolicy: empty allowed mask");
-        return v;
-    }
-    const WayMask inv = detail::invalidMask(ctx.ways, ctx.allowedMask);
-    if (inv) {
-        // Any invalid slot; pick the lowest-index one for determinism.
-        for (unsigned w = 0; w < ctx.ways.size(); ++w) {
-            if (inv & (WayMask{1} << w))
-                return w;
-        }
-    }
-    const unsigned v = detail::lruAmong(ctx.ways, ctx.allowedMask);
-    if (v >= ctx.ways.size())
+    const WayMask allowed = ctx.allowedMask & ctx.wayMask();
+    const WayMask inv = allowed & ~ctx.validMask;
+    if (inv)
+        return static_cast<unsigned>(std::countr_zero(inv));
+    const unsigned v = detail::lruWay(ctx.lastUse, allowed);
+    if (v >= ctx.ways)
         hh::sim::panic("LruPolicy: empty allowed mask");
     return v;
 }

@@ -8,52 +8,42 @@ unsigned
 RripPolicy::victim(const SetContext &ctx, bool incoming_shared)
 {
     (void)incoming_shared;
-    const WayMask inv = detail::invalidMask(ctx.ways, ctx.allowedMask);
-    if (inv) {
-        for (unsigned w = 0; w < ctx.ways.size(); ++w) {
-            if (inv & (WayMask{1} << w))
-                return w;
-        }
-    }
-    // SRRIP aging is stateless from the array's point of view: we
-    // compute how much every allowed way would need to age for one to
-    // reach kMaxRrpv and pick that way (lowest index breaks ties).
-    // Note: mutation of rrpv on aging is performed by the array via
-    // ageSet(); here we only select. To keep the policy object the
-    // single owner of RRIP semantics we select the way with the
-    // maximum current RRPV.
-    unsigned best = static_cast<unsigned>(ctx.ways.size());
+    const WayMask allowed = ctx.allowedMask & ctx.wayMask();
+    const WayMask inv = allowed & ~ctx.validMask;
+    if (inv)
+        return static_cast<unsigned>(std::countr_zero(inv));
+    // The victim is the allowed way with the largest RRPV; ties go to
+    // the least-recently-used way, then the lowest index. No RRPVs
+    // are aged: a set whose ways all sit below the maximum RRPV
+    // evicts its largest one as it stands.
+    unsigned best = 64;
     int best_rrpv = -1;
     std::uint64_t best_use = ~0ULL;
-    for (unsigned w = 0; w < ctx.ways.size(); ++w) {
-        if (!(ctx.allowedMask & (WayMask{1} << w)))
-            continue;
-        const auto &ws = ctx.ways[w];
-        if (static_cast<int>(ws.rrpv) > best_rrpv ||
-            (static_cast<int>(ws.rrpv) == best_rrpv &&
-             ws.lastUse < best_use)) {
-            best_rrpv = ws.rrpv;
-            best_use = ws.lastUse;
+    for (WayMask m = allowed; m; m &= m - 1) {
+        const auto w = static_cast<unsigned>(std::countr_zero(m));
+        const int rrpv = ctx.rrpv[w];
+        if (rrpv > best_rrpv ||
+            (rrpv == best_rrpv && ctx.lastUse[w] < best_use)) {
+            best_rrpv = rrpv;
+            best_use = ctx.lastUse[w];
             best = w;
         }
     }
-    if (best >= ctx.ways.size())
+    if (best >= ctx.ways)
         hh::sim::panic("RripPolicy: empty allowed mask");
     return best;
 }
 
 void
-RripPolicy::touch(WayState &way, std::uint64_t tick)
+RripPolicy::touch(std::uint8_t &rrpv)
 {
-    way.lastUse = tick;
-    way.rrpv = 0;
+    rrpv = 0;
 }
 
 void
-RripPolicy::fill(WayState &way, std::uint64_t tick)
+RripPolicy::fill(std::uint8_t &rrpv)
 {
-    way.lastUse = tick;
-    way.rrpv = kInsertRrpv;
+    rrpv = kInsertRrpv;
 }
 
 } // namespace hh::cache

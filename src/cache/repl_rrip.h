@@ -3,9 +3,9 @@
  * Static RRIP (SRRIP) replacement, the advanced baseline of Fig 14.
  *
  * 2-bit re-reference prediction values: entries are inserted with
- * RRPV = 2 ("long"), promoted to 0 on a hit, and the victim is a way
- * with RRPV = 3 (aging all ways until one is found).
- * Jaleel et al., ISCA 2010.
+ * RRPV = 2 ("long") and promoted to 0 on a hit. The victim is the way
+ * with the largest RRPV, ties broken by LRU; unlike textbook SRRIP
+ * (Jaleel et al., ISCA 2010), RRPVs are never aged toward 3.
  */
 
 #ifndef HH_CACHE_REPL_RRIP_H
@@ -22,12 +22,11 @@ class RripPolicy : public ReplacementPolicy
 {
   public:
     unsigned victim(const SetContext &ctx, bool incoming_shared) override;
-    void touch(WayState &way, std::uint64_t tick) override;
-    void fill(WayState &way, std::uint64_t tick) override;
+    void touch(std::uint8_t &rrpv) override;
+    void fill(std::uint8_t &rrpv) override;
     const char *name() const override { return "RRIP"; }
 
   private:
-    static constexpr std::uint8_t kMaxRrpv = 3;
     static constexpr std::uint8_t kInsertRrpv = 2;
 };
 

@@ -11,30 +11,42 @@ namespace hh::cache {
 namespace detail {
 
 unsigned
-lruAmong(std::span<const WayState> ways, WayMask mask)
+steeredVictim(const SetContext &ctx, bool incoming_shared,
+              WayMask evictable, const char *who)
 {
-    unsigned best = static_cast<unsigned>(ways.size());
-    std::uint64_t best_use = ~0ULL;
-    for (unsigned w = 0; w < ways.size(); ++w) {
-        if (!(mask & (WayMask{1} << w)))
-            continue;
-        if (ways[w].lastUse < best_use) {
-            best_use = ways[w].lastUse;
-            best = w;
-        }
-    }
-    return best;
-}
+    const WayMask allowed = ctx.allowedMask & ctx.wayMask();
+    const WayMask harvest = allowed & ctx.harvestMask;
+    const WayMask non_harvest = allowed & ~ctx.harvestMask;
+    const WayMask first_region = incoming_shared ? non_harvest : harvest;
+    const WayMask second_region = incoming_shared ? harvest : non_harvest;
 
-WayMask
-invalidMask(std::span<const WayState> ways, WayMask allowed)
-{
-    WayMask m = 0;
-    for (unsigned w = 0; w < ways.size(); ++w) {
-        if ((allowed & (WayMask{1} << w)) && !ways[w].valid)
-            m |= WayMask{1} << w;
+    // Invalid slots, preferred region first. These are exempt from
+    // the eviction-candidate restriction (nothing is evicted when
+    // filling an empty slot).
+    const WayMask inv = allowed & ~ctx.validMask;
+    if (inv) {
+        const WayMask preferred = inv & first_region;
+        return static_cast<unsigned>(
+            std::countr_zero(preferred ? preferred : inv));
     }
-    return m;
+
+    // Unprotected candidates, region order set by the incoming
+    // entry's type; then any candidate; then, for a degenerate
+    // candidate mask (e.g. all candidates outside the allowed
+    // region), plain LRU over the allowed ways.
+    const WayMask cand = ctx.candidateMask & allowed;
+    WayMask victims = cand & first_region & evictable;
+    if (!victims)
+        victims = cand & second_region & evictable;
+    if (!victims)
+        victims = cand;
+    if (!victims)
+        victims = allowed;
+
+    const unsigned v = lruWay(ctx.lastUse, victims);
+    if (v >= ctx.ways)
+        hh::sim::panic(who, ": empty allowed mask");
+    return v;
 }
 
 } // namespace detail

@@ -2,11 +2,11 @@
  * @file
  * Replacement-policy interface shared by caches and TLBs.
  *
- * A policy sees one set at a time through SetContext: the per-way
- * state, which ways are harvest ways (HarvestMask), which ways the
- * current requester may use, and — for the HardHarvest policy — the
- * eviction-candidate subset (the M least-recently-used ways, paper
- * Section 4.2.3).
+ * A policy sees one set at a time through SetContext: the set's
+ * tag/lastUse/rrpv columns and valid/shared/instr bitmaps, which ways
+ * are harvest ways (HarvestMask), which ways the current requester
+ * may use, and — for the HardHarvest policy — the eviction-candidate
+ * subset (the M least-recently-used ways, paper Section 4.2.3).
  */
 
 #ifndef HH_CACHE_REPLACEMENT_H
@@ -15,7 +15,6 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
-#include <span>
 
 #include "cache/config.h"
 #include "snapshot/archive.h"
@@ -23,7 +22,9 @@
 namespace hh::cache {
 
 /**
- * Per-way bookkeeping kept by the set-associative array.
+ * One way's state, as the snapshot record and the inspection value.
+ * The array does not store these: it keeps the fields in columns
+ * (see SetAssocArray) and assembles a WayState on demand.
  */
 struct WayState
 {
@@ -35,9 +36,9 @@ struct WayState
     std::uint8_t rrpv = 3;      //!< RRIP re-reference prediction value.
 
     /**
-     * Full per-way state; all replacement metadata the online
-     * policies (LRU/RRIP/CDP/HardHarvest) consult lives here, so
-     * serializing the way array checkpoints the policy state too.
+     * The 20-byte per-way snapshot record. It holds all replacement
+     * metadata the online policies (LRU/RRIP/CDP/HardHarvest)
+     * consult, so the way records checkpoint the policy state too.
      */
     void
     serialize(hh::snap::Archive &ar)
@@ -52,34 +53,33 @@ struct WayState
 };
 
 /**
- * Everything a policy may inspect when choosing a victim in one set.
+ * Everything a policy may inspect when choosing a victim in one set:
+ * the set's columns, its per-set bitmaps and the region masks.
+ *
+ * Mask bits at or above `ways` carry no meaning; each policy clips
+ * its masks with wayMask() before using them.
  */
 struct SetContext
 {
-    std::span<const WayState> ways; //!< All ways of the set.
-    WayMask harvestMask = 0;        //!< Ways in the harvest region.
-    WayMask allowedMask = 0;        //!< Ways the requester may fill.
-    WayMask candidateMask = 0;      //!< Eviction candidates (valid ways).
-    std::uint64_t setIndex = 0;     //!< Which set (Belady oracle key).
+    const Addr *tags = nullptr;             //!< Per-way tags.
+    const std::uint64_t *lastUse = nullptr; //!< Per-way LRU stamps.
+    const std::uint8_t *rrpv = nullptr;     //!< Per-way RRIP values.
+    unsigned ways = 0;                      //!< Ways in the set.
 
-    /**
-     * @name Struct-of-arrays fast path (set by SetAssocArray)
-     *
-     * When `lastUse` is non-null it points at the set's contiguous
-     * per-way LRU timestamps and the three bitmap fields below are
-     * populated, with every mask (including allowedMask and
-     * candidateMask) already clipped to the set's geometry. Policies
-     * then pick victims from bitmaps and one flat array instead of
-     * striding through 32-byte WayState records. A null `lastUse`
-     * (direct construction in tests) selects the original
-     * span-walking path; both paths compute identical victims.
-     * @{
-     */
-    const std::uint64_t *lastUse = nullptr;
-    WayMask validMask = 0;  //!< Ways holding a valid entry.
-    WayMask sharedMask = 0; //!< Ways whose valid entry is Shared.
-    WayMask instrMask = 0;  //!< Ways whose valid entry is I-side.
-    /** @} */
+    WayMask validMask = 0;     //!< Ways holding a valid entry.
+    WayMask sharedMask = 0;    //!< Ways whose valid entry is Shared.
+    WayMask instrMask = 0;     //!< Ways whose valid entry is I-side.
+    WayMask harvestMask = 0;   //!< Ways in the harvest region.
+    WayMask allowedMask = 0;   //!< Ways the requester may fill.
+    WayMask candidateMask = 0; //!< Eviction candidates (valid ways).
+    std::uint64_t setIndex = 0; //!< Which set (Belady oracle key).
+
+    /** Mask covering the set's ways. */
+    WayMask
+    wayMask() const
+    {
+        return ways >= 64 ? ~WayMask{0} : (WayMask{1} << ways) - 1;
+    }
 };
 
 /**
@@ -103,19 +103,14 @@ class ReplacementPolicy
     virtual unsigned victim(const SetContext &ctx,
                             bool incoming_shared) = 0;
 
-    /** Metadata update on a hit. */
-    virtual void
-    touch(WayState &way, std::uint64_t tick)
-    {
-        way.lastUse = tick;
-    }
+    /**
+     * Metadata update on a hit. The array has already stamped the
+     * way's lastUse; policies only keep their own state here.
+     */
+    virtual void touch(std::uint8_t &rrpv) { (void)rrpv; }
 
     /** Metadata update on a fill (after victim selection). */
-    virtual void
-    fill(WayState &way, std::uint64_t tick)
-    {
-        way.lastUse = tick;
-    }
+    virtual void fill(std::uint8_t &rrpv) { (void)rrpv; }
 
     /** Human-readable policy name. */
     virtual const char *name() const = 0;
@@ -139,19 +134,12 @@ std::unique_ptr<ReplacementPolicy> makePolicy(ReplKind kind);
 
 namespace detail {
 
-/** Pick the LRU way among @p mask; returns ways count if mask empty. */
-unsigned lruAmong(std::span<const WayState> ways, WayMask mask);
-
-/** Mask of invalid ways within @p allowed. */
-WayMask invalidMask(std::span<const WayState> ways, WayMask allowed);
-
 /**
- * lruAmong over a contiguous lastUse array (SoA fast path); visits
- * only the set bits of @p mask, lowest index winning ties exactly
- * like lruAmong. Returns 64 when @p mask is empty.
+ * The least-recently-used way among @p mask, lowest index winning
+ * ties; 64 when @p mask is empty.
  */
 inline unsigned
-lruAmongFast(const std::uint64_t *lastUse, WayMask mask)
+lruWay(const std::uint64_t *lastUse, WayMask mask)
 {
     unsigned best = 64;
     std::uint64_t best_use = ~0ULL;
@@ -165,6 +153,20 @@ lruAmongFast(const std::uint64_t *lastUse, WayMask mask)
     }
     return best;
 }
+
+/**
+ * Victim choice shared by HardHarvest (Algorithm 1) and CDP: an
+ * invalid way in the incoming entry's region, then any invalid way,
+ * then the LRU unprotected candidate in that region, then in the
+ * other region, then the LRU candidate, then the LRU allowed way.
+ * Shared entries go to the non-harvest region, private ones to the
+ * harvest region.
+ *
+ * @param evictable Ways whose entries the policy does not protect.
+ * @param who       Policy name for the empty-mask panic.
+ */
+unsigned steeredVictim(const SetContext &ctx, bool incoming_shared,
+                       WayMask evictable, const char *who);
 
 } // namespace detail
 

@@ -7,14 +7,14 @@
 
 namespace hh::core {
 
-HarvestMask::HarvestMask(const StructureWays &ways) : ways_(ways)
+HarvestMask::HarvestMask(const StructureWays &ways) : counts_(ways)
 {
     unsigned total = 0;
     for (unsigned i = 0; i < kNumMaskedStructs; ++i) {
-        if (ways_.ways[i] == 0 || ways_.ways[i] > 16)
+        if (counts_.ways[i] == 0 || counts_.ways[i] > 16)
             hh::sim::fatal("HarvestMask: structure way count must be "
                            "in [1, 16]");
-        total += ways_.ways[i];
+        total += counts_.ways[i];
     }
     if (total > 40)
         hh::sim::fatal("HarvestMask: masks exceed the 5-byte register");
@@ -25,7 +25,7 @@ HarvestMask::setMask(MaskedStruct s, hh::cache::WayMask mask)
 {
     const auto i = static_cast<unsigned>(s);
     const std::uint16_t limit =
-        static_cast<std::uint16_t>((1u << ways_.ways[i]) - 1);
+        static_cast<std::uint16_t>((1u << counts_.ways[i]) - 1);
     masks_[i] = static_cast<std::uint16_t>(mask) & limit;
 }
 
@@ -38,14 +38,14 @@ HarvestMask::mask(MaskedStruct s) const
 unsigned
 HarvestMask::wayCount(MaskedStruct s) const
 {
-    return ways_.ways[static_cast<unsigned>(s)];
+    return counts_.ways[static_cast<unsigned>(s)];
 }
 
 void
 HarvestMask::setFraction(double fraction)
 {
     for (unsigned i = 0; i < kNumMaskedStructs; ++i) {
-        const unsigned ways = ways_.ways[i];
+        const unsigned ways = counts_.ways[i];
         auto n = static_cast<unsigned>(
             std::lround(fraction * static_cast<double>(ways)));
         n = std::min(std::max(1u, n), ways - 1 > 0 ? ways - 1 : 1u);
@@ -57,12 +57,12 @@ std::array<std::uint8_t, 5>
 HarvestMask::pack() const
 {
     // Concatenate the per-structure masks into a 40-bit little-endian
-    // stream, each field ways_[i] bits wide.
+    // stream, each field counts_.ways[i] bits wide.
     std::uint64_t stream = 0;
     unsigned shift = 0;
     for (unsigned i = 0; i < kNumMaskedStructs; ++i) {
         stream |= static_cast<std::uint64_t>(masks_[i]) << shift;
-        shift += ways_.ways[i];
+        shift += counts_.ways[i];
     }
     std::array<std::uint8_t, 5> bytes{};
     for (unsigned b = 0; b < 5; ++b)
@@ -79,10 +79,10 @@ HarvestMask::unpack(const std::array<std::uint8_t, 5> &bytes)
     unsigned shift = 0;
     for (unsigned i = 0; i < kNumMaskedStructs; ++i) {
         const std::uint64_t field_mask =
-            (std::uint64_t{1} << ways_.ways[i]) - 1;
+            (std::uint64_t{1} << counts_.ways[i]) - 1;
         masks_[i] =
             static_cast<std::uint16_t>((stream >> shift) & field_mask);
-        shift += ways_.ways[i];
+        shift += counts_.ways[i];
     }
 }
 

@@ -79,7 +79,7 @@ class HarvestMask
     void serialize(hh::snap::Archive &ar) { ar.io(masks_); }
 
   private:
-    StructureWays ways_;
+    StructureWays counts_;
     /** Per-structure masks; L1D needs 12 bits so uint16 each. */
     std::array<std::uint16_t, kNumMaskedStructs> masks_{};
 };

@@ -22,10 +22,16 @@ using namespace hh::cache;
 
 namespace {
 
-/** Build a 4-way set context for direct policy testing. */
+/**
+ * Build a 4-way set context for direct policy testing: tests edit
+ * `ways`, and refresh() rebuilds the column view the policies read.
+ */
 struct SetFixture
 {
     std::vector<WayState> ways;
+    std::vector<Addr> tags;
+    std::vector<std::uint64_t> lastUse;
+    std::vector<std::uint8_t> rrpv;
     SetContext ctx;
 
     explicit SetFixture(unsigned n = 4)
@@ -40,7 +46,23 @@ struct SetFixture
     void
     refresh()
     {
-        ctx.ways = std::span<const WayState>(ways.data(), ways.size());
+        tags.clear();
+        lastUse.clear();
+        rrpv.clear();
+        ctx.validMask = ctx.sharedMask = ctx.instrMask = 0;
+        for (std::size_t i = 0; i < ways.size(); ++i) {
+            const WayMask bit = WayMask{1} << i;
+            tags.push_back(ways[i].tag);
+            lastUse.push_back(ways[i].lastUse);
+            rrpv.push_back(ways[i].rrpv);
+            ctx.validMask |= ways[i].valid ? bit : 0;
+            ctx.sharedMask |= ways[i].shared ? bit : 0;
+            ctx.instrMask |= ways[i].instr ? bit : 0;
+        }
+        ctx.tags = tags.data();
+        ctx.lastUse = lastUse.data();
+        ctx.rrpv = rrpv.data();
+        ctx.ways = static_cast<unsigned>(ways.size());
     }
 
     void
@@ -98,7 +120,7 @@ TEST(Rrip, InsertsAtLongInterval)
 {
     RripPolicy p;
     WayState w;
-    p.fill(w, 1);
+    p.fill(w.rrpv);
     EXPECT_EQ(w.rrpv, 2);
 }
 
@@ -106,8 +128,8 @@ TEST(Rrip, PromotesOnHit)
 {
     RripPolicy p;
     WayState w;
-    p.fill(w, 1);
-    p.touch(w, 2);
+    p.fill(w.rrpv);
+    p.touch(w.rrpv);
     EXPECT_EQ(w.rrpv, 0);
 }
 
@@ -390,7 +412,7 @@ void PrintTo(const MaskCase &c, std::ostream *os)
 /**
  * Scenarios that historically defeated the class-5 / safety-net
  * fallbacks: phantom mask bits beyond the set's geometry survived
- * into the victims mask, lruAmong() ignored them, and victim()
+ * into the victims mask, the LRU scan ignored them, and victim()
  * panicked with "empty allowed mask" despite valid in-range ways.
  */
 const MaskCase kMaskCases[] = {
