@@ -21,9 +21,8 @@ namespace hh::cache {
 /**
  * CDP: instructions beat data; region preference as in HardHarvest.
  *
- * The per-entry `isInstr` distinction is approximated through the
- * fill-time flag recorded by the array (instruction entries always
- * arrive with Shared=1, and the policy is told through fillInstr()).
+ * The array records each entry's instruction flag at fill time; the
+ * policy reads it as ctx.instrMask.
  */
 class CdpPolicy : public ReplacementPolicy
 {
