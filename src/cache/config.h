@@ -41,7 +41,12 @@ const char *replKindName(ReplKind kind);
  */
 struct Geometry
 {
-    std::uint32_t sets = 64;          //!< Number of sets (power of 2).
+    /**
+     * Number of sets. Need not be a power of 2: L3 partitions have
+     * cores x 2048 sets (12,288 for 6 cores), which setIndex() maps
+     * by modulo instead of a mask.
+     */
+    std::uint32_t sets = 64;
     std::uint32_t ways = 8;           //!< Associativity.
     hh::sim::Cycles latency = 5;      //!< Round-trip hit latency.
 

@@ -12,7 +12,7 @@ LruPolicy::victim(const SetContext &ctx, bool incoming_shared)
     const WayMask inv = allowed & ~ctx.validMask;
     if (inv)
         return static_cast<unsigned>(std::countr_zero(inv));
-    const unsigned v = detail::lruWay(ctx.lastUse, allowed);
+    const unsigned v = detail::lruWay(ctx.rank, allowed);
     if (v >= ctx.ways)
         hh::sim::panic("LruPolicy: empty allowed mask");
     return v;

@@ -13,19 +13,19 @@ RripPolicy::victim(const SetContext &ctx, bool incoming_shared)
     if (inv)
         return static_cast<unsigned>(std::countr_zero(inv));
     // The victim is the allowed way with the largest RRPV; ties go to
-    // the least-recently-used way, then the lowest index. No RRPVs
-    // are aged: a set whose ways all sit below the maximum RRPV
-    // evicts its largest one as it stands.
+    // the least-recently-used (lowest-ranked) way. No RRPVs are aged:
+    // a set whose ways all sit below the maximum RRPV evicts its
+    // largest one as it stands.
     unsigned best = 64;
     int best_rrpv = -1;
-    std::uint64_t best_use = ~0ULL;
+    unsigned best_rank = ~0U;
     for (WayMask m = allowed; m; m &= m - 1) {
         const auto w = static_cast<unsigned>(std::countr_zero(m));
         const int rrpv = ctx.rrpv[w];
         if (rrpv > best_rrpv ||
-            (rrpv == best_rrpv && ctx.lastUse[w] < best_use)) {
+            (rrpv == best_rrpv && ctx.rank[w] < best_rank)) {
             best_rrpv = rrpv;
-            best_use = ctx.lastUse[w];
+            best_rank = ctx.rank[w];
             best = w;
         }
     }

@@ -43,7 +43,7 @@ steeredVictim(const SetContext &ctx, bool incoming_shared,
     if (!victims)
         victims = allowed;
 
-    const unsigned v = lruWay(ctx.lastUse, victims);
+    const unsigned v = lruWay(ctx.rank, victims);
     if (v >= ctx.ways)
         hh::sim::panic(who, ": empty allowed mask");
     return v;

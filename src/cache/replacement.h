@@ -3,7 +3,7 @@
  * Replacement-policy interface shared by caches and TLBs.
  *
  * A policy sees one set at a time through SetContext: the set's
- * tag/lastUse/rrpv columns and valid/shared/instr bitmaps, which ways
+ * tag/rank/rrpv columns and valid/shared/instr bitmaps, which ways
  * are harvest ways (HarvestMask), which ways the current requester
  * may use, and — for the HardHarvest policy — the eviction-candidate
  * subset (the M least-recently-used ways, paper Section 4.2.3).
@@ -32,11 +32,11 @@ struct WayState
     Addr tag = 0;
     bool shared = false;        //!< Paper's per-entry Shared bit.
     bool instr = false;         //!< Instruction-side entry (CDP).
-    std::uint64_t lastUse = 0;  //!< LRU timestamp (array access tick).
+    std::uint8_t rank = 0;      //!< Recency rank in the set (SetContext).
     std::uint8_t rrpv = 3;      //!< RRIP re-reference prediction value.
 
     /**
-     * The 20-byte per-way snapshot record. It holds all replacement
+     * The 13-byte per-way snapshot record. It holds all replacement
      * metadata the online policies (LRU/RRIP/CDP/HardHarvest)
      * consult, so the way records checkpoint the policy state too.
      */
@@ -47,7 +47,7 @@ struct WayState
         ar.io(tag);
         ar.io(shared);
         ar.io(instr);
-        ar.io(lastUse);
+        ar.io(rank);
         ar.io(rrpv);
     }
 };
@@ -56,15 +56,20 @@ struct WayState
  * Everything a policy may inspect when choosing a victim in one set:
  * the set's columns, its per-set bitmaps and the region masks.
  *
+ * Recency is a per-set rank: the ranks of a set's ways are a
+ * permutation of [0, ways), higher meaning more recently used. Only
+ * the order among valid ways carries meaning; every policy takes an
+ * invalid allowed way before it compares ranks.
+ *
  * Mask bits at or above `ways` carry no meaning; each policy clips
  * its masks with wayMask() before using them.
  */
 struct SetContext
 {
-    const Addr *tags = nullptr;             //!< Per-way tags.
-    const std::uint64_t *lastUse = nullptr; //!< Per-way LRU stamps.
-    const std::uint8_t *rrpv = nullptr;     //!< Per-way RRIP values.
-    unsigned ways = 0;                      //!< Ways in the set.
+    const Addr *tags = nullptr;         //!< Per-way tags.
+    const std::uint8_t *rank = nullptr; //!< Per-way recency ranks.
+    const std::uint8_t *rrpv = nullptr; //!< Per-way RRIP values.
+    unsigned ways = 0;                  //!< Ways in the set.
 
     WayMask validMask = 0;     //!< Ways holding a valid entry.
     WayMask sharedMask = 0;    //!< Ways whose valid entry is Shared.
@@ -104,8 +109,8 @@ class ReplacementPolicy
                             bool incoming_shared) = 0;
 
     /**
-     * Metadata update on a hit. The array has already stamped the
-     * way's lastUse; policies only keep their own state here.
+     * Metadata update on a hit. The array has already promoted the
+     * way's rank; policies only keep their own state here.
      */
     virtual void touch(std::uint8_t &rrpv) { (void)rrpv; }
 
@@ -135,19 +140,19 @@ std::unique_ptr<ReplacementPolicy> makePolicy(ReplKind kind);
 namespace detail {
 
 /**
- * The least-recently-used way among @p mask, lowest index winning
- * ties; 64 when @p mask is empty.
+ * The least-recently-used (lowest-ranked) way among @p mask; 64 when
+ * @p mask is empty.
  */
 inline unsigned
-lruWay(const std::uint64_t *lastUse, WayMask mask)
+lruWay(const std::uint8_t *rank, WayMask mask)
 {
     unsigned best = 64;
-    std::uint64_t best_use = ~0ULL;
+    unsigned best_rank = ~0U;
     for (WayMask m = mask; m; m &= m - 1) {
         const auto w =
             static_cast<unsigned>(std::countr_zero(m));
-        if (lastUse[w] < best_use) {
-            best_use = lastUse[w];
+        if (rank[w] < best_rank) {
+            best_rank = rank[w];
             best = w;
         }
     }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstring>
 
 #include "sim/log.h"
 #include "sim/prof.h"
@@ -10,11 +11,22 @@
 
 namespace hh::cache {
 
+namespace {
+
+/** Bytes per set in the rank column: ways rounded up to 8. */
+unsigned
+rankStride(unsigned ways)
+{
+    return (ways + 7) & ~7U;
+}
+
+} // namespace
+
 SetAssocArray::SetAssocArray(const Geometry &geom,
                              std::unique_ptr<ReplacementPolicy> policy)
     : geom_(geom), policy_(std::move(policy)),
       tags_(static_cast<std::size_t>(geom.sets) * geom.ways),
-      last_use_(static_cast<std::size_t>(geom.sets) * geom.ways),
+      rank_(static_cast<std::size_t>(geom.sets) * rankStride(geom.ways)),
       rrpv_(static_cast<std::size_t>(geom.sets) * geom.ways,
             WayState{}.rrpv),
       valid_bits_(geom.sets), shared_bits_(geom.sets),
@@ -30,6 +42,12 @@ SetAssocArray::SetAssocArray(const Geometry &geom,
     all_mask_ = geom.ways == 64 ? ~WayMask{0}
                                 : ((WayMask{1} << geom.ways) - 1);
     policy_uses_candidates_ = policy_->usesCandidates();
+    rank_stride_ = rankStride(geom.ways);
+    // Rank by way index: the order of an all-invalid set, where the
+    // lowest index counts as least recently used.
+    for (std::uint32_t s = 0; s < geom.sets; ++s)
+        for (unsigned w = 0; w < geom.ways; ++w)
+            setRanks(s)[w] = static_cast<std::uint8_t>(w);
 }
 
 void
@@ -70,33 +88,46 @@ SetAssocArray::candidateMask(std::uint32_t set, WayMask allowed) const
 {
     if (candidate_count_ >= geom_.ways)
         return allowed;
-    // Select the M least-recently-used allowed ways: repeatedly pick
-    // the minimum lastUse, lowest way winning ties — exactly the
-    // order a full selection sort would produce. The scan walks the
-    // contiguous lastUse column and only the bits still remaining.
-    const std::uint64_t *lu =
-        &last_use_[static_cast<std::size_t>(set) * geom_.ways];
+    // Invert the set's rank permutation, then walk it from the least
+    // recently used way up, taking the first M allowed ways.
+    const std::uint8_t *rank = setRanks(set);
+    std::uint8_t by_rank[64];
+    for (unsigned w = 0; w < geom_.ways; ++w)
+        by_rank[rank[w]] = static_cast<std::uint8_t>(w);
     WayMask mask = 0;
     unsigned chosen = 0;
-    WayMask remaining = allowed;
-    while (chosen < candidate_count_ && remaining) {
-        unsigned best = 64;
-        std::uint64_t best_use = ~0ULL;
-        for (WayMask m = remaining; m; m &= m - 1) {
-            const auto w =
-                static_cast<unsigned>(std::countr_zero(m));
-            if (lu[w] < best_use) {
-                best_use = lu[w];
-                best = w;
-            }
+    for (unsigned r = 0; r < geom_.ways && chosen < candidate_count_;
+         ++r) {
+        const WayMask bit = WayMask{1} << by_rank[r];
+        if (allowed & bit) {
+            mask |= bit;
+            ++chosen;
         }
-        if (best >= 64)
-            break;
-        mask |= WayMask{1} << best;
-        remaining &= ~(WayMask{1} << best);
-        ++chosen;
     }
     return mask;
+}
+
+void
+SetAssocArray::promote(std::uint8_t *rank, unsigned way)
+{
+    // Every way ranked above the promoted one drops by one, eight
+    // ranks per 64-bit word. Ranks are below 64, so in each byte
+    // (r | 0x80) - (old + 1) keeps bit 7 exactly when r > old and
+    // never borrows from the next byte; the zero padding past the
+    // last way never exceeds old and stays zero.
+    constexpr std::uint64_t kOnes = 0x0101010101010101ULL;
+    constexpr std::uint64_t kHigh = 0x8080808080808080ULL;
+    const unsigned old = rank[way];
+    const std::uint64_t above = (old + 1) * kOnes;
+    for (unsigned w = 0; w < rank_stride_; w += 8) {
+        std::uint64_t r;
+        std::memcpy(&r, rank + w, sizeof r);
+        r -= (((r | kHigh) - above) & kHigh) >> 7;
+        std::memcpy(rank + w, &r, sizeof r);
+    }
+    // The promoted way rises past the ways - 1 - old ways that were
+    // above it, to the top.
+    rank[way] = static_cast<std::uint8_t>(rank[way] + geom_.ways - 1 - old);
 }
 
 AccessResult
@@ -108,9 +139,9 @@ SetAssocArray::access(Addr key, bool shared, WayMask allowed,
     if (!allowed)
         hh::sim::panic("SetAssocArray::access: empty allowed mask");
 
-    ++tick_;
     const std::uint32_t set = setIndex(key);
     const std::size_t si = static_cast<std::size_t>(set) * geom_.ways;
+    std::uint8_t *rank = setRanks(set);
     AccessResult res;
 
     // Tag search over the contiguous column, valid ways only.
@@ -122,7 +153,7 @@ SetAssocArray::access(Addr key, bool shared, WayMask allowed,
             continue;
         res.hit = true;
         res.way = w;
-        last_use_[si + w] = tick_;
+        promote(rank, w);
         policy_->touch(rrpv_[si + w]);
         ++hits_;
         return res;
@@ -131,7 +162,7 @@ SetAssocArray::access(Addr key, bool shared, WayMask allowed,
     ++misses_;
     SetContext ctx;
     ctx.tags = tags;
-    ctx.lastUse = &last_use_[si];
+    ctx.rank = rank;
     ctx.rrpv = &rrpv_[si];
     ctx.ways = geom_.ways;
     ctx.validMask = valid;
@@ -160,7 +191,7 @@ SetAssocArray::access(Addr key, bool shared, WayMask allowed,
         res.victimShared = (shared_bits_[set] & bit) != 0;
     }
     tags_[si + victim] = key;
-    last_use_[si + victim] = tick_;
+    promote(rank, victim);
     policy_->fill(rrpv_[si + victim]);
     valid_bits_[set] |= bit;
     shared_bits_[set] = shared ? (shared_bits_[set] | bit)
@@ -189,7 +220,6 @@ void
 SetAssocArray::flushAll()
 {
     std::fill(tags_.begin(), tags_.end(), Addr{0});
-    std::fill(last_use_.begin(), last_use_.end(), std::uint64_t{0});
     std::fill(rrpv_.begin(), rrpv_.end(), WayState{}.rrpv);
     std::fill(valid_bits_.begin(), valid_bits_.end(), WayMask{0});
     std::fill(shared_bits_.begin(), shared_bits_.end(), WayMask{0});
@@ -207,7 +237,6 @@ SetAssocArray::flushWays(WayMask mask)
             const auto w =
                 static_cast<unsigned>(std::countr_zero(m));
             tags_[si + w] = 0;
-            last_use_[si + w] = 0;
             rrpv_[si + w] = WayState{}.rrpv;
         }
         valid_bits_[s] &= ~mask;
@@ -268,7 +297,7 @@ SetAssocArray::wayState(std::uint32_t set, unsigned way) const
     ws.tag = tags_[i];
     ws.shared = (shared_bits_[set] & bit) != 0;
     ws.instr = (instr_bits_[set] & bit) != 0;
-    ws.lastUse = last_use_[i];
+    ws.rank = setRanks(set)[way];
     ws.rrpv = rrpv_[i];
     return ws;
 }
@@ -289,35 +318,70 @@ SetAssocArray::serialize(hh::snap::Archive &ar)
                 std::to_string(tags_.size()) + " (sets x ways)");
         return;
     }
-    for (std::uint32_t s = 0; s < geom_.sets; ++s) {
-        const std::size_t si =
-            static_cast<std::size_t>(s) * geom_.ways;
-        WayMask valid = 0;
-        WayMask shared = 0;
-        WayMask instr = 0;
-        // Saving writes each record's fields back unchanged; loading
-        // fills the columns from the records read.
-        for (unsigned w = 0; w < geom_.ways; ++w) {
-            WayState ws = ar.saving() ? wayState(s, w) : WayState{};
-            ar.io(ws);
-            const WayMask bit = WayMask{1} << w;
-            tags_[si + w] = ws.tag;
-            last_use_[si + w] = ws.lastUse;
-            rrpv_[si + w] = ws.rrpv;
-            valid |= ws.valid ? bit : 0;
-            shared |= ws.shared ? bit : 0;
-            instr |= ws.instr ? bit : 0;
+    if (ar.saving()) {
+        for (std::uint32_t s = 0; s < geom_.sets; ++s) {
+            for (unsigned w = 0; w < geom_.ways; ++w) {
+                WayState ws = wayState(s, w);
+                ar.io(ws);
+            }
         }
-        valid_bits_[s] = valid;
-        shared_bits_[s] = shared;
-        instr_bits_[s] = instr;
+    } else {
+        loadContents(ar);
+        if (!ar.ok())
+            return;
     }
     ar.io(harvest_mask_);
     ar.io(candidate_count_);
-    ar.io(tick_);
     ar.io(hits_);
     ar.io(misses_);
     ar.io(evictions_);
+}
+
+void
+SetAssocArray::loadContents(hh::snap::Archive &ar)
+{
+    std::vector<Addr> tags(tags_.size());
+    std::vector<std::uint8_t> rank(rank_.size());
+    std::vector<std::uint8_t> rrpv(rrpv_.size());
+    std::vector<WayMask> valid(geom_.sets);
+    std::vector<WayMask> shared(geom_.sets);
+    std::vector<WayMask> instr(geom_.sets);
+    for (std::uint32_t s = 0; s < geom_.sets; ++s) {
+        const std::size_t si =
+            static_cast<std::size_t>(s) * geom_.ways;
+        const std::size_t ri =
+            static_cast<std::size_t>(s) * rank_stride_;
+        WayMask ranks_seen = 0;
+        for (unsigned w = 0; w < geom_.ways; ++w) {
+            WayState ws;
+            ar.io(ws);
+            const WayMask bit = WayMask{1} << w;
+            tags[si + w] = ws.tag;
+            rank[ri + w] = ws.rank;
+            rrpv[si + w] = ws.rrpv;
+            valid[s] |= ws.valid ? bit : 0;
+            shared[s] |= ws.shared ? bit : 0;
+            instr[s] |= ws.instr ? bit : 0;
+            if (ws.rank < geom_.ways)
+                ranks_seen |= WayMask{1} << ws.rank;
+        }
+        if (!ar.ok())
+            return;
+        // `ways` ranks below `ways` cover every value only when none
+        // repeats, so a full mask means a permutation.
+        if (ranks_seen != all_mask_) {
+            ar.fail("snapshot cache set " + std::to_string(s) +
+                    " ranks are not a permutation of [0, " +
+                    std::to_string(geom_.ways) + ")");
+            return;
+        }
+    }
+    tags_.swap(tags);
+    rank_.swap(rank);
+    rrpv_.swap(rrpv);
+    valid_bits_.swap(valid);
+    shared_bits_.swap(shared);
+    instr_bits_.swap(instr);
 }
 
 } // namespace hh::cache

@@ -162,15 +162,38 @@ class SetAssocArray
      *
      * Contents travel as the way count followed by one WayState
      * record per way, set-major. A load whose count differs from
-     * sets * ways fails the archive and leaves the array untouched.
+     * sets * ways, or in which a set's ranks are not a permutation
+     * of [0, ways), fails the archive and leaves the array
+     * untouched.
      */
     void serialize(hh::snap::Archive &ar);
 
   private:
     std::uint32_t setIndex(Addr key) const;
 
-    /** Compute the M-least-recently-used candidate mask for a set. */
+    /**
+     * The M least-recently-used ways of @p allowed in a set. Only
+     * meaningful when every allowed way is valid.
+     */
     WayMask candidateMask(std::uint32_t set, WayMask allowed) const;
+
+    /** The rank column of @p set (rank_stride_ bytes). */
+    std::uint8_t *
+    setRanks(std::uint32_t set)
+    {
+        return &rank_[static_cast<std::size_t>(set) * rank_stride_];
+    }
+    const std::uint8_t *
+    setRanks(std::uint32_t set) const
+    {
+        return &rank_[static_cast<std::size_t>(set) * rank_stride_];
+    }
+
+    /** Make @p way the most recently used of the set at @p rank. */
+    void promote(std::uint8_t *rank, unsigned way);
+
+    /** Read the way records into staged columns, then commit them. */
+    void loadContents(hh::snap::Archive &ar);
 
     Geometry geom_;
     std::unique_ptr<ReplacementPolicy> policy_;
@@ -179,14 +202,24 @@ class SetAssocArray
      *
      * The per-way columns are sets * ways long, row-major; the
      * boolean fields are folded into one bitmap per set. The access
-     * hot path is a tag search over the valid ways plus lastUse scans,
-     * each over contiguous memory. These columns are the only copy of
-     * the contents: snapshots and wayState() assemble WayState
-     * records from them.
+     * hot path is a tag search over the valid ways plus one pass over
+     * the set's ranks, each over contiguous memory. These columns are
+     * the only copy of the contents: snapshots and wayState()
+     * assemble WayState records from them.
+     *
+     * Each set's ranks are a permutation of [0, ways), higher meaning
+     * more recent; they start as the way index. A hit or fill
+     * promotes the way to ways - 1 and drops every way ranked above
+     * it by one. Flushes leave ranks alone: policies take an invalid
+     * allowed way before comparing ranks, and promotion keeps the
+     * relative order of the other ways, so among valid ways the rank
+     * order is the order of last use. The rank column gives each set
+     * rank_stride_ bytes (ways rounded up to 8, zero padding), so a
+     * promotion works on whole 64-bit words.
      * @{
      */
     std::vector<Addr> tags_;
-    std::vector<std::uint64_t> last_use_;
+    std::vector<std::uint8_t> rank_;
     std::vector<std::uint8_t> rrpv_;
     std::vector<WayMask> valid_bits_;  //!< one mask per set.
     std::vector<WayMask> shared_bits_; //!< one mask per set.
@@ -195,9 +228,9 @@ class SetAssocArray
     WayMask harvest_mask_ = 0;
     WayMask all_mask_ = 0;
     unsigned candidate_count_; //!< M as an absolute way count.
+    unsigned rank_stride_;     //!< Bytes per set in rank_.
     /** Cached policy_->usesCandidates() (virtual call per miss). */
     bool policy_uses_candidates_ = false;
-    std::uint64_t tick_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
     std::uint64_t evictions_ = 0;

@@ -21,7 +21,7 @@
 namespace hh::snap {
 
 /** Bumped whenever the serialized layout changes incompatibly. */
-inline constexpr std::uint32_t kFormatVersion = 2;
+inline constexpr std::uint32_t kFormatVersion = 3;
 
 /** 'HHCP' — HardHarvest CheckPoint. */
 inline constexpr std::uint32_t kCheckpointMagic = 0x50434848u;

@@ -5,13 +5,15 @@
  *
  * RefCache below is a deliberately naive model of the array: every
  * set is a plain vector of {valid, tag, shared, instr, lastUse, rrpv}
- * records, and the victim rules are written straight from their
- * definitions (paper Algorithm 1 for HardHarvest, textbook LRU, the
- * max-RRPV pick of the SRRIP model, CDP's instruction protection),
- * with no bitmaps. Seeded op mixes run through the model and the real
- * array side by side, over every geometry in cache/config.h, and the
- * two must agree after every op: hit/miss, victim way, evicted tag
- * and the full contents of every touched set.
+ * records, recency a global 64-bit access stamp, and the victim rules
+ * are written straight from their definitions (paper Algorithm 1 for
+ * HardHarvest, textbook LRU, the max-RRPV pick of the SRRIP model,
+ * CDP's instruction protection), with no bitmaps. Seeded op mixes run
+ * through the model and the real array side by side, over every
+ * geometry in cache/config.h, and the two must agree after every op:
+ * hit/miss, victim way, evicted tag and the full contents of every
+ * touched set, where the array's per-set recency ranks must order the
+ * valid ways as the model's stamps do.
  */
 
 #include <gtest/gtest.h>
@@ -34,7 +36,18 @@ using namespace hh::cache;
 
 namespace {
 
-/** The naive model: one vector of WayState records per set. */
+/** One way of the naive model; recency is a global access stamp. */
+struct RefWay
+{
+    bool valid = false;
+    Addr tag = 0;
+    bool shared = false;
+    bool instr = false;
+    std::uint64_t lastUse = 0;
+    std::uint8_t rrpv = 3;
+};
+
+/** The naive model: one vector of RefWay records per set. */
 class RefCache
 {
   public:
@@ -49,14 +62,14 @@ class RefCache
 
     RefCache(const Geometry &g, ReplKind kind)
         : g_(g), kind_(kind),
-          sets_(g.sets, std::vector<WayState>(g.ways)), m_(g.ways)
+          sets_(g.sets, std::vector<RefWay>(g.ways)), m_(g.ways)
     {}
 
     Outcome
     access(Addr key, bool shared, WayMask allowed, bool instr)
     {
         ++tick_;
-        std::vector<WayState> &set = sets_[key % g_.sets];
+        std::vector<RefWay> &set = sets_[key % g_.sets];
         Outcome out;
         for (unsigned w = 0; w < g_.ways; ++w) {
             if (set[w].valid && set[w].tag == key) {
@@ -71,13 +84,13 @@ class RefCache
         }
         ++misses_;
         out.way = victim(set, shared, allowed);
-        WayState &slot = set[out.way];
+        RefWay &slot = set[out.way];
         out.evictedValid = slot.valid;
         out.evictedTag = slot.tag;
         out.evictedShared = slot.shared;
         if (slot.valid)
             ++evictions_;
-        slot = WayState{};
+        slot = RefWay{};
         slot.valid = true;
         slot.tag = key;
         slot.shared = shared;
@@ -94,7 +107,7 @@ class RefCache
         for (auto &set : sets_)
             for (unsigned w = 0; w < g_.ways; ++w)
                 if (in(mask, w))
-                    set[w] = WayState{};
+                    set[w] = RefWay{};
     }
 
     void flushAll() { flushWays(~WayMask{0}); }
@@ -115,7 +128,7 @@ class RefCache
     }
 
     WayMask harvest() const { return harvest_; }
-    const WayState &way(std::uint32_t s, unsigned w) const
+    const RefWay &way(std::uint32_t s, unsigned w) const
     {
         return sets_[s][w];
     }
@@ -129,7 +142,7 @@ class RefCache
     {
         std::uint64_t n = 0;
         for (std::uint32_t s : sets)
-            for (const WayState &ws : sets_[s])
+            for (const RefWay &ws : sets_[s])
                 n += ws.valid ? 1 : 0;
         return n;
     }
@@ -139,7 +152,7 @@ class RefCache
 
     /** Oldest way of @p pool; lowest index wins ties. */
     static unsigned
-    lruOf(const std::vector<WayState> &set,
+    lruOf(const std::vector<RefWay> &set,
           const std::vector<unsigned> &pool)
     {
         unsigned best = pool.front();
@@ -150,7 +163,7 @@ class RefCache
     }
 
     unsigned
-    victim(const std::vector<WayState> &set, bool shared,
+    victim(const std::vector<RefWay> &set, bool shared,
            WayMask allowed) const
     {
         const bool steered = kind_ == ReplKind::HardHarvest ||
@@ -213,7 +226,7 @@ class RefCache
 
     Geometry g_;
     ReplKind kind_;
-    std::vector<std::vector<WayState>> sets_;
+    std::vector<std::vector<RefWay>> sets_;
     WayMask harvest_ = 0;
     std::size_t m_;
     std::uint64_t tick_ = 0;
@@ -222,31 +235,63 @@ class RefCache
     std::uint64_t evictions_ = 0;
 };
 
+template <typename Way>
 std::string
-describe(const WayState &w)
+describe(const Way &w, std::uint64_t recency)
 {
     std::ostringstream os;
     os << "{valid=" << w.valid << " tag=" << w.tag
        << " shared=" << w.shared << " instr=" << w.instr
-       << " lastUse=" << w.lastUse << " rrpv=" << int{w.rrpv} << "}";
+       << " recency=" << recency << " rrpv=" << int{w.rrpv} << "}";
     return os.str();
 }
 
-/** First difference between model and array, or "" when none. */
+/**
+ * First difference between model and array, or "" when none. The
+ * array's ranks must be a permutation of [0, ways) that orders every
+ * pair of valid ways as the model's lastUse stamps do.
+ */
 std::string
 diffContents(const RefCache &ref, const SetAssocArray &arr,
              const std::vector<std::uint32_t> &sets)
 {
+    const unsigned ways = arr.geometry().ways;
     for (std::uint32_t s : sets) {
-        for (unsigned w = 0; w < arr.geometry().ways; ++w) {
+        std::vector<WayState> got;
+        std::vector<bool> rank_seen(ways);
+        for (unsigned w = 0; w < ways; ++w) {
             const WayState a = arr.wayState(s, w);
-            const WayState &r = ref.way(s, w);
+            const RefWay &r = ref.way(s, w);
+            got.push_back(a);
+            if (a.rank >= ways || rank_seen[a.rank])
+                return "set " + std::to_string(s) + " way " +
+                       std::to_string(w) + ": rank " +
+                       std::to_string(a.rank) + " repeats or >= ways";
+            rank_seen[a.rank] = true;
             if (a.valid != r.valid || a.tag != r.tag ||
                 a.shared != r.shared || a.instr != r.instr ||
-                a.lastUse != r.lastUse || a.rrpv != r.rrpv) {
+                a.rrpv != r.rrpv) {
                 return "set " + std::to_string(s) + " way " +
-                       std::to_string(w) + ": array " + describe(a) +
-                       " model " + describe(r);
+                       std::to_string(w) + ": array " +
+                       describe(a, a.rank) + " model " +
+                       describe(r, r.lastUse);
+            }
+        }
+        for (unsigned x = 0; x < ways; ++x) {
+            for (unsigned y = 0; y < ways; ++y) {
+                const RefWay &rx = ref.way(s, x);
+                const RefWay &ry = ref.way(s, y);
+                if (rx.valid && ry.valid &&
+                    (got[x].rank < got[y].rank) !=
+                        (rx.lastUse < ry.lastUse))
+                    return "set " + std::to_string(s) + " ways " +
+                           std::to_string(x) + "/" + std::to_string(y) +
+                           ": array ranks " +
+                           std::to_string(got[x].rank) + "/" +
+                           std::to_string(got[y].rank) +
+                           " order unlike model stamps " +
+                           std::to_string(rx.lastUse) + "/" +
+                           std::to_string(ry.lastUse);
             }
         }
     }
@@ -467,28 +512,37 @@ goldenArray()
 }
 
 // The per-way records are {valid u8, tag u64, shared u8, instr u8,
-// lastUse u64, rrpv u8}, little-endian, set-major.
+// rank u8, rrpv u8}, little-endian, set-major. Decoding set 0 way 2:
+// valid 1, tag 0x04, shared 1, instr 1, rank 2 (second most recent of
+// the set, after way 0's hit), rrpv 2 (filled, never hit). The empty
+// ways keep the rank they started with or were left at.
 const std::vector<std::uint8_t> kGoldenBytes = {
     // way count = 8
     0x08, 0, 0, 0, 0, 0, 0, 0,
     // set 0
-    1, 0x00, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0x04, 0, 0, 0, 0, 0, 0, 0, 0,
-    1, 0x02, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x02, 0, 0, 0, 0, 0, 0, 0, 2,
-    1, 0x04, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0x03, 0, 0, 0, 0, 0, 0, 0, 2,
-    0, 0x00, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x00, 0, 0, 0, 0, 0, 0, 0, 3,
+    1, 0x00, 0, 0, 0, 0, 0, 0, 0, 1, 0, 3, 0,
+    1, 0x02, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2,
+    1, 0x04, 0, 0, 0, 0, 0, 0, 0, 1, 1, 2, 2,
+    0, 0x00, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3,
     // set 1
-    0, 0x00, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x00, 0, 0, 0, 0, 0, 0, 0, 3,
-    0, 0x00, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x00, 0, 0, 0, 0, 0, 0, 0, 3,
-    1, 0x05, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x07, 0, 0, 0, 0, 0, 0, 0, 2,
-    1, 0x03, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0x08, 0, 0, 0, 0, 0, 0, 0, 0,
-    // harvest mask 0b0011, M = 3, tick 8, hits 2, misses 6, evictions 1
+    0, 0x00, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3,
+    0, 0x00, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 3,
+    1, 0x05, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 2,
+    1, 0x03, 0, 0, 0, 0, 0, 0, 0, 1, 1, 3, 0,
+    // harvest mask 0b0011, M = 3, hits 2, misses 6, evictions 1
     0x03, 0, 0, 0, 0, 0, 0, 0,
     0x03, 0, 0, 0,
-    0x08, 0, 0, 0, 0, 0, 0, 0,
     0x02, 0, 0, 0, 0, 0, 0, 0,
     0x06, 0, 0, 0, 0, 0, 0, 0,
     0x01, 0, 0, 0, 0, 0, 0, 0,
 };
+
+/** Byte offset of the rank field of (set, way) in kGoldenBytes. */
+std::size_t
+goldenRankOffset(unsigned set, unsigned way)
+{
+    return 8 + (set * 4 + way) * 13 + 11;
+}
 
 } // namespace
 
@@ -546,3 +600,39 @@ TEST_P(CacheSnapshotLoad, WayCountMismatchFailsAndLeavesArrayUntouched)
 
 INSTANTIATE_TEST_SUITE_P(Counts, CacheSnapshotLoad,
                          ::testing::Values(0, 1, 7, 9));
+
+namespace {
+
+// A set whose ranks are not a permutation of [0, ways) cannot have
+// come from an array; loading it fails and leaves the array as it was.
+void
+expectRankLoadFails(const std::vector<std::uint8_t> &bytes)
+{
+    auto a = goldenArray();
+    a->access(6, true);
+    const auto before = save(*a);
+
+    auto ar = hh::snap::Archive::forLoad(bytes);
+    a->serialize(ar);
+    EXPECT_FALSE(ar.ok());
+    EXPECT_NE(ar.error().find("rank"), std::string::npos) << ar.error();
+    EXPECT_EQ(save(*a), before);
+}
+
+} // namespace
+
+TEST(CacheSnapshotLoad, DuplicateRankFailsAndLeavesArrayUntouched)
+{
+    // Set 1 way 1 takes way 0's rank 0; rank 1 goes missing.
+    std::vector<std::uint8_t> bytes = kGoldenBytes;
+    bytes[goldenRankOffset(1, 1)] = 0;
+    expectRankLoadFails(bytes);
+}
+
+TEST(CacheSnapshotLoad, RankOutOfRangeFailsAndLeavesArrayUntouched)
+{
+    // Set 1 way 3's rank 3 becomes 4, one past the last of 4 ways.
+    std::vector<std::uint8_t> bytes = kGoldenBytes;
+    bytes[goldenRankOffset(1, 3)] = 4;
+    expectRankLoadFails(bytes);
+}
