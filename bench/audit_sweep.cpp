@@ -23,7 +23,7 @@ main(int argc, char **argv)
     using namespace hh::bench;
     using namespace hh::cluster;
 
-    const ObsOptions obs = parseObsArgs(argc, argv);
+    const ObsOptions obs = parseObsArgs(argc, argv, /*checkpointing=*/true);
     const BenchScale scale(/*def_servers=*/8,
                            /*def_requests=*/800);
     SystemConfig cfg = makeSystem(SystemKind::HardHarvestBlock);

@@ -1,12 +1,11 @@
 /**
  * @file
- * Shared helpers for the figure/table benchmark binaries.
+ * Shared helpers for the benchmark binaries.
  *
- * Each binary regenerates one table or figure of the paper and
- * prints its rows. Environment variables scale the runs:
- *   HH_REQUESTS  arrival budget per Primary VM   (default 800)
+ * Environment variables scale the runs:
+ *   HH_REQUESTS  arrival budget per Primary VM   (default 400)
  *   HH_SERVERS   servers in cluster experiments  (default 2)
- *   HH_SAMPLING  memory-access sampling factor   (default 6)
+ *   HH_SAMPLING  memory-access sampling factor   (default 8)
  *   HH_SEED      experiment seed                 (default 1)
  */
 
@@ -94,6 +93,9 @@ applyScale(hh::cluster::SystemConfig &cfg, const BenchScale &s)
  *                        (loadable in chrome://tracing or Perfetto).
  *   --metrics <out.csv>  Enable periodic metric sampling and write
  *                        the time series as CSV.
+ *
+ * and, by benches whose cluster runs go through runClusterResumable:
+ *
  *   --checkpoint-every <ms>
  *                        Periodically checkpoint cluster runs every
  *                        <ms> simulated milliseconds (see
@@ -116,11 +118,12 @@ struct ObsOptions
 };
 
 /**
- * Parse --trace/--metrics/--checkpoint-every/--checkpoint-file;
- * fatal on unknown arguments.
+ * Parse --trace/--metrics, plus --checkpoint-every/--checkpoint-file
+ * when @p checkpointing; fatal on any other argument, so a bench
+ * never silently ignores a checkpoint request.
  */
 inline ObsOptions
-parseObsArgs(int argc, char **argv)
+parseObsArgs(int argc, char **argv, bool checkpointing = false)
 {
     ObsOptions o;
     for (int i = 1; i < argc; ++i) {
@@ -129,15 +132,18 @@ parseObsArgs(int argc, char **argv)
             o.tracePath = argv[++i];
         } else if (a == "--metrics" && i + 1 < argc) {
             o.metricsPath = argv[++i];
-        } else if (a == "--checkpoint-every" && i + 1 < argc) {
+        } else if (checkpointing && a == "--checkpoint-every" &&
+                   i + 1 < argc) {
             o.checkpointEveryMs = std::strtod(argv[++i], nullptr);
-        } else if (a == "--checkpoint-file" && i + 1 < argc) {
+        } else if (checkpointing && a == "--checkpoint-file" &&
+                   i + 1 < argc) {
             o.checkpointPath = argv[++i];
         } else {
             hh::sim::fatal("usage: ", argv[0],
-                           " [--trace out.json] [--metrics out.csv]"
-                           " [--checkpoint-every ms]"
-                           " [--checkpoint-file path]");
+                           " [--trace out.json] [--metrics out.csv]",
+                           checkpointing ? " [--checkpoint-every ms]"
+                                           " [--checkpoint-file path]"
+                                         : "");
         }
     }
     return o;
@@ -265,42 +271,6 @@ struct ObsSink
         return rc;
     }
 };
-
-/**
- * Shared `main()` skeleton of the figure binaries: env-driven scale
- * (HH_REQUESTS / HH_SERVERS / HH_SAMPLING / HH_SEED), observability
- * argument parsing, and end-of-run trace/metrics file emission.
- * @p body receives the parsed scale, options, and sink and runs the
- * figure; the process exit code reports sink I/O failures.
- */
-template <class Body>
-inline int
-figureMain(int argc, char **argv, Body &&body)
-{
-    BenchScale scale;
-    const ObsOptions obs = parseObsArgs(argc, argv);
-    ObsSink sink(obs);
-    body(scale, obs, sink);
-    return sink.finish();
-}
-
-/**
- * Run one server simulation per sweep point, in parallel (one
- * thread-pool task per point; workers from HH_THREADS or hardware
- * concurrency). Results come back in sweep order and are identical
- * to running the points sequentially.
- */
-inline std::vector<hh::cluster::ServerResults>
-runServerSweep(const std::vector<hh::cluster::SystemConfig> &cfgs,
-               const std::string &batchApp, std::uint64_t seed)
-{
-    return hh::cluster::runParallel<hh::cluster::ServerResults>(
-        cfgs.size(), [&cfgs, &batchApp, seed](std::size_t i) {
-            const hh::sim::LogTagScope tag("sweep" +
-                                           std::to_string(i));
-            return hh::cluster::runServer(cfgs[i], batchApp, seed);
-        });
-}
 
 /** Print a standard header naming the experiment. */
 inline void

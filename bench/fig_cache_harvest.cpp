@@ -21,22 +21,16 @@ int
 main(int argc, char **argv)
 {
     using namespace hh::bench;
-    int failures = 0;
-    const int sink_rc = figureMain(
-        argc, argv,
-        [&failures](const BenchScale &scale, const ObsOptions &,
-                    ObsSink &) {
-            printHeader("fig_cache_harvest",
-                        "cache-capacity harvesting frontier");
-            std::printf("servers=%u requests/VM=%u seed=%llu\n",
-                        scale.servers, scale.requests,
-                        static_cast<unsigned long long>(scale.seed));
-            const auto points =
-                runCacheHarvestSweep(scale, /*workers=*/0);
-            std::printf("\n");
-            printCacheHarvest(points);
-            std::printf("\n");
-            failures = checkCacheHarvest(points);
-        });
+    const BenchScale scale;
+    const ObsSink sink(parseObsArgs(argc, argv));
+    printHeader("fig_cache_harvest", "cache-capacity harvesting frontier");
+    std::printf("servers=%u requests/VM=%u seed=%llu\n", scale.servers,
+                scale.requests, static_cast<unsigned long long>(scale.seed));
+    const auto points = runCacheHarvestSweep(scale, /*workers=*/0);
+    std::printf("\n");
+    printCacheHarvest(points);
+    std::printf("\n");
+    const int failures = checkCacheHarvest(points);
+    const int sink_rc = sink.finish();
     return failures ? 1 : sink_rc;
 }

@@ -20,25 +20,20 @@ int
 main(int argc, char **argv)
 {
     using namespace hh::bench;
-    int failures = 0;
-    const int sink_rc = figureMain(
-        argc, argv,
-        [&failures](const BenchScale &scale, const ObsOptions &,
-                    ObsSink &) {
-            printHeader("fig_policy_frontier",
-                        "harvest-policy throughput/latency frontier");
-            std::printf("servers=%u requests/VM=%u seed=%llu\n",
-                        scale.servers, scale.requests,
-                        static_cast<unsigned long long>(scale.seed));
-            hh::cluster::SystemConfig cfg = hh::cluster::makeSystem(
-                hh::cluster::SystemKind::HardHarvestBlock);
-            applyScale(cfg, scale);
-            const auto points =
-                runPolicyFrontier(cfg, scale, /*workers=*/0);
-            std::printf("\n");
-            printPolicyFrontier(points);
-            std::printf("\n");
-            failures = checkPolicyFrontier(points);
-        });
+    const BenchScale scale;
+    const ObsSink sink(parseObsArgs(argc, argv));
+    printHeader("fig_policy_frontier",
+                "harvest-policy throughput/latency frontier");
+    std::printf("servers=%u requests/VM=%u seed=%llu\n", scale.servers,
+                scale.requests, static_cast<unsigned long long>(scale.seed));
+    hh::cluster::SystemConfig cfg = hh::cluster::makeSystem(
+        hh::cluster::SystemKind::HardHarvestBlock);
+    applyScale(cfg, scale);
+    const auto points = runPolicyFrontier(cfg, scale, /*workers=*/0);
+    std::printf("\n");
+    printPolicyFrontier(points);
+    std::printf("\n");
+    const int failures = checkPolicyFrontier(points);
+    const int sink_rc = sink.finish();
     return failures ? 1 : sink_rc;
 }

@@ -20,7 +20,14 @@ namespace {
 
 using namespace hh::cache;
 
-/** @name Figure 14 trace methodology (see fig14_l2_hitrate.cpp) @{ */
+/**
+ * @name Figure 14 trace methodology
+ * For each service, generate the post-L1 access stream of a
+ * HardHarvest-Block-like core, then replay the identical stream into
+ * an L2-configured array per policy; the Belady oracle is built from
+ * the same stream.
+ * @{
+ */
 
 struct TraceEvent
 {

@@ -1,15 +1,16 @@
 /**
  * @file
- * Figure harnesses shared by the legacy per-figure binaries and the
- * experiment engine driver (`repro_all`).
+ * The measured figure harnesses (Figs 11, 14, 17), shared by the
+ * paper-figure table (paper_figures.h: the figure binaries and
+ * `repro_all`) and simbench, which compiles this file on its own.
  *
  * Each harness splits a figure into the three stages the JobScheduler
  * needs: `submit()` registers the figure's jobs (deduplicated against
  * any other figure's in the same scheduler — fig11's five BFS runs
- * *are* fig17's BFS column), `print()` renders the figure's stdout
- * byte-identically to the pre-engine binaries, and `measure()` fills
- * the named measurements the FidelityGate checks
- * (src/exp/fidelity.h).
+ * *are* fig17's BFS column), `print()` renders the figure's stdout,
+ * and `measure()` fills the named measurements the FidelityGate
+ * checks (src/exp/fidelity.h). These are the only measurements:
+ * the other table entries print without measuring.
  */
 
 #ifndef HH_BENCH_FIGURES_H

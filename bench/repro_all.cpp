@@ -1,11 +1,12 @@
 /**
  * @file
  * One-shot paper reproduction through the experiment engine
- * (src/exp/): runs the Figure 11 / 14 / 17 harnesses through the
- * JobScheduler — deduplicated and memoized against a crash-resumable
- * result ledger — renders each figure byte-identically to its
- * standalone binary, and finishes with the machine-checked
- * FidelityGate over the EXPERIMENTS.md verdict tables.
+ * (src/exp/): runs every entry of the paper-figure table
+ * (paper_figures.h) through one JobScheduler — deduplicated and
+ * memoized against a crash-resumable result ledger — renders each
+ * figure byte-identically to its standalone binary, and finishes with
+ * the machine-checked FidelityGate over the EXPERIMENTS.md verdict
+ * tables (measured by the Figure 11 / 14 / 17 harnesses).
  *
  * Usage:
  *   repro_all [--scale quick|default|full] [--seeds N]
@@ -15,9 +16,10 @@
  *
  * `--scale` presets the HH_REQUESTS / HH_SERVERS / HH_SAMPLING knobs
  * (explicit environment variables still win under `default`).
- * `--seeds N` replicates every figure over N consecutive seeds and
- * reports mean / 95% CI per measurement; the gate then judges the
- * means. A second invocation with the same ledger re-simulates
+ * `--seeds N` replicates the measured figures over N consecutive
+ * seeds and reports mean / 95% CI per measurement; the gate then
+ * judges the means. Figures without measurements run at the base
+ * seed only. A second invocation with the same ledger re-simulates
  * nothing ("0 simulated" in the engine summary). `--spec` adds the
  * points of a key=value experiment spec (docs/EXPERIMENTS_ENGINE.md)
  * to the same batch. `--policies` appends the harvest-policy
@@ -42,7 +44,7 @@
 #include "exp/ledger.h"
 #include "exp/spec.h"
 #include "cache_harvest.h"
-#include "figures.h"
+#include "paper_figures.h"
 #include "policy_frontier.h"
 #include "service_graph.h"
 #include "sim/log.h"
@@ -154,14 +156,6 @@ readFile(const std::string &path)
     return text;
 }
 
-/** The figure harnesses of one replication seed. */
-struct SeedSet
-{
-    Fig11Harness f11;
-    Fig14Harness f14;
-    Fig17Harness f17;
-};
-
 } // namespace
 
 int
@@ -226,19 +220,17 @@ main(int argc, char **argv)
 
     // repro_all never enables tracing/metrics: observability payloads
     // are deliberately outside the ledger codec (see exp/scheduler.h).
+    // Every figure at the base seed; the measured ones again at each
+    // replication seed.
     const ObsOptions obs;
-    std::vector<SeedSet> sets;
+    std::vector<std::vector<FigureRun>> runs(args.seeds);
     for (unsigned i = 0; i < args.seeds; ++i) {
         BenchScale s = scale;
         s.seed = scale.seed + i;
-        sets.push_back(
-            {Fig11Harness(s, obs), Fig14Harness(s),
-             Fig17Harness(s, obs)});
-    }
-    for (auto &set : sets) {
-        set.f11.submit(sched);
-        set.f14.submit(sched);
-        set.f17.submit(sched);
+        for (const auto &fig : paperFigures()) {
+            if (i == 0 || fig.measured)
+                runs[i].push_back(fig.submit(sched, s, obs));
+        }
     }
 
     hh::exp::ExperimentSpec spec;
@@ -255,12 +247,10 @@ main(int argc, char **argv)
     // The base seed's figure blocks, byte-identical to the
     // standalone binaries at the same scale.
     ObsSink sink(obs);
-    std::printf("\n");
-    sets[0].f11.print(sched, sink);
-    std::printf("\n");
-    sets[0].f14.print(sched);
-    std::printf("\n");
-    sets[0].f17.print(sched, sink);
+    for (const auto &run : runs[0]) {
+        std::printf("\n");
+        run.print(sched, sink);
+    }
 
     if (!specHandles.empty()) {
         std::printf("\nSpec '%s': %zu points\n", spec.name.c_str(),
@@ -367,9 +357,10 @@ main(int argc, char **argv)
     // Per-seed measurements; the gate judges the across-seed means.
     std::vector<hh::exp::MeasurementSet> per_seed(args.seeds);
     for (unsigned i = 0; i < args.seeds; ++i) {
-        sets[i].f11.measure(sched, per_seed[i]);
-        sets[i].f14.measure(sched, per_seed[i]);
-        sets[i].f17.measure(sched, per_seed[i]);
+        for (const auto &run : runs[i]) {
+            if (run.measure)
+                run.measure(sched, per_seed[i]);
+        }
     }
     hh::exp::MeasurementSet mean;
     if (args.seeds > 1)

@@ -176,7 +176,8 @@ paperFidelityCatalogue()
          {"fig11.hhb_reduction_vs_ht"}, 0, 0.5, 0.95, false});
 
     // "Fig 16 HardHarvest-Block median vs NoHarvest | ✔ negative"
-    // (fig16 is not run by repro_all; skips until measured.)
+    // (repro_all prints fig16 but does not measure it; skips until
+    // measured.)
     add({"fig16.hhb_median_below_noharvest",
          "Fig 16 HardHarvest-Block median vs NoHarvest (-26.1%)",
          K::Less, {"fig16.hhb_median_delta"}, 0.0, 0, 0, false});
@@ -203,10 +204,15 @@ paperFidelityCatalogue()
 
     // ---- Mechanism table (Figs 12-15, 18, 19, §6.3, §6.8) ----
 
-    // "Fig 12 | ✔ +Part largest step, endpoint ~79%" (not run yet).
+    // "Fig 12 | ⚠ +Sched largest step, endpoint ~79%" (printed by
+    // repro_all, not measured yet).
     add({"fig12.endpoint_reduction",
          "Fig 12 cumulative reduction endpoint (85.6%)", K::Greater,
          {"fig12.endpoint_reduction"}, 0.5, 0, 0, false});
+    // Expected to FAIL once Fig 12 is measured: +Sched, not +Part, is
+    // the largest step in this model (EXPERIMENTS.md note 4: 42.0 vs
+    // 36.3 points in its default-scale table, 37.0 vs 35.6 at quick
+    // scale).
     add({"fig12.part_step_largest",
          "Fig 12 +Part is the largest step", K::Greater,
          {"fig12.part_step_minus_max_other"}, 0.0, 0, 0, false});
@@ -230,27 +236,30 @@ paperFidelityCatalogue()
     add({"fig14.hh_vs_rrip_band", "Fig 14 HardHarvest vs RRIP (+8.2%)",
          K::Band, {"fig14.hh_minus_rrip"}, 0, 0.01, 0.15, false});
 
-    // "Fig 15 | ✔ monotone, close" (not run yet).
+    // "Fig 15 | ✔ monotone, close" (printed, not measured yet).
     add({"fig15.endpoint_reduction",
          "Fig 15 cumulative reductions without harvesting (33.6%)",
          K::Band, {"fig15.endpoint_reduction"}, 0, 0.1, 0.5, false});
 
-    // "Fig 18 LLC size sensitivity | ✔" (not run yet).
+    // "Fig 18 LLC size sensitivity | ✔" (printed, not measured yet).
     add({"fig18.llc_sensitivity_small",
          "Fig 18 LLC size sensitivity: small changes", K::Band,
          {"fig18.max_abs_delta"}, 0, 0.0, 0.25, false});
 
-    // "Fig 19 eviction candidates, 75% best | ✔" (not run yet).
+    // "Fig 19 eviction candidates, 75% best | ✔" (printed, not
+    // measured yet).
     add({"fig19.best_fraction",
          "Fig 19 U-shape around 75% candidate fraction", K::Band,
          {"fig19.best_candidate_fraction"}, 0, 0.5, 0.9, false});
 
-    // "§6.3 CDP vs HardHarvest replacement | ✔ positive" (not run).
+    // "§6.3 CDP vs HardHarvest replacement | ✔ positive" (printed,
+    // not measured yet).
     add({"sec63.cdp_worse",
          "§6.3 CDP replacement raises tail vs HardHarvest (+8%)",
          K::Greater, {"sec63.cdp_tail_delta"}, 0.0, 0, 0, false});
 
-    // "§6.8 storage / area / power | ✔ exact arithmetic" (not run).
+    // "§6.8 storage / area / power | ✔ exact arithmetic" (printed,
+    // not measured yet).
     add({"sec68.controller_storage",
          "§6.8 controller storage (18.9 KB)", K::Band,
          {"sec68.controller_kb"}, 0, 18.0, 20.0, false});

@@ -124,8 +124,9 @@ bool fidelityPassed(const std::vector<FidelityOutcome> &outcomes);
 /**
  * The EXPERIMENTS.md catalogue: every ✔ row of the headline and
  * mechanism verdict tables as a check. Rows from figures repro_all
- * does not run (fig12/15/16/18/19, §6.3, §6.8) are still present —
- * they skip until a harness fills their measurements.
+ * prints but does not measure (fig12/15/16/18/19, §6.3, §6.8) are
+ * still present — they skip until a harness fills their
+ * measurements.
  */
 std::vector<FidelityCheck> paperFidelityCatalogue();
 
