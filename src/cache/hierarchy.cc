@@ -207,17 +207,6 @@ CoreHierarchy::setL2LeaseBonus(unsigned ways)
 }
 
 void
-CoreHierarchy::resetStats()
-{
-    l1d_->resetStats();
-    l1i_->resetStats();
-    l2_->resetStats();
-    l1tlb_->resetStats();
-    l2tlb_->resetStats();
-    accesses_ = 0;
-}
-
-void
 CoreHierarchy::registerMetrics(hh::stats::MetricRegistry &reg,
                                const std::string &prefix)
 {

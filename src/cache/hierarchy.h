@@ -112,7 +112,6 @@ class CoreHierarchy
      * the harvest ways.
      */
     void setHarvestMode(bool on) { harvest_mode_ = on; }
-    bool harvestMode() const { return harvest_mode_; }
 
     /** Rebind the L3 partition (on a VM switch). */
     void setL3(SetAssocArray *l3) { l3_ = l3; }
@@ -136,8 +135,6 @@ class CoreHierarchy
         lease_l3_ = l3;
         lease_l3_mask_ = ways;
     }
-    SetAssocArray *leaseL3() const { return lease_l3_; }
-    WayMask leaseL3Ways() const { return lease_l3_mask_; }
 
     /**
      * Extra private-L2 ways granted to the harvest region while this
@@ -148,7 +145,6 @@ class CoreHierarchy
      * lease. No-op on the masks unless partitioning is enabled.
      */
     void setL2LeaseBonus(unsigned ways);
-    unsigned l2LeaseBonus() const { return l2_lease_bonus_; }
     /** @} */
 
     /** Flush and invalidate everything (wbinvd-style). */
@@ -181,9 +177,6 @@ class CoreHierarchy
 
     /** Total accesses served. */
     std::uint64_t accesses() const { return accesses_; }
-
-    /** Reset hit/miss statistics on all levels. */
-    void resetStats();
 
     /**
      * Register every private structure's counters under

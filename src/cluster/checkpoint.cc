@@ -381,53 +381,4 @@ runClusterCheckpointed(const SystemConfig &cfg, unsigned servers,
     return out;
 }
 
-ViolationWindow
-narrowViolationWindow(const SystemConfig &cfg,
-                      const std::string &batchApp, std::uint64_t seed,
-                      hh::sim::Cycles resolution)
-{
-    ViolationWindow w;
-    if (resolution == 0)
-        resolution = 1;
-
-    // Probe run to the end to find the first violation.
-    ServerSim probe(cfg, batchApp, seed);
-    if (!probe.auditor())
-        return w; // auditing disabled: nothing to bisect
-    probe.startRun();
-    std::vector<std::uint8_t> lo_bytes = saveServer(probe);
-    probe.advanceRun(ServerSim::horizon());
-    ++w.probes;
-    const auto *aud = probe.auditor();
-    if (aud->violationCount() == 0)
-        return w;
-    w.found = true;
-    w.lo = 0;
-    w.hi = aud->violations().front().time;
-    w.component = aud->violations().front().component;
-    w.message = aud->violations().front().message;
-
-    while (w.hi - w.lo > resolution) {
-        const hh::sim::Cycles mid = w.lo + (w.hi - w.lo) / 2;
-        ServerSim sim(cfg, batchApp, seed);
-        loadServer(sim, lo_bytes);
-        sim.advanceRun(mid);
-        ++w.probes;
-        const auto *a = sim.auditor();
-        if (a && a->violationCount() > 0) {
-            // Reproduced early: the report's own time is an even
-            // tighter upper bound than mid.
-            w.hi = a->violations().front().time;
-        } else {
-            // Clean through mid (even if the last event fell short of
-            // it, no event in (lo, mid] can violate), so the window
-            // shrinks from below and the snapshot moves forward.
-            w.lo = mid;
-            lo_bytes = saveServer(sim);
-        }
-    }
-    w.loState = std::move(lo_bytes);
-    return w;
-}
-
 } // namespace hh::cluster

@@ -3,7 +3,7 @@
  * Cluster-level checkpoint/restore drivers.
  *
  * Built on the snapshot subsystem (src/snapshot/, docs/SNAPSHOT.md),
- * this layer gives the benches and tests three consumers of
+ * this layer gives the benches and tests two consumers of
  * deterministic server state:
  *
  *  1. `checkpointClusterAt` / `resumeCluster` — run the cluster to a
@@ -17,11 +17,8 @@
  *     every N cycles (the `--checkpoint-every` flag), keeping the run
  *     resumable after an interruption; on the first invariant
  *     violation it additionally dumps the last violation-free epoch
- *     to `<path>.previolation` for post-mortem replay.
- *  3. `narrowViolationWindow` — bisection over in-memory snapshots
- *     narrowing the simulated-time window that provokes a violation,
- *     so a debugging session replays microseconds instead of the
- *     full run.
+ *     to `<path>.previolation` for post-mortem replay. The benches
+ *     reach it through `runClusterResumable` (bench/bench_util.h).
  */
 
 #ifndef HH_CLUSTER_CHECKPOINT_H
@@ -98,7 +95,7 @@ struct CheckpointedRun
  * violation-free epoch). When auditing is enabled and a sweep reports
  * the first violation, the previous epoch's state — the last point
  * known violation-free — is written to `<path>.previolation` so the
- * offending window can be replayed (see narrowViolationWindow()).
+ * offending window can be replayed with resumeCluster().
  */
 CheckpointedRun runClusterCheckpointed(const SystemConfig &cfg,
                                        unsigned servers,
@@ -106,41 +103,6 @@ CheckpointedRun runClusterCheckpointed(const SystemConfig &cfg,
                                        unsigned workers,
                                        hh::sim::Cycles every,
                                        const std::string &path);
-
-/** Result of a violation-window bisection. */
-struct ViolationWindow
-{
-    /** False when the run never violates (lo/hi/state meaningless). */
-    bool found = false;
-    /** Latest known violation-free checkpoint time. */
-    hh::sim::Cycles lo = 0;
-    /** The first violation has fired by this time. */
-    hh::sim::Cycles hi = 0;
-    /** The first violation's report. */
-    std::string component;
-    std::string message;
-    /** Server state at @p lo, loadable via ServerSim::loadState(). */
-    std::vector<std::uint8_t> loState;
-    /** Replays executed during the bisection (cost reporting). */
-    unsigned probes = 0;
-};
-
-/**
- * Narrow the window containing a run's first invariant violation by
- * bisection: starting from [0, firstViolationTime], repeatedly resume
- * an in-memory snapshot at `lo`, advance to the midpoint, and move
- * `hi` down (violation reproduced) or `lo` up re-saving the snapshot
- * (still clean), until `hi - lo <= resolution`. Deterministic
- * snapshots make every probe replay the original schedule exactly, so
- * the window provably brackets the violation.
- *
- * Auditing must be enabled (cfg.auditEnabled or HH_AUDIT=1); returns
- * found=false otherwise, or when the run is violation-free.
- */
-ViolationWindow narrowViolationWindow(const SystemConfig &cfg,
-                                      const std::string &batchApp,
-                                      std::uint64_t seed,
-                                      hh::sim::Cycles resolution);
 
 } // namespace hh::cluster
 

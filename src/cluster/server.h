@@ -283,9 +283,6 @@ class ServerSim
     /** The server's metric registry (tests, ad-hoc inspection). */
     hh::stats::MetricRegistry &metrics() { return registry_; }
 
-    /** The tracer, or nullptr when tracing is disabled. */
-    hh::trace::Tracer *tracer() { return tracer_.get(); }
-
     /** The auditor, or nullptr when auditing is disabled. */
     hh::check::Auditor *auditor() { return auditor_.get(); }
 
@@ -316,9 +313,6 @@ class ServerSim
 
     /** Install the RPC-tree engine. Not owned; must outlive the sim. */
     void setGraphHooks(GraphHooks *hooks) { graph_hooks_ = hooks; }
-
-    /** The installed engine, or nullptr in classic mode. */
-    GraphHooks *graphHooks() { return graph_hooks_; }
 
     /** This server's placement plan (enabled=false in classic mode). */
     const GraphServerPlan &graphPlan() const { return graph_plan_; }
@@ -365,12 +359,6 @@ class ServerSim
     hh::sim::Cycles nextEventTime() const
     {
         return sim_.nextEventTime();
-    }
-
-    /** One-way fabric latency for a @p bytes payload. */
-    hh::sim::Cycles fabricOneWay(std::uint32_t bytes) const
-    {
-        return fabric_.oneWay(bytes);
     }
 
     /** Is @p reqId live and blocked on I/O? (engine audit) */

@@ -5,53 +5,13 @@
 #include <sstream>
 
 #include "cluster/checkpoint.h"
+#include "sim/jsonl.h"
 #include "sim/time.h"
 #include "stats/histogram.h"
 
 namespace hh::cluster {
 
 namespace {
-
-/**
- * FNV-1a over a byte string. Same polynomial as the experiment
- * ledger's row checksum; duplicated here because hh_cluster cannot
- * link hh_exp (the dependency points the other way).
- */
-std::uint64_t
-fnv64(const std::string &s)
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
-/** Minimal JSON string escaping (quotes, backslashes, control). */
-std::string
-jsonEscapeLocal(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 /** Deterministic shortest-ish double rendering, matching the CSVs. */
 std::string
@@ -66,7 +26,7 @@ num(double v)
 void
 sealRow(std::ostringstream &os, std::string row)
 {
-    row += ",\"crc\":" + std::to_string(fnv64(row)) + "}\n";
+    row += ",\"crc\":" + std::to_string(hh::sim::fnv1a64(row)) + "}\n";
     os << row;
 }
 
@@ -180,7 +140,7 @@ TelemetryHub::jsonl() const
         row << "{\"kind\":\"header\",\"version\":1,\"servers\":"
             << servers_.size() << ",\"cores\":" << cfg_.cores
             << ",\"period_cycles\":" << cfg_.telemetryPeriod
-            << ",\"fp\":\"" << jsonEscapeLocal(configFingerprint(cfg_))
+            << ",\"fp\":\"" << hh::sim::jsonEscape(configFingerprint(cfg_))
             << "\"";
         sealRow(os, row.str());
     }

@@ -130,7 +130,6 @@ class HardHarvestController
     /** Side-channel-safe harvest-region flush bound. */
     hh::sim::Cycles flushBound() const { return cfg_.flushBound; }
 
-    const hh::noc::ControlTree &tree() const { return tree_; }
     /** @} */
 
     RequestQueue &rq() { return rq_; }

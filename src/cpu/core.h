@@ -70,8 +70,7 @@ class Core
     const hh::stats::UtilizationTracker &busy() const { return busy_; }
     hh::stats::UtilizationTracker &busy() { return busy_; }
 
-    /** Id of the request currently executing (0 when none). */
-    std::uint64_t currentRequest() const { return current_request_; }
+    /** Record the id of the request now executing (0 when none). */
     void setCurrentRequest(std::uint64_t id) { current_request_ = id; }
 
     /**

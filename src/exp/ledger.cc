@@ -5,7 +5,12 @@
 #include <sstream>
 #include <vector>
 
+#include "sim/jsonl.h"
+
 namespace hh::exp {
+
+using hh::sim::fnv1a64;
+using hh::sim::jsonEscape;
 
 namespace {
 
@@ -42,7 +47,7 @@ rowLine(const JobKey &key, const std::string &payload,
        << ",\"single_core_host\":"
        << (m.singleCoreHost ? "true" : "false")
        << ",\"payload\":\"" << jsonEscape(payload) << "\""
-       << ",\"crc\":" << ledgerChecksum(key.canonical() + payload)
+       << ",\"crc\":" << fnv1a64(key.canonical() + payload)
        << "}\n";
     return os.str();
 }
@@ -83,32 +88,6 @@ JobKey::canonical() const
     s += kUnit;
     s += std::to_string(seed);
     return s;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\r': out += "\\r"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x",
-                              static_cast<unsigned char>(c));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
 }
 
 bool
@@ -210,17 +189,6 @@ parseJsonLine(const std::string &line,
     return i == line.size();
 }
 
-std::uint64_t
-ledgerChecksum(const std::string &s)
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
 std::unique_ptr<ResultLedger>
 ResultLedger::open(const std::string &path, const Meta &meta,
                    std::string *error)
@@ -289,7 +257,7 @@ ResultLedger::open(const std::string &path, const Meta &meta,
                     break;
                 key.seed = seed;
                 const std::string &payload = obj["payload"];
-                if (ledgerChecksum(key.canonical() + payload) != crc)
+                if (fnv1a64(key.canonical() + payload) != crc)
                     break;
                 ledger->index_[key.canonical()] = payload;
                 ++ledger->recovered_;

@@ -130,9 +130,6 @@ class ResultLedger
     std::size_t dropped_ = 0;
 };
 
-/** @name JSONL helpers (exposed for tests) @{ */
-/** Escape a string for embedding in a JSON string literal. */
-std::string jsonEscape(const std::string &s);
 /**
  * Parse one flat JSON object line into key -> value. String values
  * are unescaped; numbers and booleans are returned as their raw
@@ -140,9 +137,6 @@ std::string jsonEscape(const std::string &s);
  */
 bool parseJsonLine(const std::string &line,
                    std::map<std::string, std::string> *out);
-/** FNV-1a 64-bit checksum used to validate rows. */
-std::uint64_t ledgerChecksum(const std::string &s);
-/** @} */
 
 } // namespace hh::exp
 

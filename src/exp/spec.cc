@@ -1,7 +1,10 @@
 #include "exp/spec.h"
 
+#include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "cache/config.h"
@@ -25,12 +28,20 @@ tokens(const std::string &s)
     return out;
 }
 
+/**
+ * Decimal digits only: strtoul alone would accept a sign and wrap
+ * "-1" to ULONG_MAX, and the cast would wrap 2^32 to 0.
+ */
 bool
 parseUnsigned(const std::string &v, unsigned *out)
 {
+    if (v.empty() || !std::isdigit(static_cast<unsigned char>(v[0])))
+        return false;
+    errno = 0;
     char *end = nullptr;
     const unsigned long parsed = std::strtoul(v.c_str(), &end, 10);
-    if (end == v.c_str() || *end != '\0')
+    if (*end != '\0' || errno == ERANGE ||
+        parsed > std::numeric_limits<unsigned>::max())
         return false;
     *out = static_cast<unsigned>(parsed);
     return true;

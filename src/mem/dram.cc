@@ -80,21 +80,13 @@ Dram::avgQueueDelay() const
 }
 
 void
-Dram::resetStats()
-{
-    accesses_ = 0;
-    total_queue_delay_ = 0;
-}
-
-void
 Dram::registerMetrics(hh::stats::MetricRegistry &reg,
                       const std::string &prefix,
                       std::function<hh::sim::Cycles()> now)
 {
     reg.registerCounter(prefix + ".accesses", accesses_);
     reg.registerGauge(prefix + ".queue_delay.avg",
-                      [this] { return avgQueueDelay(); },
-                      [this] { resetStats(); });
+                      [this] { return avgQueueDelay(); });
     reg.registerGauge(prefix + ".util", [this, now = std::move(now)] {
         return utilization(now());
     });

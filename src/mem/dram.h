@@ -73,7 +73,6 @@ class Dram
     /** @name Statistics @{ */
     std::uint64_t accesses() const { return accesses_; }
     double avgQueueDelay() const;
-    void resetStats();
 
     /**
      * Register "<prefix>.accesses", "<prefix>.queue_delay.avg" and

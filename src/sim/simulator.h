@@ -111,7 +111,6 @@ class Simulator
      * run() returns, so a later run() proceeds normally.
      */
     void requestStop() { stop_requested_ = true; }
-    bool stopRequested() const { return stop_requested_; }
 
     /**
      * Save or restore the clock, event counters and the queue. The

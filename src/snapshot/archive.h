@@ -309,8 +309,9 @@ class Archive
         if (!ok_ || n == 0)
             return;
         if (saving()) {
-            const auto *src = static_cast<const std::uint8_t *>(p);
-            buf_.insert(buf_.end(), src, src + n);
+            const std::size_t at = buf_.size();
+            buf_.resize(at + n);
+            std::memcpy(buf_.data() + at, p, n);
         } else {
             if (remaining() < n) {
                 fail("snapshot truncated: needed " +

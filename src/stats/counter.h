@@ -1,6 +1,6 @@
 /**
  * @file
- * Simple named counters and gauges for simulation statistics.
+ * Named monotonic event counter for simulation statistics.
  */
 
 #ifndef HH_STATS_COUNTER_H
@@ -27,9 +27,6 @@ class Counter
     /** Current count. */
     std::uint64_t value() const { return value_; }
 
-    /** Reset to zero (e.g. after a warmup phase). */
-    void reset() { value_ = 0; }
-
     const std::string &name() const { return name_; }
 
     /** Save/restore the count (the name is construction-time). */
@@ -38,67 +35,6 @@ class Counter
   private:
     std::string name_;
     std::uint64_t value_ = 0;
-};
-
-/**
- * Running mean/min/max accumulator for a stream of samples.
- */
-class Accumulator
-{
-  public:
-    /** Add one sample. */
-    void
-    add(double v)
-    {
-        ++n_;
-        sum_ += v;
-        sum_sq_ += v * v;
-        if (n_ == 1 || v < min_)
-            min_ = v;
-        if (n_ == 1 || v > max_)
-            max_ = v;
-    }
-
-    std::uint64_t count() const { return n_; }
-    double sum() const { return sum_; }
-    double mean() const { return n_ ? sum_ / static_cast<double>(n_) : 0; }
-    double min() const { return n_ ? min_ : 0; }
-    double max() const { return n_ ? max_ : 0; }
-
-    /** Population variance of the samples seen so far. */
-    double
-    variance() const
-    {
-        if (n_ == 0)
-            return 0;
-        const double m = mean();
-        return sum_sq_ / static_cast<double>(n_) - m * m;
-    }
-
-    void
-    reset()
-    {
-        n_ = 0;
-        sum_ = sum_sq_ = 0;
-        min_ = max_ = 0;
-    }
-
-    void
-    serialize(hh::snap::Archive &ar)
-    {
-        ar.io(n_);
-        ar.io(sum_);
-        ar.io(sum_sq_);
-        ar.io(min_);
-        ar.io(max_);
-    }
-
-  private:
-    std::uint64_t n_ = 0;
-    double sum_ = 0;
-    double sum_sq_ = 0;
-    double min_ = 0;
-    double max_ = 0;
 };
 
 } // namespace hh::stats

@@ -7,60 +7,6 @@
 
 namespace hh::stats {
 
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)),
-      counts_(buckets, 0)
-{
-    if (buckets == 0)
-        hh::sim::panic("Histogram: buckets must be > 0");
-    if (hi <= lo)
-        hh::sim::panic("Histogram: hi must exceed lo");
-}
-
-void
-Histogram::add(double v)
-{
-    auto idx = static_cast<std::ptrdiff_t>((v - lo_) / width_);
-    idx = std::clamp<std::ptrdiff_t>(
-        idx, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-    ++counts_[static_cast<std::size_t>(idx)];
-    ++total_;
-}
-
-std::uint64_t
-Histogram::bucketCount(std::size_t i) const
-{
-    if (i >= counts_.size())
-        hh::sim::panic("Histogram::bucketCount: index out of range");
-    return counts_[i];
-}
-
-double
-Histogram::bucketLow(std::size_t i) const
-{
-    return lo_ + width_ * static_cast<double>(i);
-}
-
-double
-Histogram::bucketFraction(std::size_t i) const
-{
-    if (total_ == 0)
-        return 0;
-    return static_cast<double>(bucketCount(i)) /
-           static_cast<double>(total_);
-}
-
-void
-Histogram::merge(const Histogram &other)
-{
-    if (other.counts_.size() != counts_.size() || other.lo_ != lo_ ||
-        other.hi_ != hi_)
-        hh::sim::panic("Histogram::merge: geometry mismatch");
-    for (std::size_t i = 0; i < counts_.size(); ++i)
-        counts_[i] += other.counts_[i];
-    total_ += other.total_;
-}
-
 namespace {
 
 /**
@@ -85,35 +31,6 @@ percentileBucket(const std::vector<std::uint64_t> &counts,
 }
 
 } // namespace
-
-double
-Histogram::percentile(double p) const
-{
-    if (total_ == 0)
-        return 0;
-    return bucketLow(percentileBucket(counts_, total_, p));
-}
-
-void
-Histogram::serialize(hh::snap::Archive &ar)
-{
-    std::uint64_t n = counts_.size();
-    ar.io(n);
-    if (ar.loading() && n != counts_.size()) {
-        ar.fail("Histogram: bucket-count mismatch on load");
-        return;
-    }
-    for (auto &c : counts_)
-        ar.io(c);
-    ar.io(total_);
-}
-
-void
-Histogram::reset()
-{
-    std::fill(counts_.begin(), counts_.end(), 0);
-    total_ = 0;
-}
 
 LogHistogram::LogHistogram(std::size_t buckets) : counts_(buckets, 0)
 {
@@ -178,13 +95,6 @@ LogHistogram::serialize(hh::snap::Archive &ar)
     for (auto &c : counts_)
         ar.io(c);
     ar.io(total_);
-}
-
-void
-LogHistogram::reset()
-{
-    std::fill(counts_.begin(), counts_.end(), 0);
-    total_ = 0;
 }
 
 double

@@ -1,6 +1,6 @@
 /**
  * @file
- * Fixed-width and logarithmic histograms for simulation statistics.
+ * Logarithmic histogram for simulation statistics.
  */
 
 #ifndef HH_STATS_HISTOGRAM_H
@@ -13,67 +13,6 @@
 #include "snapshot/archive.h"
 
 namespace hh::stats {
-
-/**
- * Fixed-width histogram over [lo, hi); out-of-range samples are
- * clamped into the first/last bucket.
- */
-class Histogram
-{
-  public:
-    /**
-     * @param lo      Lower bound of the histogram range.
-     * @param hi      Upper bound (exclusive); must be > lo.
-     * @param buckets Number of equal-width buckets; must be > 0.
-     */
-    Histogram(double lo, double hi, std::size_t buckets);
-
-    /** Add one sample. */
-    void add(double v);
-
-    /** Count in bucket @p i. */
-    std::uint64_t bucketCount(std::size_t i) const;
-
-    /** Inclusive lower edge of bucket @p i. */
-    double bucketLow(std::size_t i) const;
-
-    std::size_t numBuckets() const { return counts_.size(); }
-    std::uint64_t totalCount() const { return total_; }
-
-    /** Fraction of samples in bucket @p i; 0 when empty. */
-    double bucketFraction(std::size_t i) const;
-
-    /** All bucket counts (fleet aggregation reads these as deltas). */
-    const std::vector<std::uint64_t> &counts() const { return counts_; }
-
-    /**
-     * Bucket-wise sum of @p other into this histogram. Both must share
-     * the exact geometry (lo, hi, bucket count); panics otherwise. The
-     * merge is a pure integer add, so merging server histograms into a
-     * fleet histogram is deterministic in any association order.
-     */
-    void merge(const Histogram &other);
-
-    /**
-     * Nearest-rank percentile estimate, @p p in [0, 100]: the lower
-     * edge of the bucket holding the sample of rank
-     * max(1, ceil(p/100 * total)). p=0 selects the first non-empty
-     * bucket, p=100 the last. Returns 0 when the histogram is empty.
-     */
-    double percentile(double p) const;
-
-    void reset();
-
-    /** Geometry is fixed at construction; a mismatch fails the load. */
-    void serialize(hh::snap::Archive &ar);
-
-  private:
-    double lo_;
-    double hi_;
-    double width_;
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t total_ = 0;
-};
 
 /**
  * Power-of-two logarithmic histogram for latency-like values that
@@ -104,13 +43,12 @@ class LogHistogram
     void merge(const LogHistogram &other);
 
     /**
-     * Nearest-rank percentile estimate over the log buckets (see
-     * Histogram::percentile); returns the selected bucket's lower
-     * edge, 0 when empty.
+     * Nearest-rank percentile estimate, @p p clamped to [0, 100]: the
+     * lower edge of the bucket holding the sample of rank
+     * max(1, ceil(p/100 * total)). p=0 selects the first non-empty
+     * bucket, p=100 the last. Returns 0 when the histogram is empty.
      */
     double percentile(double p) const;
-
-    void reset();
 
     void serialize(hh::snap::Archive &ar);
 

@@ -62,13 +62,6 @@ LatencyRecorder::max() const
     return samples_.back();
 }
 
-void
-LatencyRecorder::reset()
-{
-    samples_.clear();
-    sorted_ = true;
-}
-
 std::vector<double>
 empiricalCdf(std::vector<double> samples, const std::vector<double> &xs)
 {

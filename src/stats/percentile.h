@@ -51,9 +51,6 @@ class LatencyRecorder
     double p99() const { return percentile(99.0); }
     double max() const;
 
-    /** Drop all samples (e.g. after warmup). */
-    void reset();
-
     const std::string &name() const { return name_; }
 
     /** Read-only access to the raw samples (tests, CDF dumps). */

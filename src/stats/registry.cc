@@ -9,79 +9,45 @@
 namespace hh::stats {
 
 void
-MetricRegistry::add(const std::string &name, Getter get, Resetter reset)
+MetricRegistry::registerGauge(const std::string &name, Getter get)
 {
     if (name.empty())
         hh::sim::panic("MetricRegistry: empty metric name");
-    if (!metrics_.emplace(name, Entry{std::move(get), std::move(reset)})
-             .second) {
+    if (!metrics_.emplace(name, std::move(get)).second)
         hh::sim::panic("MetricRegistry: duplicate metric '", name, "'");
-    }
-}
-
-void
-MetricRegistry::registerGauge(const std::string &name, Getter get,
-                              Resetter reset)
-{
-    add(name, std::move(get), std::move(reset));
 }
 
 void
 MetricRegistry::registerCounter(const std::string &name, Counter &c)
 {
-    add(name,
-        [&c] { return static_cast<double>(c.value()); },
-        [&c] { c.reset(); });
+    registerGauge(name, [&c] { return static_cast<double>(c.value()); });
 }
 
 void
 MetricRegistry::registerCounter(const std::string &name,
                                 const std::uint64_t &v)
 {
-    add(name, [&v] { return static_cast<double>(v); }, nullptr);
-}
-
-void
-MetricRegistry::registerAccumulator(const std::string &name,
-                                    Accumulator &a)
-{
-    add(name + ".count",
-        [&a] { return static_cast<double>(a.count()); },
-        [&a] { a.reset(); });
-    add(name + ".mean", [&a] { return a.mean(); }, nullptr);
-    add(name + ".min", [&a] { return a.min(); }, nullptr);
-    add(name + ".max", [&a] { return a.max(); }, nullptr);
-}
-
-void
-MetricRegistry::registerHistogram(const std::string &name, Histogram &h)
-{
-    add(name + ".count",
-        [&h] { return static_cast<double>(h.totalCount()); },
-        [&h] { h.reset(); });
+    registerGauge(name, [&v] { return static_cast<double>(v); });
 }
 
 void
 MetricRegistry::registerLatency(const std::string &name,
                                 LatencyRecorder &r)
 {
-    add(name + ".count",
-        [&r] { return static_cast<double>(r.count()); },
-        [&r] { r.reset(); });
-    add(name + ".mean", [&r] { return r.mean(); }, nullptr);
+    registerGauge(name + ".count",
+                  [&r] { return static_cast<double>(r.count()); });
+    registerGauge(name + ".mean", [&r] { return r.mean(); });
 }
 
 void
 MetricRegistry::registerUtilization(const std::string &name,
                                     UtilizationTracker &u, NowFn now)
 {
-    add(name + ".util",
-        [&u, now] { return u.utilization(now()); }, nullptr);
-    add(name + ".cycles",
-        [&u, now] {
-            return static_cast<double>(u.busyCycles(now()));
-        },
-        nullptr);
+    registerGauge(name + ".util",
+                  [&u, now] { return u.utilization(now()); });
+    registerGauge(name + ".cycles", [&u, now] {
+        return static_cast<double>(u.busyCycles(now()));
+    });
 }
 
 std::vector<MetricRegistry::Sample>
@@ -89,8 +55,8 @@ MetricRegistry::snapshot() const
 {
     std::vector<Sample> out;
     out.reserve(metrics_.size());
-    for (const auto &[name, e] : metrics_)
-        out.push_back(Sample{name, e.get()});
+    for (const auto &[name, get] : metrics_)
+        out.push_back(Sample{name, get()});
     return out;
 }
 
@@ -100,7 +66,7 @@ MetricRegistry::value(const std::string &name) const
     const auto it = metrics_.find(name);
     if (it == metrics_.end())
         hh::sim::panic("MetricRegistry: unknown metric '", name, "'");
-    return it->second.get();
+    return it->second();
 }
 
 std::vector<std::string>
@@ -108,18 +74,9 @@ MetricRegistry::names() const
 {
     std::vector<std::string> out;
     out.reserve(metrics_.size());
-    for (const auto &[name, e] : metrics_)
+    for (const auto &[name, get] : metrics_)
         out.push_back(name);
     return out;
-}
-
-void
-MetricRegistry::reset()
-{
-    for (auto &[name, e] : metrics_) {
-        if (e.reset)
-            e.reset();
-    }
 }
 
 std::string
@@ -129,11 +86,11 @@ MetricRegistry::json(const std::string &prefix) const
     os << "{";
     bool first = true;
     char buf[64];
-    for (const auto &[name, e] : metrics_) {
+    for (const auto &[name, get] : metrics_) {
         if (!first)
             os << ",";
         first = false;
-        const double v = e.get();
+        const double v = get();
         // JSON has no inf/nan literals.
         std::snprintf(buf, sizeof buf, "%.17g",
                       std::isfinite(v) ? v : 0.0);

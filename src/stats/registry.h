@@ -1,17 +1,22 @@
 /**
  * @file
- * Hierarchical metric registry (PR 2 observability layer).
+ * Hierarchical metric registry.
  *
- * Components register their existing Counter / Histogram /
- * Utilization objects under dotted names ("core12.l2.miss",
- * "vm3.qm.ready") at construction; the server layer prefixes a
- * server id when exporting ("server0.core12.l2.miss"). The registry
+ * Components register their existing Counter / LatencyRecorder /
+ * UtilizationTracker objects and plain gauges under dotted names
+ * ("core12.l2.miss", "vm3.qm.ready") at construction; the server
+ * layer prefixes a server id when exporting
+ * ("server0.core12.l2.miss"). The registry
  * is per-ServerSim — never global — so parallel cluster runs share
  * nothing and stay bit-identical at any worker count.
  *
  * Names must be unique and non-empty; violating either is a
  * registration-time panic() (a silent collision would corrupt every
  * exported time series).
+ *
+ * The registry only reads metrics. Post-warmup statistics come from
+ * each VM's warmupSkip, which drops the first requests' samples when
+ * they are recorded.
  */
 
 #ifndef HH_STATS_REGISTRY_H
@@ -25,24 +30,22 @@
 
 #include "sim/time.h"
 #include "stats/counter.h"
-#include "stats/histogram.h"
 #include "stats/percentile.h"
 #include "stats/utilization.h"
 
 namespace hh::stats {
 
 /**
- * Registry of named scalar metrics. Composite objects (accumulators,
- * histograms, latency recorders) expand into several derived scalars
- * with suffixed names so one snapshot/export path covers everything.
+ * Registry of named scalar metrics. Composite objects (latency
+ * recorders, utilization trackers) expand into several derived
+ * scalars with suffixed names so one snapshot/export path covers
+ * everything.
  */
 class MetricRegistry
 {
   public:
     /** Reads the current value of one scalar metric. */
     using Getter = std::function<double()>;
-    /** Optional reset hook (e.g. after a warmup phase). */
-    using Resetter = std::function<void()>;
     /** Time source for time-integrated metrics (utilization). */
     using NowFn = std::function<hh::sim::Cycles()>;
 
@@ -56,13 +59,11 @@ class MetricRegistry
     /**
      * Register an arbitrary gauge.
      *
-     * @param name  Unique dotted metric name (panics on empty or
-     *              duplicate).
-     * @param get   Value callback; must outlive the registry user.
-     * @param reset Optional reset hook.
+     * @param name Unique dotted metric name (panics on empty or
+     *             duplicate).
+     * @param get  Value callback; must outlive the registry user.
      */
-    void registerGauge(const std::string &name, Getter get,
-                       Resetter reset = nullptr);
+    void registerGauge(const std::string &name, Getter get);
 
     /** Register a monotonic counter object. */
     void registerCounter(const std::string &name, Counter &c);
@@ -70,12 +71,6 @@ class MetricRegistry
     /** Register a raw integral counter (hits/misses members etc.). */
     void registerCounter(const std::string &name,
                          const std::uint64_t &v);
-
-    /** Expands to name.count / .mean / .min / .max. */
-    void registerAccumulator(const std::string &name, Accumulator &a);
-
-    /** Expands to name.count (buckets stay with the owner). */
-    void registerHistogram(const std::string &name, Histogram &h);
 
     /** Expands to name.count / .mean. */
     void registerLatency(const std::string &name, LatencyRecorder &r);
@@ -107,9 +102,6 @@ class MetricRegistry
     /** Metric names in registration (= lexicographic) order. */
     std::vector<std::string> names() const;
 
-    /** Invoke every registered reset hook (e.g. after warmup). */
-    void reset();
-
     /**
      * Flat JSON object of every metric, sorted by name; an optional
      * @p prefix (e.g. "server0") is prepended to each key.
@@ -117,15 +109,7 @@ class MetricRegistry
     std::string json(const std::string &prefix = "") const;
 
   private:
-    struct Entry
-    {
-        Getter get;
-        Resetter reset;
-    };
-
-    void add(const std::string &name, Getter get, Resetter reset);
-
-    std::map<std::string, Entry> metrics_;
+    std::map<std::string, Getter> metrics_;
 };
 
 } // namespace hh::stats

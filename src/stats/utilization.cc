@@ -1,7 +1,5 @@
 #include "stats/utilization.h"
 
-#include <algorithm>
-
 #include "sim/log.h"
 
 namespace hh::stats {
@@ -37,42 +35,6 @@ UtilizationTracker::utilization(Cycles now) const
         return 0.0;
     return static_cast<double>(busyCycles(now)) /
            static_cast<double>(now - start_);
-}
-
-void
-UtilizationTracker::reset(Cycles now)
-{
-    start_ = now;
-    accumulated_ = 0;
-    last_change_ = now;
-}
-
-UtilizationSeries::UtilizationSeries(Cycles window) : window_(window)
-{
-    if (window == 0)
-        hh::sim::panic("UtilizationSeries: window must be > 0");
-}
-
-void
-UtilizationSeries::addBusy(Cycles now, Cycles busy)
-{
-    const std::size_t idx = static_cast<std::size_t>(now / window_);
-    if (idx >= busy_per_window_.size())
-        busy_per_window_.resize(idx + 1, 0);
-    busy_per_window_[idx] += busy;
-}
-
-std::vector<double>
-UtilizationSeries::series(Cycles end) const
-{
-    const std::size_t n =
-        static_cast<std::size_t>((end + window_ - 1) / window_);
-    std::vector<double> out(n, 0.0);
-    for (std::size_t i = 0; i < n && i < busy_per_window_.size(); ++i) {
-        out[i] = std::min(1.0, static_cast<double>(busy_per_window_[i]) /
-                                   static_cast<double>(window_));
-    }
-    return out;
 }
 
 } // namespace hh::stats

@@ -4,15 +4,13 @@
  *
  * Core utilization in the paper (Fig 2, Fig 3, Section 6.7) is the
  * fraction of wall-clock time a core spends executing work. The
- * tracker integrates busy time over simulated time, and can emit a
- * windowed time series like the 30-second-granularity Alibaba traces.
+ * tracker integrates busy time over simulated time.
  */
 
 #ifndef HH_STATS_UTILIZATION_H
 #define HH_STATS_UTILIZATION_H
 
 #include <cstdint>
-#include <vector>
 
 #include "sim/time.h"
 #include "snapshot/archive.h"
@@ -41,9 +39,6 @@ class UtilizationTracker
     /** Total busy cycles accumulated up to @p now. */
     hh::sim::Cycles busyCycles(hh::sim::Cycles now) const;
 
-    /** Discard history and restart the measurement at @p now. */
-    void reset(hh::sim::Cycles now);
-
     void
     serialize(hh::snap::Archive &ar)
     {
@@ -58,33 +53,6 @@ class UtilizationTracker
     hh::sim::Cycles accumulated_ = 0;
     hh::sim::Cycles last_change_ = 0;
     bool busy_ = false;
-};
-
-/**
- * Windowed utilization series: average utilization per fixed window,
- * mirroring the 30 s granularity of the Alibaba traces.
- */
-class UtilizationSeries
-{
-  public:
-    /** @param window Window length in cycles (> 0). */
-    explicit UtilizationSeries(hh::sim::Cycles window);
-
-    /**
-     * Add @p busy cycles of work ending at time @p now. The busy
-     * interval is attributed to the window containing @p now.
-     */
-    void addBusy(hh::sim::Cycles now, hh::sim::Cycles busy);
-
-    /**
-     * Finalize and return per-window utilizations in [0, 1] covering
-     * [0, end).
-     */
-    std::vector<double> series(hh::sim::Cycles end) const;
-
-  private:
-    hh::sim::Cycles window_;
-    std::vector<hh::sim::Cycles> busy_per_window_;
 };
 
 } // namespace hh::stats

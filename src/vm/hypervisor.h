@@ -115,19 +115,6 @@ class Hypervisor
     const SoftwareCosts &costs() const { return costs_; }
 
     /** @name Statistics @{ */
-    /** wbinvd full flushes charged. */
-    std::uint64_t wbinvdCount() const { return wbinvds_.value(); }
-    /** Reassignment-lock acquisitions. */
-    std::uint64_t lockAcquisitions() const
-    {
-        return lock_acquisitions_.value();
-    }
-    /** Total cycles spent waiting on the reassignment lock. */
-    std::uint64_t lockWaitCycles() const
-    {
-        return lock_wait_cycles_.value();
-    }
-
     /**
      * Register "<prefix>.wbinvd", "<prefix>.lock.acquisitions" and
      * "<prefix>.lock.wait_cycles".

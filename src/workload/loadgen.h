@@ -57,9 +57,6 @@ class LoadGenerator
     /** Absolute time of the next arrival (monotonically increasing). */
     hh::sim::Cycles next();
 
-    /** Current rate multiplier at the generator's internal clock. */
-    double currentMultiplier() const { return in_burst_ ? burst_.multiplier : 1.0; }
-
     double baseRps() const { return base_rps_; }
 
     /**

@@ -15,12 +15,13 @@
 #include <string>
 
 #include "exp/ledger.h"
+#include "sim/jsonl.h"
 
 using hh::exp::JobKey;
-using hh::exp::jsonEscape;
-using hh::exp::ledgerChecksum;
 using hh::exp::parseJsonLine;
 using hh::exp::ResultLedger;
+using hh::sim::fnv1a64;
+using hh::sim::jsonEscape;
 
 namespace {
 
@@ -271,9 +272,9 @@ TEST(ExpLedger, JsonEscapeRoundTripsThroughParser)
 
 TEST(ExpLedger, ChecksumMatchesFnv1aVectors)
 {
-    EXPECT_EQ(ledgerChecksum(""), 0xcbf29ce484222325ull);
-    EXPECT_EQ(ledgerChecksum("a"), 0xaf63dc4c8601ec8cull);
-    EXPECT_NE(ledgerChecksum("payload-1"), ledgerChecksum("payload-2"));
+    EXPECT_EQ(fnv1a64(""), 0xcbf29ce484222325ull);
+    EXPECT_EQ(fnv1a64("a"), 0xaf63dc4c8601ec8cull);
+    EXPECT_NE(fnv1a64("payload-1"), fnv1a64("payload-2"));
 }
 
 TEST(ExpLedger, JobKeyCanonicalSeparatesFields)

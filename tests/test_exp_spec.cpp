@@ -97,6 +97,19 @@ TEST(ExpSpec, ErrorsCarryLineNumbers)
 
     EXPECT_FALSE(parseSpec("seeds = 1 two\n", &spec, &err));
     EXPECT_NE(err.find("bad seed"), std::string::npos) << err;
+    EXPECT_FALSE(parseSpec("name = x\nseeds = 1 -1\n", &spec, &err));
+    EXPECT_NE(err.find("line 2"), std::string::npos) << err;
+    EXPECT_NE(err.find("bad seed"), std::string::npos) << err;
+
+    // Negative and over-wide unsigned values are rejected, not wrapped.
+    for (const char *v : {"-1", "4294967296", "18446744073709551616"}) {
+        EXPECT_FALSE(parseSpec("name = x\nrequestsPerVm = " +
+                                   std::string(v) + "\n",
+                               &spec, &err))
+            << v;
+        EXPECT_NE(err.find("line 2"), std::string::npos) << err;
+        EXPECT_NE(err.find("bad unsigned"), std::string::npos) << err;
+    }
 
     // Sweep values are validated at parse time too.
     EXPECT_FALSE(
@@ -146,8 +159,14 @@ TEST(ExpSpec, ApplySpecKeyCoversFieldTypes)
     EXPECT_FALSE(applySpecKey(cfg, "noSuchField", "1", &err));
     EXPECT_NE(err.find("unknown config key"), std::string::npos) << err;
 
-    EXPECT_FALSE(applySpecKey(cfg, "requestsPerVm", "12x", &err));
-    EXPECT_NE(err.find("bad unsigned"), std::string::npos) << err;
+    for (const char *v : {"12x", "-1", "4294967296"}) {
+        EXPECT_FALSE(applySpecKey(cfg, "requestsPerVm", v, &err)) << v;
+        EXPECT_NE(err.find("bad unsigned"), std::string::npos) << err;
+    }
+    EXPECT_EQ(cfg.requestsPerVm, 123u);
+    ASSERT_TRUE(applySpecKey(cfg, "requestsPerVm", "4294967295", &err))
+        << err;
+    EXPECT_EQ(cfg.requestsPerVm, 4294967295u);
 }
 
 TEST(ExpSpec, SystemKindNamesResolveBothForms)

@@ -81,15 +81,6 @@ TEST(MetricRegistry, CounterObjectAndRawCounter)
 TEST(MetricRegistry, CompositeObjectsExpandToScalars)
 {
     MetricRegistry reg;
-    Accumulator acc;
-    acc.add(1.0);
-    acc.add(3.0);
-    reg.registerAccumulator("acc", acc);
-    EXPECT_DOUBLE_EQ(reg.value("acc.count"), 2.0);
-    EXPECT_DOUBLE_EQ(reg.value("acc.mean"), 2.0);
-    EXPECT_DOUBLE_EQ(reg.value("acc.min"), 1.0);
-    EXPECT_DOUBLE_EQ(reg.value("acc.max"), 3.0);
-
     LatencyRecorder lat("lat");
     lat.record(4.0);
     reg.registerLatency("lat", lat);
@@ -109,16 +100,6 @@ TEST(MetricRegistry, UtilizationGaugeAndCycles)
     now = 200;
     EXPECT_DOUBLE_EQ(reg.value("core.util"), 0.5);
     EXPECT_DOUBLE_EQ(reg.value("core.cycles"), 100.0);
-}
-
-TEST(MetricRegistry, ResetInvokesHooks)
-{
-    MetricRegistry reg;
-    double v = 5.0;
-    reg.registerGauge(
-        "g", [&v] { return v; }, [&v] { v = 0.0; });
-    reg.reset();
-    EXPECT_DOUBLE_EQ(reg.value("g"), 0.0);
 }
 
 TEST(MetricRegistry, JsonIsPrefixedAndSorted)

@@ -142,12 +142,14 @@ TEST(AccessStream, SharedBitConsistent)
                                          plan.privatePages.end());
     for (int i = 0; i < 2000; ++i) {
         const auto a = wl.nextAccess(plan);
-        if (a.isInstr)
+        if (a.isInstr) {
             EXPECT_TRUE(a.shared);
-        if (priv.count(a.page))
+        }
+        if (priv.count(a.page)) {
             EXPECT_FALSE(a.shared);
-        else
+        } else {
             EXPECT_TRUE(a.shared);
+        }
     }
 }
 

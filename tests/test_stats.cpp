@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for counters, accumulators, histograms and the
- * percentile recorder.
+ * Unit tests for counters, the log histogram and the percentile
+ * recorder.
  */
 
 #include <gtest/gtest.h>
@@ -10,93 +10,18 @@
 #include "stats/histogram.h"
 #include "stats/percentile.h"
 
-using hh::stats::Accumulator;
 using hh::stats::Counter;
-using hh::stats::Histogram;
 using hh::stats::LatencyRecorder;
 using hh::stats::LogHistogram;
 
-TEST(Counter, IncrementAndReset)
+TEST(Counter, IncrementAndName)
 {
     Counter c("x");
     EXPECT_EQ(c.value(), 0u);
     c.inc();
     c.inc(4);
     EXPECT_EQ(c.value(), 5u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
     EXPECT_EQ(c.name(), "x");
-}
-
-TEST(Accumulator, Moments)
-{
-    Accumulator a;
-    for (double v : {1.0, 2.0, 3.0, 4.0})
-        a.add(v);
-    EXPECT_EQ(a.count(), 4u);
-    EXPECT_DOUBLE_EQ(a.mean(), 2.5);
-    EXPECT_DOUBLE_EQ(a.min(), 1.0);
-    EXPECT_DOUBLE_EQ(a.max(), 4.0);
-    EXPECT_DOUBLE_EQ(a.variance(), 1.25);
-}
-
-TEST(Accumulator, EmptyIsZero)
-{
-    Accumulator a;
-    EXPECT_EQ(a.count(), 0u);
-    EXPECT_EQ(a.mean(), 0.0);
-    EXPECT_EQ(a.variance(), 0.0);
-}
-
-TEST(Accumulator, NegativeValues)
-{
-    Accumulator a;
-    a.add(-5.0);
-    a.add(5.0);
-    EXPECT_DOUBLE_EQ(a.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(a.min(), -5.0);
-}
-
-TEST(Histogram, BucketsAndFractions)
-{
-    Histogram h(0.0, 10.0, 10);
-    for (int i = 0; i < 10; ++i)
-        h.add(i + 0.5);
-    EXPECT_EQ(h.totalCount(), 10u);
-    for (std::size_t b = 0; b < 10; ++b) {
-        EXPECT_EQ(h.bucketCount(b), 1u);
-        EXPECT_DOUBLE_EQ(h.bucketFraction(b), 0.1);
-    }
-}
-
-TEST(Histogram, OutOfRangeClamped)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(-5.0);
-    h.add(100.0);
-    EXPECT_EQ(h.bucketCount(0), 1u);
-    EXPECT_EQ(h.bucketCount(9), 1u);
-}
-
-TEST(Histogram, BucketLowEdges)
-{
-    Histogram h(10.0, 20.0, 5);
-    EXPECT_DOUBLE_EQ(h.bucketLow(0), 10.0);
-    EXPECT_DOUBLE_EQ(h.bucketLow(4), 18.0);
-}
-
-TEST(Histogram, InvalidConfigPanics)
-{
-    EXPECT_THROW(Histogram(0.0, 10.0, 0), std::logic_error);
-    EXPECT_THROW(Histogram(10.0, 10.0, 5), std::logic_error);
-}
-
-TEST(Histogram, ResetClears)
-{
-    Histogram h(0, 1, 2);
-    h.add(0.5);
-    h.reset();
-    EXPECT_EQ(h.totalCount(), 0u);
 }
 
 TEST(LogHistogram, PowerOfTwoBuckets)
@@ -114,95 +39,53 @@ TEST(LogHistogram, PowerOfTwoBuckets)
     EXPECT_EQ(h.totalCount(), 5u);
 }
 
-TEST(Histogram, SingleSamplePercentiles)
+TEST(LogHistogram, SingleSampleAndExtremePercentiles)
 {
-    Histogram h(0.0, 10.0, 10);
-    h.add(3.5); // bucket 3, lower edge 3.0
-    // With one sample every percentile selects that sample's bucket.
-    EXPECT_DOUBLE_EQ(h.percentile(0), 3.0);
-    EXPECT_DOUBLE_EQ(h.percentile(50), 3.0);
-    EXPECT_DOUBLE_EQ(h.percentile(99), 3.0);
-    EXPECT_DOUBLE_EQ(h.percentile(100), 3.0);
-}
-
-TEST(Histogram, PercentileEmptyIsZero)
-{
-    Histogram h(0.0, 10.0, 10);
-    EXPECT_DOUBLE_EQ(h.percentile(50), 0.0);
-    LogHistogram lh(8);
-    EXPECT_DOUBLE_EQ(lh.percentile(99), 0.0);
-}
-
-TEST(Histogram, P0AndP100SelectExtremeBuckets)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(1.5); // bucket 1
-    h.add(5.5); // bucket 5
-    h.add(8.5); // bucket 8
-    EXPECT_DOUBLE_EQ(h.percentile(0), 1.0);   // first non-empty
-    EXPECT_DOUBLE_EQ(h.percentile(100), 8.0); // last non-empty
+    LogHistogram h(16);
+    EXPECT_DOUBLE_EQ(h.percentile(99), 0.0); // empty
+    EXPECT_DOUBLE_EQ(hh::stats::logBucketPercentile(h.counts(), 99),
+                     0.0);
+    h.add(100.0); // bucket 6: [64, 128)
+    EXPECT_DOUBLE_EQ(h.percentile(0), 64.0);
+    EXPECT_DOUBLE_EQ(h.percentile(50), 64.0);
+    EXPECT_DOUBLE_EQ(h.percentile(100), 64.0);
+    h.add(1.0);   // bucket 0: [0, 2)
+    h.add(600.0); // bucket 9: [512, 1024)
+    EXPECT_DOUBLE_EQ(h.percentile(0), 0.0);    // first non-empty
+    EXPECT_DOUBLE_EQ(h.percentile(100), 512.0); // last non-empty
     // Out-of-range p clamps rather than reading past the buckets.
     EXPECT_DOUBLE_EQ(h.percentile(-5), h.percentile(0));
     EXPECT_DOUBLE_EQ(h.percentile(250), h.percentile(100));
 }
 
-TEST(Histogram, MergeIsDeterministicAndOrderFree)
-{
-    Histogram a(0.0, 10.0, 10), b(0.0, 10.0, 10);
-    Histogram a2(0.0, 10.0, 10), b2(0.0, 10.0, 10);
-    for (double v : {0.5, 2.5, 2.7, 9.9}) {
-        a.add(v);
-        a2.add(v);
-    }
-    for (double v : {2.1, 5.5}) {
-        b.add(v);
-        b2.add(v);
-    }
-    a.merge(b);  // a += b
-    b2.merge(a2); // b += a
-    ASSERT_EQ(a.totalCount(), 6u);
-    EXPECT_EQ(a.counts(), b2.counts());
-    EXPECT_EQ(a.bucketCount(2), 3u);
-    EXPECT_DOUBLE_EQ(a.percentile(50), 2.0);
-}
-
-TEST(Histogram, MergeGeometryMismatchPanics)
-{
-    Histogram a(0.0, 10.0, 10);
-    Histogram b(0.0, 10.0, 5);
-    Histogram c(0.0, 20.0, 10);
-    EXPECT_THROW(a.merge(b), std::logic_error);
-    EXPECT_THROW(a.merge(c), std::logic_error);
-    LogHistogram la(8), lb(16);
-    EXPECT_THROW(la.merge(lb), std::logic_error);
-}
-
-TEST(LogHistogram, SingleSampleAndExtremePercentiles)
-{
-    LogHistogram h(16);
-    h.add(100.0); // bucket 6: [64, 128)
-    EXPECT_DOUBLE_EQ(h.percentile(0), 64.0);
-    EXPECT_DOUBLE_EQ(h.percentile(50), 64.0);
-    EXPECT_DOUBLE_EQ(h.percentile(100), 64.0);
-    h.add(1.0); // bucket 0: [0, 2)
-    EXPECT_DOUBLE_EQ(h.percentile(0), 0.0);
-    EXPECT_DOUBLE_EQ(h.percentile(100), 64.0);
-}
-
 TEST(LogHistogram, FreePercentileMatchesMemberOnMergedCounts)
 {
     LogHistogram a(12), b(12);
-    for (double v : {1.0, 3.0, 70.0, 500.0})
+    LogHistogram a2(12), b2(12);
+    for (double v : {1.0, 3.0, 70.0, 500.0}) {
         a.add(v);
-    for (double v : {3.5, 900.0})
+        a2.add(v);
+    }
+    for (double v : {3.5, 900.0}) {
         b.add(v);
-    a.merge(b);
+        b2.add(v);
+    }
+    a.merge(b);   // a += b
+    b2.merge(a2); // b += a
+    ASSERT_EQ(a.totalCount(), 6u);
+    EXPECT_EQ(a.counts(), b2.counts());
+    EXPECT_EQ(a.bucketCount(1), 2u);
     // The free function over the raw counts is how the TelemetryHub
-    // computes fleet percentiles from merged bucket deltas.
-    for (double p : {0.0, 25.0, 50.0, 99.0, 100.0}) {
+    // computes fleet percentiles from merged bucket deltas; both clamp
+    // an out-of-range p the same way.
+    for (double p : {-5.0, 0.0, 25.0, 50.0, 99.0, 100.0, 250.0}) {
         EXPECT_DOUBLE_EQ(hh::stats::logBucketPercentile(a.counts(), p),
                          a.percentile(p));
+        EXPECT_DOUBLE_EQ(b2.percentile(p), a.percentile(p));
     }
+
+    LogHistogram narrow(8), wide(16);
+    EXPECT_THROW(narrow.merge(wide), std::logic_error);
 }
 
 TEST(LatencyRecorder, ExactPercentilesSmallSet)
@@ -259,15 +142,6 @@ TEST(LatencyRecorder, OutOfRangePanics)
     r.record(1.0);
     EXPECT_THROW(r.percentile(-1), std::logic_error);
     EXPECT_THROW(r.percentile(101), std::logic_error);
-}
-
-TEST(LatencyRecorder, ResetDropsSamples)
-{
-    LatencyRecorder r;
-    r.record(1.0);
-    r.reset();
-    EXPECT_EQ(r.count(), 0u);
-    EXPECT_EQ(r.p99(), 0.0);
 }
 
 TEST(EmpiricalCdf, FractionsAtQueryPoints)

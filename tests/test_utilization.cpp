@@ -7,7 +7,6 @@
 
 #include "stats/utilization.h"
 
-using hh::stats::UtilizationSeries;
 using hh::stats::UtilizationTracker;
 
 TEST(UtilizationTracker, IntegratesBusyTime)
@@ -51,56 +50,9 @@ TEST(UtilizationTracker, UtilizationAtStartIsZero)
     EXPECT_DOUBLE_EQ(t.utilization(0), 0.0);
 }
 
-TEST(UtilizationTracker, ResetRestartsMeasurement)
-{
-    UtilizationTracker t;
-    t.setBusy(0, true);
-    t.setBusy(100, false);
-    t.reset(100);
-    EXPECT_EQ(t.busyCycles(200), 0u);
-    t.setBusy(150, true);
-    EXPECT_DOUBLE_EQ(t.utilization(200), 0.5);
-}
-
 TEST(UtilizationTracker, TimeBackwardsPanics)
 {
     UtilizationTracker t;
     t.setBusy(100, true);
     EXPECT_THROW(t.setBusy(50, false), std::logic_error);
-}
-
-TEST(UtilizationSeries, WindowsAccumulate)
-{
-    UtilizationSeries s(100);
-    s.addBusy(50, 30);
-    s.addBusy(150, 50);
-    s.addBusy(160, 20);
-    const auto v = s.series(300);
-    ASSERT_EQ(v.size(), 3u);
-    EXPECT_DOUBLE_EQ(v[0], 0.3);
-    EXPECT_DOUBLE_EQ(v[1], 0.7);
-    EXPECT_DOUBLE_EQ(v[2], 0.0);
-}
-
-TEST(UtilizationSeries, ClampsToOne)
-{
-    UtilizationSeries s(100);
-    s.addBusy(10, 500);
-    const auto v = s.series(100);
-    ASSERT_EQ(v.size(), 1u);
-    EXPECT_DOUBLE_EQ(v[0], 1.0);
-}
-
-TEST(UtilizationSeries, ZeroWindowPanics)
-{
-    EXPECT_THROW(UtilizationSeries(0), std::logic_error);
-}
-
-TEST(UtilizationSeries, PartialFinalWindow)
-{
-    UtilizationSeries s(100);
-    s.addBusy(250, 10);
-    const auto v = s.series(260);
-    ASSERT_EQ(v.size(), 3u);
-    EXPECT_DOUBLE_EQ(v[2], 0.1);
 }
