@@ -29,8 +29,7 @@
  *       Every mode ran under the invariant auditor (including the
  *       "no harvested line outlives its lease" sweep) violation-free.
  *
- * Used by fig_cache_harvest and `repro_all --cache-harvest` so both
- * print byte-identical tables; CI greps the PASS lines.
+ * Run by `repro_all --cache-harvest`; CI greps the PASS lines.
  */
 
 #ifndef HH_BENCH_CACHE_HARVEST_H

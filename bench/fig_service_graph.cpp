@@ -30,6 +30,7 @@
 #include "bench_util.h"
 #include "cluster/telemetry_hub.h"
 #include "service_graph.h"
+#include "sim/parse.h"
 #include "svc/fleet.h"
 
 namespace {
@@ -49,26 +50,32 @@ struct GraphArgs
     bool resumeCheck = false;
 };
 
+[[noreturn]] void
+usage(const char *argv0)
+{
+    hh::sim::fatal("usage: ", argv0,
+                   " [--depth N] [--fanout N] [--servers N]"
+                   " [--policy name] [--workers N] [--graph spec-file]"
+                   " [--serialized out] [--resume-check]"
+                   " [--checkpoint-file path]");
+}
+
 GraphArgs
 parseGraphArgs(int argc, char **argv)
 {
     GraphArgs a;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--depth" && i + 1 < argc) {
-            a.depth = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
-        } else if (arg == "--fanout" && i + 1 < argc) {
-            a.fanout = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
-        } else if (arg == "--servers" && i + 1 < argc) {
-            a.servers = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
+        unsigned *count = arg == "--depth"     ? &a.depth
+                          : arg == "--fanout"  ? &a.fanout
+                          : arg == "--servers" ? &a.servers
+                          : arg == "--workers" ? &a.workers
+                                               : nullptr;
+        if (count && i + 1 < argc) {
+            if (!hh::sim::parseUnsigned(argv[++i], count))
+                usage(argv[0]);
         } else if (arg == "--policy" && i + 1 < argc) {
             a.policy = argv[++i];
-        } else if (arg == "--workers" && i + 1 < argc) {
-            a.workers = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
         } else if (arg == "--graph" && i + 1 < argc) {
             a.graphPath = argv[++i];
         } else if (arg == "--serialized" && i + 1 < argc) {
@@ -78,12 +85,7 @@ parseGraphArgs(int argc, char **argv)
         } else if (arg == "--resume-check") {
             a.resumeCheck = true;
         } else {
-            hh::sim::fatal(
-                "usage: ", argv[0],
-                " [--depth N] [--fanout N] [--servers N]"
-                " [--policy name] [--workers N] [--graph spec-file]"
-                " [--serialized out] [--resume-check]"
-                " [--checkpoint-file path]");
+            usage(argv[0]);
         }
     }
     return a;

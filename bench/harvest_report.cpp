@@ -25,6 +25,7 @@
 
 #include "bench_util.h"
 #include "cluster/telemetry_hub.h"
+#include "sim/parse.h"
 
 namespace {
 
@@ -73,8 +74,8 @@ parseArgs(int argc, char **argv)
                 usage(argv[0]);
             }
         } else if (arg == "--workers" && i + 1 < argc) {
-            a.workers = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
+            if (!hh::sim::parseUnsigned(argv[++i], &a.workers))
+                usage(argv[0]);
         } else if (arg == "--checkpoint-every" && i + 1 < argc) {
             a.obs.checkpointEveryMs = std::strtod(argv[++i], nullptr);
         } else if (arg == "--checkpoint-file" && i + 1 < argc) {

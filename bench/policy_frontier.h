@@ -1,6 +1,6 @@
 /**
  * @file
- * Shared harvest-policy frontier sweep: one telemetry-free cluster
+ * The harvest-policy frontier sweep: one telemetry-free cluster
  * run per policy in harvestPolicyNames() (static, hysteresis), rendered
  * as a batch-throughput vs request-P99 frontier table plus one
  * machine-checked `policy-check` line:
@@ -9,8 +9,7 @@
  *       The adaptive policy must not lose batch throughput
  *       against the frozen baseline at this scale.
  *
- * Used by fig_policy_frontier and `repro_all --policies` so both
- * print byte-identical tables; CI greps the PASS line.
+ * Run by `repro_all --policies`; CI greps the PASS line.
  */
 
 #ifndef HH_BENCH_POLICY_FRONTIER_H
@@ -21,7 +20,7 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "policy/harvest_policy.h"
+#include "cluster/harvest_policy.h"
 
 namespace hh::bench {
 
@@ -53,7 +52,7 @@ runPolicyFrontier(const hh::cluster::SystemConfig &base,
                   const BenchScale &scale, unsigned workers)
 {
     std::vector<PolicyPoint> points;
-    for (const std::string &name : hh::policy::harvestPolicyNames()) {
+    for (const std::string &name : hh::cluster::harvestPolicyNames()) {
         hh::cluster::SystemConfig cfg = base;
         cfg.policy = name;
         std::printf("running policy=%s...\n", name.c_str());

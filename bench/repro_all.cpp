@@ -11,7 +11,7 @@
  * Usage:
  *   repro_all [--scale quick|default|full] [--seeds N]
  *             [--ledger path | --no-ledger] [--gate off|direction|full]
- *             [--workers N] [--spec file] [--telemetry out.jsonl]
+ *             [--workers N] [--spec file]
  *             [--policies] [--graphs] [--cache-harvest]
  *
  * `--scale` presets the HH_REQUESTS / HH_SERVERS / HH_SAMPLING knobs
@@ -39,7 +39,6 @@
 #include <thread>
 #include <vector>
 
-#include "cluster/telemetry_hub.h"
 #include "exp/fidelity.h"
 #include "exp/ledger.h"
 #include "exp/spec.h"
@@ -48,6 +47,7 @@
 #include "policy_frontier.h"
 #include "service_graph.h"
 #include "sim/log.h"
+#include "sim/parse.h"
 #include "stats/percentile.h"
 
 namespace {
@@ -63,7 +63,6 @@ struct Args
     std::string gate = "direction";
     unsigned workers = 0;
     std::string specPath;
-    std::string telemetryPath;
     bool policies = false;
     bool graphs = false;
     bool cacheHarvest = false;
@@ -77,8 +76,7 @@ usage(const char *argv0)
         " [--scale quick|default|full] [--seeds N]"
         " [--ledger path | --no-ledger]"
         " [--gate off|direction|full] [--workers N] [--spec file]"
-        " [--telemetry out.jsonl] [--policies] [--graphs]"
-        " [--cache-harvest]");
+        " [--policies] [--graphs] [--cache-harvest]");
 }
 
 Args
@@ -93,9 +91,8 @@ parseArgs(int argc, char **argv)
                 a.scale != "full")
                 usage(argv[0]);
         } else if (arg == "--seeds" && i + 1 < argc) {
-            a.seeds = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
-            if (a.seeds == 0)
+            if (!hh::sim::parseUnsigned(argv[++i], &a.seeds) ||
+                a.seeds == 0)
                 usage(argv[0]);
         } else if (arg == "--ledger" && i + 1 < argc) {
             a.ledgerPath = argv[++i];
@@ -107,12 +104,10 @@ parseArgs(int argc, char **argv)
                 a.gate != "full")
                 usage(argv[0]);
         } else if (arg == "--workers" && i + 1 < argc) {
-            a.workers = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
+            if (!hh::sim::parseUnsigned(argv[++i], &a.workers))
+                usage(argv[0]);
         } else if (arg == "--spec" && i + 1 < argc) {
             a.specPath = argv[++i];
-        } else if (arg == "--telemetry" && i + 1 < argc) {
-            a.telemetryPath = argv[++i];
         } else if (arg == "--policies") {
             a.policies = true;
         } else if (arg == "--graphs") {
@@ -265,29 +260,6 @@ main(int argc, char **argv)
         }
     }
 
-    // --telemetry: one telemetry-enabled cluster run at this scale,
-    // rendered through the TelemetryHub into the economics JSONL plus
-    // the one-page report. Like tracing/metrics, telemetry payloads
-    // are deliberately outside the ledger codec, so this run bypasses
-    // the scheduler.
-    if (!args.telemetryPath.empty()) {
-        hh::cluster::SystemConfig tcfg = hh::cluster::makeSystem(
-            hh::cluster::SystemKind::HardHarvestBlock);
-        applyScale(tcfg, scale);
-        tcfg.telemetryEnabled = true;
-        hh::cluster::ClusterResults tres = hh::cluster::runCluster(
-            tcfg, scale.servers, scale.seed, args.workers);
-        hh::cluster::TelemetryHub hub(tcfg);
-        for (auto &t : tres.serverTelemetry)
-            hub.addServer(std::move(t));
-        if (!hh::cluster::writeTextFile(args.telemetryPath,
-                                        hub.jsonl()))
-            hh::sim::fatal("cannot write ", args.telemetryPath);
-        std::printf("\ntelemetry: %s (%zu epochs)\n%s",
-                    args.telemetryPath.c_str(), hub.timeline().size(),
-                    hub.report().c_str());
-    }
-
     // --policies: the harvest-policy frontier sweep (one cluster run
     // per policy at this scale) plus its two machine-checked
     // invariants. Policy runs are plain runCluster calls outside the
@@ -347,7 +319,7 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(scale.seed));
         const auto gpoints = runGraphSweep(gscale, graph_servers,
                                            {1, 2, 3}, /*fanout=*/2,
-                                           hh::policy::harvestPolicyNames(),
+                                           hh::cluster::harvestPolicyNames(),
                                            args.workers);
         std::printf("\n");
         printGraphEconomics(gpoints);

@@ -1,7 +1,7 @@
 /**
  * @file
  * Shared service-graph fleet sweep: layered RPC-DAG fleets (src/svc/)
- * over the two pluggable harvest policies, rendered as a fleet
+ * over the two harvest policies, rendered as a fleet
  * harvesting-economics table plus one machine-checked invariant per
  * policy:
  *

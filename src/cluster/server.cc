@@ -65,6 +65,7 @@ ServerSim::ServerSim(const SystemConfig &cfg, const std::string &batchApp,
                           telemetry_->record(telemetryCounters());
                           return cfg_.telemetryPeriod;
                       }),
+      policy_(cfg_),
       policy_task_(sim_, SnapTag::kPolicyTick,
                    [this] {
                        policyTick();
@@ -77,6 +78,10 @@ ServerSim::ServerSim(const SystemConfig &cfg, const std::string &batchApp,
                   }),
       graph_plan_(plan)
 {
+    if (!knownHarvestPolicy(cfg_.policy))
+        hh::sim::fatal("ServerSim: unknown harvest policy \"",
+                       cfg_.policy,
+                       "\" (expected static or hysteresis)");
     nic_ = std::make_unique<hh::net::Nic>(sim_);
     ctrl_ = std::make_unique<hh::core::HardHarvestController>(
         hh::core::ControllerConfig{}, cfg_.cores);
@@ -90,17 +95,12 @@ ServerSim::ServerSim(const SystemConfig &cfg, const std::string &batchApp,
     // a snapshot restore finds the re-arm target of a pending tick.
     if (cfg_.telemetryEnabled)
         telemetry_ = std::make_unique<hh::stats::ObservationView>();
-    std::string policy_err;
-    policy_ = hh::policy::makeHarvestPolicy(policyConfig(),
-                                            &policy_err);
-    if (!policy_err.empty())
-        hh::sim::fatal("ServerSim: ", policy_err);
     policy_applied_fraction_.assign(vms_.size(),
                                     cfg_.harvestWayFraction);
     // The policy rides its own ObservationView so its epoch cadence
     // is independent of (and composable with) the telemetry plane's.
     // The static policy wants no tick, so it adds no events.
-    if (policy_->wantsEpochTick())
+    if (policy_.ticks())
         policy_view_ = std::make_unique<hh::stats::ObservationView>();
 
     // Cache-capacity leasing (src/lease/): constructed only when the
@@ -1379,10 +1379,10 @@ ServerSim::completeRequest(unsigned core, std::uint64_t reqId)
 bool
 ServerSim::blockHarvestAllowed(std::uint32_t vm) const
 {
-    switch (policy_->decision(vm).blockMode) {
-    case hh::policy::BlockHarvestMode::Never:
+    switch (policy_.decision(vm).blockMode) {
+    case BlockHarvestMode::Never:
         return false;
-    case hh::policy::BlockHarvestMode::AdaptiveEwma:
+    case BlockHarvestMode::AdaptiveEwma:
         // Adaptive extension (§4.1.5): when this VM's requests block
         // only briefly, harvesting the core is a net loss. The EWMA
         // updates at I/O block time, between policy epochs, so it is
@@ -1390,7 +1390,7 @@ ServerSim::blockHarvestAllowed(std::uint32_t vm) const
         // decision.
         return ewma_block_cycles_[vm] >=
                static_cast<double>(cfg_.adaptiveBlockThreshold);
-    case hh::policy::BlockHarvestMode::Always:
+    case BlockHarvestMode::Always:
         return true;
     }
     return true;
@@ -1406,7 +1406,7 @@ ServerSim::coreLendable(unsigned core) const
     if (ctx.phase != Phase::Idle || ctx.onLoan)
         return false;
     // Policy gate: a held VM lends nothing at all.
-    const auto &d = policy_->decision(vm);
+    const auto &d = policy_.decision(vm);
     if (!d.lendAllowed)
         return false;
     // Term-style harvesting never lends a core whose request is
@@ -1908,7 +1908,7 @@ ServerSim::agentTick()
             continue;
         // Policy gate mirroring coreLendable's: a held VM lends
         // nothing through the software agent either.
-        if (!policy_->decision(vm).lendAllowed)
+        if (!policy_.decision(vm).lendAllowed)
             continue;
 
         // Thrash avoidance: after a reclaim, wait out a backoff
@@ -2051,33 +2051,13 @@ ServerSim::stopPeriodicTasks()
     lease_task_.stop();
 }
 
-hh::policy::PolicyConfig
-ServerSim::policyConfig() const
-{
-    hh::policy::PolicyConfig pc;
-    pc.kind = cfg_.policy;
-    pc.vmCount = static_cast<std::uint32_t>(cfg_.primaryVms + 1);
-    pc.harvestVm = harvest_vm_;
-    pc.harvestOnBlock = cfg_.harvestOnBlock;
-    pc.adaptiveHarvest = cfg_.adaptiveHarvest;
-    pc.hwEmergencyBuffer = cfg_.hwEmergencyBuffer;
-    pc.harvestWayFraction = cfg_.harvestWayFraction;
-    pc.cacheLendEnabled = cfg_.cacheLendEnabled;
-    pc.cacheLendL2WayFraction = cfg_.cacheLendL2WayFraction;
-    pc.cacheLendL3Ways = cfg_.cacheLendL3Ways;
-    pc.lendUtil = cfg_.policyLendUtil;
-    pc.holdUtil = cfg_.policyHoldUtil;
-    pc.ewmaAlpha = cfg_.policyEwmaAlpha;
-    return pc;
-}
-
 void
 ServerSim::policyTick()
 {
     policy_view_->record(telemetryCounters());
     const auto rows = policy_view_->takeRows();
     for (const auto &row : rows)
-        policy_->observe(row);
+        policy_.observe(row);
     applyPolicyDecisions();
 }
 
@@ -2088,7 +2068,7 @@ ServerSim::applyPolicyDecisions()
         if (!v.desc.isPrimary())
             continue;
         const std::uint32_t vm = v.desc.id;
-        const double f = policy_->decision(vm).harvestWayFraction;
+        const double f = policy_.decision(vm).harvestWayFraction;
         if (f == policy_applied_fraction_[vm])
             continue;
         policy_applied_fraction_[vm] = f;
@@ -2123,7 +2103,7 @@ ServerSim::leaseTick()
             continue;
         const std::uint32_t vm = v.desc.id;
         // The policy's per-VM cache-lend decision.
-        const auto &d = policy_->decision(vm);
+        const auto &d = policy_.decision(vm);
         if (lease_mgr_->active(vm)) {
             if (!d.cacheLendAllowed)
                 leaseRelease(vm, false);
@@ -2655,7 +2635,7 @@ ServerSim::serializeState(hh::snap::Archive &ar)
                 "harvest-policy selector; re-run it with policy=static");
         return;
     }
-    policy_->serialize(ar);
+    policy_.serialize(ar);
     ar.io(policy_applied_fraction_);
     // The repartitioned way masks themselves ride sections 0x11 (QM
     // masks) and 0x13 (core hierarchies), so nothing is re-applied

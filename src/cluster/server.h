@@ -24,9 +24,9 @@
 
 #include "check/auditor.h"
 #include "check/fault_inject.h"
+#include "cluster/harvest_policy.h"
 #include "cluster/system_config.h"
 #include "lease/cache_lease.h"
-#include "policy/harvest_policy.h"
 #include "core/context_memory.h"
 #include "core/controller.h"
 #include "cpu/core.h"
@@ -295,11 +295,8 @@ class ServerSim
         return telemetry_.get();
     }
 
-    /** The harvest policy (never null). */
-    hh::policy::HarvestPolicy *harvestPolicy()
-    {
-        return policy_.get();
-    }
+    /** The harvest policy. */
+    const HarvestPolicy &harvestPolicy() const { return policy_; }
 
     /** The cache-lease manager, or nullptr unless cacheLendEnabled. */
     hh::lease::CacheLeaseManager *leaseManager()
@@ -553,8 +550,6 @@ class ServerSim
     /** @} */
 
     /** @name Harvest policy (PR 8) @{ */
-    /** The PolicyConfig mirror of cfg_ (src/policy is layer-free). */
-    hh::policy::PolicyConfig policyConfig() const;
     /** Epoch tick: feed the policy one row, apply its decisions. */
     void policyTick();
     /** Push decision changes into masks/partitions at the boundary. */
@@ -662,9 +657,8 @@ class ServerSim
     /** @} */
 
     /** @name Harvest policy (PR 8) @{ */
-    /** Never null: built in the constructor from cfg_.policy. */
-    std::unique_ptr<hh::policy::HarvestPolicy> policy_;
-    /** Policy's own epoch view; null unless wantsEpochTick(). */
+    HarvestPolicy policy_;
+    /** Policy's own epoch view; null unless policy_.ticks(). */
     std::unique_ptr<hh::stats::ObservationView> policy_view_;
     hh::sim::PeriodicTask policy_task_;
     /** Last harvest-way fraction pushed into each VM's masks, so the

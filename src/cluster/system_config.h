@@ -116,7 +116,7 @@ struct SystemConfig
 
     /** @name Harvest policy (PR 8) @{ */
     /**
-     * Harvest/reclaim policy selector (src/policy/): "static" (the
+     * Harvest/reclaim policy selector (harvest_policy.h): "static" (the
      * default — freezes the knobs above into one immutable decision
      * set) or "hysteresis".
      */

@@ -1,15 +1,12 @@
 #include "exp/spec.h"
 
-#include <cctype>
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
-#include <limits>
 #include <sstream>
 
 #include "cache/config.h"
-#include "policy/harvest_policy.h"
+#include "cluster/harvest_policy.h"
 #include "sim/log.h"
+#include "sim/parse.h"
 #include "sim/time.h"
 
 namespace hh::exp {
@@ -28,35 +25,8 @@ tokens(const std::string &s)
     return out;
 }
 
-/**
- * Decimal digits only: strtoul alone would accept a sign and wrap
- * "-1" to ULONG_MAX, and the cast would wrap 2^32 to 0.
- */
-bool
-parseUnsigned(const std::string &v, unsigned *out)
-{
-    if (v.empty() || !std::isdigit(static_cast<unsigned char>(v[0])))
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long parsed = std::strtoul(v.c_str(), &end, 10);
-    if (*end != '\0' || errno == ERANGE ||
-        parsed > std::numeric_limits<unsigned>::max())
-        return false;
-    *out = static_cast<unsigned>(parsed);
-    return true;
-}
-
-bool
-parseDouble(const std::string &v, double *out)
-{
-    char *end = nullptr;
-    const double parsed = std::strtod(v.c_str(), &end);
-    if (end == v.c_str() || *end != '\0')
-        return false;
-    *out = parsed;
-    return true;
-}
+using hh::sim::parseDouble;
+using hh::sim::parseUnsigned;
 
 bool
 parseBool(const std::string &v, bool *out)
@@ -202,6 +172,22 @@ applySpecKey(hh::cluster::SystemConfig &cfg, const std::string &key,
                      "\"";
         return false;
     };
+    // Store a double that inRange accepts. Ranges are written as
+    // lo < x && x <= hi and negated, never as x <= lo || x > hi, so
+    // that NaN fails them.
+    const auto setDouble = [&](double *field, auto inRange,
+                               const char *what) {
+        double x = 0;
+        if (!parseDouble(value, &x))
+            return fail("bad double");
+        if (!inRange(x))
+            return fail(what);
+        *field = x;
+        return true;
+    };
+    const auto positiveFinite = [](double x) {
+        return 0.0 < x && std::isfinite(x);
+    };
 
     // unsigned fields
     if (key == "requestsPerVm")
@@ -224,13 +210,18 @@ applySpecKey(hh::cluster::SystemConfig &cfg, const std::string &key,
 
     // double fields
     if (key == "loadScale")
-        return parseDouble(value, &cfg.loadScale) || fail("bad double");
+        return setDouble(&cfg.loadScale, positiveFinite,
+                         "loadScale must be positive and finite, got");
     if (key == "warmupFraction")
-        return parseDouble(value, &cfg.warmupFraction) ||
-               fail("bad double");
+        return setDouble(
+            &cfg.warmupFraction,
+            [](double x) { return 0.0 <= x && x < 1.0; },
+            "warmupFraction must be in [0, 1), got");
     if (key == "candidateFraction")
-        return parseDouble(value, &cfg.candidateFraction) ||
-               fail("bad double");
+        return setDouble(
+            &cfg.candidateFraction,
+            [](double x) { return 0.0 < x && x <= 1.0; },
+            "candidateFraction must be in (0, 1], got");
     if (key == "harvestWayFraction") {
         double f = 0;
         if (!parseDouble(value, &f))
@@ -244,7 +235,7 @@ applySpecKey(hh::cluster::SystemConfig &cfg, const std::string &key,
         double f = 0;
         if (!parseDouble(value, &f))
             return fail("bad double");
-        if (f <= 0.0 || f > 1.0)
+        if (!(0.0 < f && f <= 1.0))
             return fail("waysFraction must be in (0, 1], got");
         cfg.waysFraction = f;
         // Re-check the fraction already configured: shrinking the
@@ -254,8 +245,9 @@ applySpecKey(hh::cluster::SystemConfig &cfg, const std::string &key,
         return true;
     }
     if (key == "llcMbPerCore")
-        return parseDouble(value, &cfg.llcMbPerCore) ||
-               fail("bad double");
+        return setDouble(&cfg.llcMbPerCore, positiveFinite,
+                         "llcMbPerCore must be positive and finite, "
+                         "got");
 
     // bool fields
     if (key == "harvesting")
@@ -291,7 +283,7 @@ applySpecKey(hh::cluster::SystemConfig &cfg, const std::string &key,
 
     // harvest policy (PR 8)
     if (key == "policy") {
-        if (!hh::policy::knownHarvestPolicy(value))
+        if (!hh::cluster::knownHarvestPolicy(value))
             return fail("unknown harvest policy (expected static or "
                         "hysteresis), got");
         cfg.policy = value;
@@ -308,22 +300,17 @@ applySpecKey(hh::cluster::SystemConfig &cfg, const std::string &key,
         cfg.policyPeriod = hh::sim::msToCycles(ms);
         return true;
     }
-    if (key == "policyEwmaAlpha") {
-        double a = 0;
-        if (!parseDouble(value, &a) || a <= 0.0 || a > 1.0)
-            return fail("EWMA alpha must be in (0, 1], got");
-        cfg.policyEwmaAlpha = a;
-        return true;
-    }
-    if (key == "policyLendUtil" || key == "policyHoldUtil") {
-        double u = 0;
-        if (!parseDouble(value, &u) || u < 0.0 || u > 1.0)
-            return fail("utilization threshold must be in [0, 1], "
-                        "got");
-        (key == "policyLendUtil" ? cfg.policyLendUtil
-                                 : cfg.policyHoldUtil) = u;
-        return true;
-    }
+    if (key == "policyEwmaAlpha")
+        return setDouble(
+            &cfg.policyEwmaAlpha,
+            [](double a) { return 0.0 < a && a <= 1.0; },
+            "EWMA alpha must be in (0, 1], got");
+    if (key == "policyLendUtil" || key == "policyHoldUtil")
+        return setDouble(
+            key == "policyLendUtil" ? &cfg.policyLendUtil
+                                    : &cfg.policyHoldUtil,
+            [](double u) { return 0.0 <= u && u <= 1.0; },
+            "utilization threshold must be in [0, 1], got");
 
     // cache-capacity leasing (src/lease/)
     if (key == "cacheLendEnabled")
@@ -351,7 +338,7 @@ applySpecKey(hh::cluster::SystemConfig &cfg, const std::string &key,
         double f = 0;
         if (!parseDouble(value, &f))
             return fail("bad double");
-        if (f < 0.0 || f >= 1.0)
+        if (!(0.0 <= f && f < 1.0))
             return fail("L2 lease fraction must be in [0, 1), got");
         if (!validCacheLendL2Fraction(cfg, f, error))
             return false;

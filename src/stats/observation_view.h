@@ -15,9 +15,8 @@
  * only on its own rows, and serializes under the snapshot archive so
  * checkpointed runs resume with byte-identical telemetry.
  *
- * `VmFeatures` is deliberately the input signature the ROADMAP's
- * pluggable harvest-policy interface will consume (see
- * docs/OBSERVABILITY.md, "Telemetry plane").
+ * The hysteresis harvest policy (cluster/harvest_policy.h) consumes
+ * the same rows through a view of its own (see docs/POLICIES.md).
  */
 
 #ifndef HH_STATS_OBSERVATION_VIEW_H

@@ -1,12 +1,12 @@
 #include "svc/graph_spec.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <iomanip>
 #include <map>
 #include <sstream>
 
 #include "sim/log.h"
+#include "sim/parse.h"
 #include "workload/alibaba.h"
 #include "workload/service.h"
 
@@ -24,27 +24,8 @@ trim(const std::string &s)
     return s.substr(b, e - b + 1);
 }
 
-bool
-parseUnsigned(const std::string &v, unsigned *out)
-{
-    char *end = nullptr;
-    const unsigned long parsed = std::strtoul(v.c_str(), &end, 10);
-    if (end == v.c_str() || *end != '\0')
-        return false;
-    *out = static_cast<unsigned>(parsed);
-    return true;
-}
-
-bool
-parseDouble(const std::string &v, double *out)
-{
-    char *end = nullptr;
-    const double parsed = std::strtod(v.c_str(), &end);
-    if (end == v.c_str() || *end != '\0')
-        return false;
-    *out = parsed;
-    return true;
-}
+using hh::sim::parseDouble;
+using hh::sim::parseUnsigned;
 
 /** "a..b" (inclusive) or a single "a". */
 bool

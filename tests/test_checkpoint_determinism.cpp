@@ -111,7 +111,7 @@ expectAllPeriodicTicksPending(const SystemConfig &cfg, unsigned servers,
         EXPECT_TRUE(sim.faultInjector()->task().running())
             << "server " << s;
         EXPECT_NE(sim.telemetryView(), nullptr);
-        EXPECT_TRUE(sim.harvestPolicy()->wantsEpochTick());
+        EXPECT_TRUE(sim.harvestPolicy().ticks());
         EXPECT_NE(sim.leaseManager(), nullptr);
     }
 }

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "cluster/system_config.h"
 #include "exp/spec.h"
@@ -167,6 +168,36 @@ TEST(ExpSpec, ApplySpecKeyCoversFieldTypes)
     ASSERT_TRUE(applySpecKey(cfg, "requestsPerVm", "4294967295", &err))
         << err;
     EXPECT_EQ(cfg.requestsPerVm, 4294967295u);
+
+    // NaN and out-of-range doubles are rejected and leave the field
+    // as it was.
+    const SystemConfig before = cfg;
+    const std::pair<const char *, const char *> kBad[] = {
+        {"loadScale", "-1"},          {"loadScale", "0"},
+        {"loadScale", "nan"},         {"loadScale", "inf"},
+        {"warmupFraction", "nan"},    {"warmupFraction", "-0.1"},
+        {"warmupFraction", "1"},      {"candidateFraction", "nan"},
+        {"candidateFraction", "0"},   {"candidateFraction", "1.5"},
+        {"llcMbPerCore", "nan"},      {"llcMbPerCore", "0"},
+        {"llcMbPerCore", "inf"},      {"waysFraction", "nan"},
+        {"policyEwmaAlpha", "nan"},   {"policyLendUtil", "nan"},
+        {"policyHoldUtil", "nan"},    {"cacheLendL2WayFraction", "nan"},
+    };
+    for (const auto &[key, value] : kBad) {
+        EXPECT_FALSE(applySpecKey(cfg, key, value, &err))
+            << key << " = " << value;
+        EXPECT_NE(err.find(key), std::string::npos) << err;
+    }
+    EXPECT_DOUBLE_EQ(cfg.loadScale, before.loadScale);
+    EXPECT_DOUBLE_EQ(cfg.warmupFraction, before.warmupFraction);
+    EXPECT_DOUBLE_EQ(cfg.candidateFraction, before.candidateFraction);
+    EXPECT_DOUBLE_EQ(cfg.llcMbPerCore, before.llcMbPerCore);
+    EXPECT_DOUBLE_EQ(cfg.waysFraction, before.waysFraction);
+    EXPECT_DOUBLE_EQ(cfg.policyEwmaAlpha, before.policyEwmaAlpha);
+    EXPECT_DOUBLE_EQ(cfg.policyLendUtil, before.policyLendUtil);
+    EXPECT_DOUBLE_EQ(cfg.policyHoldUtil, before.policyHoldUtil);
+    EXPECT_DOUBLE_EQ(cfg.cacheLendL2WayFraction,
+                     before.cacheLendL2WayFraction);
 }
 
 TEST(ExpSpec, SystemKindNamesResolveBothForms)

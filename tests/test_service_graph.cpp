@@ -101,6 +101,27 @@ TEST(GraphSpec, ParseErrorsCarryLineNumbers)
         parseGraphSpec("graph.servers = 2\nbogus.key = 1\n", &spec,
                        &err));
     EXPECT_NE(err.find("unknown key"), std::string::npos) << err;
+
+    // A sign or a value past 32 bits is a parse error, not a wrapped
+    // count.
+    const struct
+    {
+        const char *text;
+        const char *line;
+    } kWrapped[] = {
+        {"graph.servers = 4294967297\n", "line 1"},
+        {"graph.servers = -1\n", "line 1"},
+        {"graph.servers = 2\ntier0.service = Text\n"
+         "tier0.fanout = 4294967296\n",
+         "line 3"},
+        {"graph.servers = 2\ntier0.vms = -1\n", "line 2"},
+    };
+    for (const auto &c : kWrapped) {
+        EXPECT_FALSE(parseGraphSpec(c.text, &spec, &err)) << c.text;
+        EXPECT_NE(err.find(c.line), std::string::npos) << err;
+        EXPECT_NE(err.find("invalid unsigned"), std::string::npos)
+            << err;
+    }
 }
 
 TEST(GraphSpec, StructuralValidation)
