@@ -398,3 +398,28 @@ TEST(LeaseAudit, OverstayFaultActionIsCaughtByTheLeaseInvariant)
     }
     EXPECT_TRUE(lease_flagged);
 }
+
+TEST(LeaseAudit, OverstayReportTextIsPinned)
+{
+    // The exact report of the positive control above: which lender,
+    // which way, and when, as the "lease" invariant words it.
+    SystemConfig cfg = leaseConfig("static");
+    cfg.auditEnabled = true;
+    cfg.auditPeriod = 256;
+    cfg.auditStopOnViolation = true;
+    cfg.faults.enabled = true;
+    cfg.faults.meanPeriod = hh::sim::usToCycles(20);
+    cfg.faults.startAt = hh::sim::usToCycles(10);
+    cfg.faults.actionsPerTick = 4;
+    const auto res = runServer(cfg, "BFS", 2);
+    ASSERT_EQ(res.auditViolations, 2u);
+    ASSERT_EQ(res.auditReports.size(), 2u);
+    for (const auto &v : res.auditReports) {
+        EXPECT_EQ(v.component, "lease");
+        EXPECT_EQ(v.time, 4969092u);
+        EXPECT_EQ(v.message,
+                  "vm 0 L3 way 0 holds a batch line after its lease "
+                  "ended");
+    }
+}
+
