@@ -218,4 +218,26 @@ CoreHierarchy::registerMetrics(hh::stats::MetricRegistry &reg,
     reg.registerCounter(prefix + ".accesses", accesses_);
 }
 
+std::optional<std::string>
+CoreHierarchy::auditPartition() const
+{
+    using hh::sim::detail::concat;
+    const SetAssocArray *arrs[] = {l1d_.get(), l1i_.get(), l2_.get(),
+                                   l1tlb_.get(), l2tlb_.get()};
+    const char *names[] = {"l1d", "l1i", "l2", "l1tlb", "l2tlb"};
+    for (unsigned i = 0; i < 5; ++i) {
+        const WayMask hw = arrs[i]->harvestWays();
+        const WayMask all = arrs[i]->allWays();
+        if (hw & ~all)
+            return concat(names[i],
+                          " harvest region escapes the way set");
+        const bool partitionable = (all & (all - 1)) != 0;
+        if (cfg_.partitioning && partitionable && hw == 0)
+            return concat(names[i], " has an empty harvest region");
+        if (cfg_.partitioning && partitionable && (all & ~hw) == 0)
+            return concat(names[i], " harvest region covers every way");
+    }
+    return std::nullopt;
+}
+
 } // namespace hh::cache

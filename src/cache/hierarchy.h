@@ -20,6 +20,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <string>
 #include <unordered_set>
 
 #include "cache/config.h"
@@ -177,6 +179,18 @@ class CoreHierarchy
 
     /** Total accesses served. */
     std::uint64_t accesses() const { return accesses_; }
+
+    /**
+     * Invariant audit of the way partitioning: per structure, the
+     * harvest region is a subset of the way set, and under
+     * partitioning both the harvest and non-harvest regions are
+     * non-empty. Single-way structures (extreme waysFraction) are
+     * legitimately left unpartitioned.
+     *
+     * @return nullopt when it holds, else a report naming the
+     *         structure ("l2 has an empty harvest region").
+     */
+    std::optional<std::string> auditPartition() const;
 
     /**
      * Register every private structure's counters under

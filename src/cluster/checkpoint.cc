@@ -13,41 +13,18 @@ namespace hh::cluster {
 
 namespace {
 
-/** Serialize one live server; throws on an archive failure. */
-std::vector<std::uint8_t>
-saveServer(ServerSim &sim)
-{
-    auto ar = hh::snap::Archive::forSave();
-    sim.saveState(ar);
-    if (!ar.ok())
-        throw std::runtime_error("checkpoint save failed: " +
-                                 ar.error());
-    return ar.take();
-}
-
-/** Restore one freshly constructed server; throws on failure. */
-void
-loadServer(ServerSim &sim, const std::vector<std::uint8_t> &blob)
-{
-    auto ar = hh::snap::Archive::forLoad(blob);
-    sim.loadState(ar);
-    if (!ar.ok())
-        throw std::runtime_error("checkpoint load failed: " +
-                                 ar.error());
-}
-
-/** Comma-join the first @p servers batch application names. */
-std::string
-joinBatchApps(unsigned servers)
+/** The cluster's batch applications: the first @p servers, in order. */
+std::vector<std::string>
+clusterBatchApps(unsigned servers)
 {
     const auto batch = hh::workload::batchApplications();
-    std::string out;
-    for (unsigned s = 0; s < servers; ++s) {
-        if (s)
-            out += ',';
-        out += batch[s].name;
-    }
-    return out;
+    if (servers == 0 || servers > batch.size())
+        hh::sim::fatal("cluster checkpoint: servers must be in [1, ",
+                       batch.size(), "]");
+    std::vector<std::string> apps;
+    for (unsigned s = 0; s < servers; ++s)
+        apps.push_back(batch[s].name);
+    return apps;
 }
 
 /** Split the manifest's comma-joined batch application names. */
@@ -69,41 +46,15 @@ splitBatchApps(const std::string &joined)
     return out;
 }
 
-/** Build the cluster's servers (not yet started). */
+/** Build one server per batch application (not yet started). */
 std::vector<std::unique_ptr<ServerSim>>
-buildSims(const SystemConfig &cfg, unsigned servers,
+buildSims(const SystemConfig &cfg, const std::vector<std::string> &apps,
           std::uint64_t seed)
 {
-    const auto batch = hh::workload::batchApplications();
-    if (servers == 0 || servers > batch.size())
-        hh::sim::fatal("cluster checkpoint: servers must be in [1, ",
-                       batch.size(), "]");
     std::vector<std::unique_ptr<ServerSim>> sims;
-    sims.reserve(servers);
-    for (unsigned s = 0; s < servers; ++s) {
-        sims.push_back(std::make_unique<ServerSim>(
-            cfg, batch[s].name,
-            seed + static_cast<std::uint64_t>(s)));
-    }
+    for (std::size_t s = 0; s < apps.size(); ++s)
+        sims.push_back(std::make_unique<ServerSim>(cfg, apps[s], seed + s));
     return sims;
-}
-
-/** Assemble and write the container for the given blobs. */
-bool
-writeContainer(const std::string &path, const SystemConfig &cfg,
-               unsigned servers, std::uint64_t seed,
-               hh::sim::Cycles savedAt,
-               std::vector<std::vector<std::uint8_t>> blobs,
-               std::string *error)
-{
-    hh::snap::CheckpointFile f;
-    f.configFingerprint = configFingerprint(cfg);
-    f.servers = servers;
-    f.seed = seed;
-    f.savedAtCycles = savedAt;
-    f.batchApps = joinBatchApps(servers);
-    f.blobs = std::move(blobs);
-    return hh::snap::writeCheckpointFile(path, f, error);
 }
 
 bool
@@ -118,6 +69,72 @@ anyViolation(std::vector<std::unique_ptr<ServerSim>> &sims)
 }
 
 } // namespace
+
+std::vector<std::uint8_t>
+saveServer(ServerSim &sim)
+{
+    auto ar = hh::snap::Archive::forSave();
+    sim.saveState(ar);
+    if (!ar.ok())
+        throw std::runtime_error("checkpoint save failed: " +
+                                 ar.error());
+    return ar.take();
+}
+
+void
+loadServer(ServerSim &sim, std::vector<std::uint8_t> blob)
+{
+    auto ar = hh::snap::Archive::forLoad(std::move(blob));
+    sim.loadState(ar);
+    if (!ar.ok())
+        throw std::runtime_error("checkpoint load failed: " +
+                                 ar.error());
+}
+
+bool
+writeContainer(const std::string &path, const SystemConfig &cfg,
+               std::uint64_t seed, hh::sim::Cycles savedAt,
+               const std::vector<std::string> &batchApps,
+               std::vector<std::vector<std::uint8_t>> blobs,
+               std::string *error)
+{
+    hh::snap::CheckpointFile f;
+    f.configFingerprint = configFingerprint(cfg);
+    f.servers = blobs.size();
+    f.seed = seed;
+    f.savedAtCycles = savedAt;
+    for (std::size_t s = 0; s < batchApps.size(); ++s)
+        f.batchApps += (s ? "," : "") + batchApps[s];
+    f.blobs = std::move(blobs);
+    return hh::snap::writeCheckpointFile(path, f, error);
+}
+
+bool
+readContainer(const std::string &path, const SystemConfig &cfg,
+              hh::snap::CheckpointFile &f, std::string *error)
+{
+    if (!hh::snap::readCheckpointFile(path, f, error))
+        return false;
+    if (f.configFingerprint != configFingerprint(cfg)) {
+        if (error)
+            *error = "checkpoint \"" + path + "\" was taken under a "
+                     "different SystemConfig or graph topology than "
+                     "this run's; resume with the exact configuration "
+                     "that saved it";
+        return false;
+    }
+    const auto apps = splitBatchApps(f.batchApps);
+    if (apps.size() != f.servers || f.blobs.size() != f.servers) {
+        if (error)
+            *error = "checkpoint \"" + path +
+                     "\" manifest is inconsistent (servers=" +
+                     std::to_string(f.servers) + ", apps=" +
+                     std::to_string(apps.size()) + ", blobs=" +
+                     std::to_string(f.blobs.size()) + ")";
+        return false;
+    }
+    return true;
+}
 
 std::string
 configFingerprint(const SystemConfig &cfg)
@@ -198,7 +215,8 @@ checkpointClusterAt(const SystemConfig &cfg, unsigned servers,
                     hh::sim::Cycles at, const std::string &path,
                     std::string *error)
 {
-    auto sims = buildSims(cfg, servers, seed);
+    const auto apps = clusterBatchApps(servers);
+    auto sims = buildSims(cfg, apps, seed);
     try {
         std::vector<std::vector<std::uint8_t>> blobs =
             runParallel<std::vector<std::uint8_t>>(
@@ -211,7 +229,7 @@ checkpointClusterAt(const SystemConfig &cfg, unsigned servers,
                     return saveServer(*sims[s]);
                 },
                 workers);
-        return writeContainer(path, cfg, servers, seed, at,
+        return writeContainer(path, cfg, seed, at, apps,
                               std::move(blobs), error);
     } catch (const std::exception &e) {
         if (error)
@@ -225,25 +243,9 @@ resumeCluster(const std::string &path, const SystemConfig &cfg,
               unsigned workers, std::string *error)
 {
     hh::snap::CheckpointFile f;
-    if (!hh::snap::readCheckpointFile(path, f, error))
+    if (!readContainer(path, cfg, f, error))
         return std::nullopt;
-    if (f.configFingerprint != configFingerprint(cfg)) {
-        if (error)
-            *error = "checkpoint \"" + path + "\" was taken under a "
-                     "different SystemConfig than this run's; resume "
-                     "with the exact configuration that saved it";
-        return std::nullopt;
-    }
     const auto apps = splitBatchApps(f.batchApps);
-    if (apps.size() != f.servers || f.blobs.size() != f.servers) {
-        if (error)
-            *error = "checkpoint \"" + path +
-                     "\" manifest is inconsistent (servers=" +
-                     std::to_string(f.servers) + ", apps=" +
-                     std::to_string(apps.size()) + ", blobs=" +
-                     std::to_string(f.blobs.size()) + ")";
-        return std::nullopt;
-    }
 
     const unsigned servers = static_cast<unsigned>(f.servers);
     try {
@@ -256,7 +258,7 @@ resumeCluster(const std::string &path, const SystemConfig &cfg,
                     ServerSim sim(
                         cfg, apps[s],
                         f.seed + static_cast<std::uint64_t>(s));
-                    loadServer(sim, f.blobs[s]);
+                    loadServer(sim, std::move(f.blobs[s]));
                     sim.advanceRun(ServerSim::horizon());
                     return sim.finishRun();
                 },
@@ -277,7 +279,8 @@ runClusterCheckpointed(const SystemConfig &cfg, unsigned servers,
     if (every == 0)
         hh::sim::fatal("runClusterCheckpointed: checkpoint period "
                        "must be > 0");
-    auto sims = buildSims(cfg, servers, seed);
+    const auto apps = clusterBatchApps(servers);
+    auto sims = buildSims(cfg, apps, seed);
     for (auto &sim : sims)
         sim->startRun();
 
@@ -318,8 +321,8 @@ runClusterCheckpointed(const SystemConfig &cfg, unsigned servers,
             violated = true;
             out.preViolationPath = path + ".previolation";
             std::string err;
-            if (writeContainer(out.preViolationPath, cfg, servers,
-                               seed, prev_at, std::move(prev_blobs),
+            if (writeContainer(out.preViolationPath, cfg, seed,
+                               prev_at, apps, std::move(prev_blobs),
                                &err)) {
                 out.preViolationDumped = true;
             } else {
@@ -345,7 +348,7 @@ runClusterCheckpointed(const SystemConfig &cfg, unsigned servers,
             prev_blobs = blobs; // keep a copy for the dump path
             prev_at = target;
             std::string err;
-            if (writeContainer(path, cfg, servers, seed, target,
+            if (writeContainer(path, cfg, seed, target, apps,
                                std::move(blobs), &err)) {
                 ++out.checkpointsWritten;
             } else {

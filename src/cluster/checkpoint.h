@@ -51,6 +51,36 @@ ClusterResults aggregateClusterResults(const SystemConfig &cfg,
                                        unsigned servers,
                                        std::vector<ServerResults> runs);
 
+/** @name Checkpoint container helpers (cluster and fleet) @{ */
+/** Serialize one live server; throws std::runtime_error on failure. */
+std::vector<std::uint8_t> saveServer(ServerSim &sim);
+
+/**
+ * Restore one freshly constructed server from @p blob; throws
+ * std::runtime_error on failure.
+ */
+void loadServer(ServerSim &sim, std::vector<std::uint8_t> blob);
+
+/**
+ * Write one checkpoint file: @p cfg's fingerprint, @p seed, the save
+ * time, the per-server batch applications (comma-joined in the
+ * manifest) and one blob per server.
+ */
+bool writeContainer(const std::string &path, const SystemConfig &cfg,
+                    std::uint64_t seed, hh::sim::Cycles savedAt,
+                    const std::vector<std::string> &batchApps,
+                    std::vector<std::vector<std::uint8_t>> blobs,
+                    std::string *error);
+
+/**
+ * Read the checkpoint file at @p path into @p f and check it against
+ * @p cfg: the fingerprint must match and the manifest must name one
+ * batch application and hold one blob per server.
+ */
+bool readContainer(const std::string &path, const SystemConfig &cfg,
+                   hh::snap::CheckpointFile &f, std::string *error);
+/** @} */
+
 /**
  * Run the cluster from time 0 to simulated time @p at and save every
  * server's state to @p path, then discard the simulations.

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdlib>
-#include <unordered_set>
 
 #include "sim/log.h"
 #include "sim/prof.h"
@@ -327,7 +326,6 @@ ServerSim::registerInvariants()
     // with the controller's, and each phase implies a coherent
     // (runningRequest, slice) pair.
     aud.addInvariant("core", [this]() -> std::optional<std::string> {
-        using hh::sim::detail::concat;
         for (unsigned c = 0; c < cores_.size(); ++c) {
             const CoreCtx &ctx = core_ctx_[c];
             const std::uint32_t bound = cores_[c]->boundVm();
@@ -410,7 +408,6 @@ ServerSim::registerInvariants()
     // every payload a subqueue holds maps back to a live request in
     // the matching state.
     aud.addInvariant("request", [this]() -> std::optional<std::string> {
-        using hh::sim::detail::concat;
         std::unordered_map<std::uint64_t, unsigned> claims;
         for (const CoreCtx &ctx : core_ctx_) {
             if (ctx.phase == Phase::RunPrimary &&
@@ -483,164 +480,24 @@ ServerSim::registerInvariants()
         return err;
     });
 
-    // RQ chunk accounting: every allocated chunk is mapped by exactly
-    // one subqueue and vice versa; no payload sits in two containers
-    // of a subqueue; the overflow queue only backs a full subqueue
-    // (the FIFO guarantee behind SubQueue::enqueue's contract).
-    aud.addInvariant("rq", [this]() -> std::optional<std::string> {
-        using hh::sim::detail::concat;
-        const auto &rq = ctrl_->rq();
-        std::vector<unsigned> owners(rq.numChunks(), 0);
-        std::size_t mapped = 0;
-        std::optional<std::string> err;
-        ctrl_->forEachQm([&](const hh::core::QueueManager &qm) {
-            if (err)
-                return;
-            const auto &q = qm.queue();
-            for (const unsigned chunk : q.rqMap()) {
-                if (chunk >= rq.numChunks()) {
-                    err = concat("vm ", qm.vm(),
-                                 " maps nonexistent chunk ", chunk);
-                    return;
-                }
-                if (++owners[chunk] > 1) {
-                    err = concat("chunk ", chunk,
-                                 " mapped by more than one subqueue");
-                    return;
-                }
-                if (!rq.isAllocated(chunk)) {
-                    err = concat("chunk ", chunk, " mapped by vm ",
-                                 qm.vm(), " but marked free");
-                    return;
-                }
-                ++mapped;
-            }
-            std::unordered_set<std::uint64_t> seen;
-            const auto dup = [&](std::uint64_t id) {
-                return !seen.insert(id).second;
-            };
-            for (const auto id : q.readyEntries())
-                if (dup(id)) {
-                    err = concat("request ", id,
-                                 " present twice in vm ", qm.vm(),
-                                 "'s subqueue");
-                    return;
-                }
-            for (const auto id : q.runningEntries())
-                if (dup(id)) {
-                    err = concat("request ", id,
-                                 " in two containers of vm ",
-                                 qm.vm(), "'s subqueue");
-                    return;
-                }
-            for (const auto id : q.blockedEntries())
-                if (dup(id)) {
-                    err = concat("request ", id,
-                                 " in two containers of vm ",
-                                 qm.vm(), "'s subqueue");
-                    return;
-                }
-            for (const auto id : q.overflowEntries())
-                if (dup(id)) {
-                    err = concat("request ", id,
-                                 " both in hardware and overflow of "
-                                 "vm ",
-                                 qm.vm());
-                    return;
-                }
-            if (!q.overflowEntries().empty() &&
-                q.occupancy() < q.capacity()) {
-                err = concat("vm ", qm.vm(),
-                             " has overflow entries while hardware "
-                             "slots are free");
-                return;
-            }
-        });
-        if (err)
-            return err;
-        if (mapped != rq.allocatedChunks() ||
-            mapped + rq.freeChunks() != rq.numChunks())
-            return concat("chunk accounting broken: ", mapped,
-                          " mapped, ", rq.allocatedChunks(),
-                          " allocated, ", rq.freeChunks(),
-                          " free of ", rq.numChunks());
-        return std::nullopt;
-    });
-
-    // Cache way partitioning: per structure, the harvest region is a
-    // subset of the way set, and under partitioning both the harvest
-    // and non-harvest regions are non-empty (they must cover the
-    // allowed mask between them).
+    // The RQ, the per-VM HarvestMask registers and the private caches
+    // audit their own state; this server only labels the core.
+    aud.addInvariant("rq", [this] { return ctrl_->auditRq(); });
     aud.addInvariant("cache", [this]() -> std::optional<std::string> {
-        using hh::sim::detail::concat;
-        for (unsigned c = 0; c < cores_.size(); ++c) {
-            auto &h = cores_[c]->hierarchy();
-            hh::cache::SetAssocArray *arrs[] = {
-                &h.l1d(), &h.l1i(), &h.l2(), &h.l1tlb(), &h.l2tlb()};
-            const char *names[] = {"l1d", "l1i", "l2", "l1tlb",
-                                   "l2tlb"};
-            for (unsigned i = 0; i < 5; ++i) {
-                const auto hw = arrs[i]->harvestWays();
-                const auto all = arrs[i]->allWays();
-                if (hw & ~all)
-                    return concat("core ", c, " ", names[i],
-                                  " harvest region escapes the way "
-                                  "set");
-                // Single-way structures (extreme waysFraction) are
-                // legitimately left unpartitioned.
-                const bool partitionable = (all & (all - 1)) != 0;
-                if (cfg_.partitioning && partitionable && hw == 0)
-                    return concat("core ", c, " ", names[i],
-                                  " has an empty harvest region");
-                if (cfg_.partitioning && partitionable &&
-                    (all & ~hw) == 0)
-                    return concat("core ", c, " ", names[i],
-                                  " harvest region covers every way");
-            }
+        for (const auto &core : cores_) {
+            if (auto err = core->hierarchy().auditPartition())
+                return concat("core ", core->id(), " ", *err);
         }
         return std::nullopt;
     });
-
-    // Per-VM HarvestMask registers: masks fit their structures and
-    // actually partition when partitioning is on.
-    aud.addInvariant("qm", [this]() -> std::optional<std::string> {
-        using hh::sim::detail::concat;
-        std::optional<std::string> err;
-        ctrl_->forEachQm([&](const hh::core::QueueManager &qm) {
-            if (err)
-                return;
-            const auto &m = qm.harvestMask();
-            for (unsigned s = 0; s < hh::core::kNumMaskedStructs;
-                 ++s) {
-                const auto ms =
-                    static_cast<hh::core::MaskedStruct>(s);
-                const auto mask = m.mask(ms);
-                const auto full = static_cast<hh::cache::WayMask>(
-                    (1u << m.wayCount(ms)) - 1);
-                if (mask & ~full) {
-                    err = concat("vm ", qm.vm(),
-                                 " harvest mask wider than "
-                                 "structure ",
-                                 s);
-                    return;
-                }
-                if (cfg_.partitioning &&
-                    (mask == 0 || mask == full)) {
-                    err = concat("vm ", qm.vm(),
-                                 " harvest mask for structure ", s,
-                                 " does not partition");
-                    return;
-                }
-            }
-        });
-        return err;
+    aud.addInvariant("qm", [this] {
+        return ctrl_->auditHarvestMasks(cfg_.partitioning);
     });
 
     // Harvesting bookkeeping: pending reclaims equal the cores in a
     // reclaim transition, anchors balance, and reclaims never exceed
     // loans.
     aud.addInvariant("hv", [this]() -> std::optional<std::string> {
-        using hh::sim::detail::concat;
         for (const auto &v : vms_) {
             if (!v.desc.isPrimary())
                 continue;
@@ -684,7 +541,6 @@ ServerSim::registerInvariants()
     // switching, exactly the anchored (preempted-while-blocked)
     // requests have a saved context.
     aud.addInvariant("ctxmem", [this]() -> std::optional<std::string> {
-        using hh::sim::detail::concat;
         if (!cfg_.hwCtxtSwitch)
             return std::nullopt;
         if (ctxmem_->occupancy() != anchor_.size())
@@ -704,7 +560,6 @@ ServerSim::registerInvariants()
 
     // Event-queue sanity: timestamps never went backwards.
     aud.addInvariant("sim", [this]() -> std::optional<std::string> {
-        using hh::sim::detail::concat;
         if (sim_.monotonicViolations() != 0)
             return concat(sim_.monotonicViolations(),
                           " event pops went backwards in time");
@@ -714,7 +569,6 @@ ServerSim::registerInvariants()
     // End-state: once every request completed, nothing may linger in
     // the request map, the anchors, or any subqueue.
     aud.addInvariant("final", [this]() -> std::optional<std::string> {
-        using hh::sim::detail::concat;
         if (!done_)
             return std::nullopt;
         if (!requests_.empty())
@@ -746,43 +600,22 @@ ServerSim::registerInvariants()
         return graph_hooks_->auditInvariant();
     });
 
-    // Cache-lease consistency: every lender L3's harvest mask agrees
-    // with its lease slot, and no borrower (batch-ASID) line survives
-    // in ways whose lease ended — "no harvested line outlives its
-    // lease". Registered unconditionally (null-check) so invariant
-    // order is config-independent.
-    aud.addInvariant("lease", [this]() -> std::optional<std::string> {
-        using hh::sim::detail::concat;
-        if (!lease_mgr_)
-            return std::nullopt;
-        const std::uint32_t batchAsid = vms_[harvest_vm_].desc.asid;
-        for (const auto &v : vms_) {
-            if (!v.desc.isPrimary() || !v.l3)
-                continue;
-            const auto &l = lease_mgr_->lease(v.desc.id);
-            const hh::cache::WayMask held =
-                l.active ? l.l3Ways : hh::cache::WayMask{0};
-            if (v.l3->harvestWays() != held)
-                return concat("vm ", v.desc.id,
-                              " L3 harvest mask disagrees with its "
-                              "lease slot");
-            std::optional<std::string> err;
-            v.l3->forEachValidInWays(
-                l.everLeased & ~held,
-                [&](std::uint32_t, unsigned way, hh::cache::Addr t) {
-                    if (err)
-                        return;
-                    if (static_cast<std::uint32_t>(t >> 48) ==
-                        batchAsid)
-                        err = concat("vm ", v.desc.id, " L3 way ", way,
-                                     " holds a batch line after its "
-                                     "lease ended");
-                });
-            if (err)
-                return err;
-        }
-        return std::nullopt;
-    });
+    // Cache-lease consistency ("no harvested line outlives its
+    // lease"), audited by the lease manager over the Primary VMs'
+    // L3 partitions. Registered unconditionally (null-check) so
+    // invariant order is config-independent.
+    std::vector<const hh::cache::SetAssocArray *> lenders;
+    for (const auto &v : vms_)
+        lenders.push_back(v.desc.isPrimary() ? v.l3.get() : nullptr);
+    aud.addInvariant(
+        "lease",
+        [this, lenders,
+         batchAsid = vms_[harvest_vm_].desc.asid]()
+            -> std::optional<std::string> {
+            if (!lease_mgr_)
+                return std::nullopt;
+            return lease_mgr_->audit(lenders, batchAsid);
+        });
 }
 
 void
@@ -915,9 +748,8 @@ ServerSim::registerFaultActions()
             static_cast<Cycles>(rng.exponential(
                 static_cast<double>(hh::sim::usToCycles(10))));
         ctx.segmentEnd = sim_.now() + delay;
-        ctx.pendingEvent = sim_.schedule(
-            delay, tag(SnapTag::kSegmentDone, core, reqId),
-            [this, core, reqId] { onSegmentDone(core, reqId); });
+        ctx.pendingEvent =
+            post(delay, tag(SnapTag::kSegmentDone, core, reqId));
     });
 
     // Lease overstay: plant a batch-ASID line in an L3 way whose
@@ -933,10 +765,8 @@ ServerSim::registerFaultActions()
         for (const auto &v : vms_) {
             if (!v.desc.isPrimary() || !v.l3)
                 continue;
-            const auto &l = lease_mgr_->lease(v.desc.id);
-            const hh::cache::WayMask held =
-                l.active ? l.l3Ways : hh::cache::WayMask{0};
-            const hh::cache::WayMask returned = l.everLeased & ~held;
+            const hh::cache::WayMask returned =
+                lease_mgr_->lease(v.desc.id).returned();
             if (!returned)
                 continue;
             const auto way = static_cast<unsigned>(
@@ -960,11 +790,8 @@ ServerSim::scheduleFirstArrivals()
         if (!v.desc.isPrimary() || v.arrivalsRemaining == 0 ||
             !v.loadgen)
             continue;
-        const std::uint32_t vm = v.desc.id;
-        const Cycles t = v.loadgen->next();
-        sim_.scheduleAt(std::max(t, sim_.now()),
-                        tag(SnapTag::kArrival, vm),
-                        [this, vm] { onArrival(vm); });
+        postAt(std::max(v.loadgen->next(), sim_.now()),
+               tag(SnapTag::kArrival, v.desc.id));
     }
 }
 
@@ -991,8 +818,7 @@ ServerSim::onArrival(std::uint32_t vm)
     if (v.arrivalsRemaining > 0) {
         const Cycles t =
             std::max(v.loadgen->next(), sim_.now() + 1);
-        sim_.scheduleAt(t, tag(SnapTag::kArrival, vm),
-                        [this, vm] { onArrival(vm); });
+        postAt(t, tag(SnapTag::kArrival, vm));
     }
 }
 
@@ -1203,9 +1029,7 @@ ServerSim::startRequestOnCore(unsigned core, std::uint64_t reqId,
     cores_[core]->setState(sim_.now(), hh::cpu::CoreState::RunningPrimary);
     cores_[core]->setCurrentRequest(reqId);
 
-    sim_.schedule(overhead + ctx_cost,
-                  tag(SnapTag::kExecSegment, core, reqId),
-                  [this, core, reqId] { executeSegment(core, reqId); });
+    post(overhead + ctx_cost, tag(SnapTag::kExecSegment, core, reqId));
 }
 
 hh::sim::Cycles
@@ -1252,9 +1076,8 @@ ServerSim::executeSegment(unsigned core, std::uint64_t reqId)
         tracer_->record(hh::trace::EventType::ExecSegment, sim_.now(),
                         dur, requestTrack(req.vm), reqId);
     core_ctx_[core].segmentEnd = sim_.now() + dur;
-    core_ctx_[core].pendingEvent = sim_.schedule(
-        dur, tag(SnapTag::kSegmentDone, core, reqId),
-        [this, core, reqId] { onSegmentDone(core, reqId); });
+    core_ctx_[core].pendingEvent =
+        post(dur, tag(SnapTag::kSegmentDone, core, reqId));
 }
 
 void
@@ -1303,11 +1126,7 @@ ServerSim::onSegmentDone(unsigned core, std::uint64_t reqId)
         ewma_block_cycles_[req.vm] =
             0.2 * static_cast<double>(io_total) +
             0.8 * ewma_block_cycles_[req.vm];
-        const std::uint32_t vm = req.vm;
-        sim_.schedule(io_total, tag(SnapTag::kIoResponse, vm, reqId),
-                      [this, vm, reqId] {
-                          deliverIoResponse(vm, reqId);
-                      });
+        post(io_total, tag(SnapTag::kIoResponse, req.vm, reqId));
 
         ctx.phase = Phase::Idle;
         ctx.runningRequest = 0;
@@ -1513,8 +1332,7 @@ ServerSim::lendCore(unsigned core)
         // in flight, both see onLoan=true, and two concurrent slice
         // chains run on one core; the rogue chain later clobbers the
         // core while it runs a Primary request, orphaning it.
-        sim_.schedule(cost, tag(SnapTag::kLendDoneRace, core),
-                      [this, core] { onLendDoneRace(core); });
+        post(cost, tag(SnapTag::kLendDoneRace, core));
         return;
     }
 
@@ -1525,16 +1343,15 @@ ServerSim::lendCore(unsigned core)
     // spawning two concurrent slice chains on one core — the second
     // chain's slice-done events escape cancellation and later clobber
     // the core while it runs a Primary request, orphaning it.
-    ctx.pendingEvent =
-        sim_.schedule(cost, tag(SnapTag::kLendDone, core),
-                      [this, core] { onLendDone(core); });
+    ctx.pendingEvent = post(cost, tag(SnapTag::kLendDone, core));
 }
 
 void
-ServerSim::onLendDone(unsigned core)
+ServerSim::onLendDone(unsigned core, bool tracked)
 {
     CoreCtx &c = core_ctx_[core];
-    c.pendingEvent = hh::sim::kInvalidEventId;
+    if (tracked)
+        c.pendingEvent = hh::sim::kInvalidEventId;
     if (!c.onLoan)
         return; // reclaimed while transitioning
     if (tracer_)
@@ -1543,22 +1360,6 @@ ServerSim::onLendDone(unsigned core)
     if (cfg_.harvestVmIdle) {
         // Fig 4 study: the Harvest VM has no work; the core sits
         // lent but idle until reclaimed.
-        c.idleSince = sim_.now();
-        return;
-    }
-    beginHarvestWork(core);
-}
-
-void
-ServerSim::onLendDoneRace(unsigned core)
-{
-    CoreCtx &c = core_ctx_[core];
-    if (!c.onLoan)
-        return;
-    if (tracer_)
-        tracer_->closeSpan(lendKey(core));
-    c.phase = Phase::Idle;
-    if (cfg_.harvestVmIdle) {
         c.idleSince = sim_.now();
         return;
     }
@@ -1609,8 +1410,7 @@ void
 ServerSim::graphScheduleWireArrival(const hh::net::Packet &pkt,
                                     hh::sim::Cycles when)
 {
-    sim_.scheduleAt(when, pkt.wireTag(),
-                    [this, pkt] { nic_->receive(pkt); });
+    postAt(when, pkt.wireTag());
 }
 
 void
@@ -1685,9 +1485,8 @@ ServerSim::startHarvestSlice(unsigned core)
     ctx.phase = Phase::RunHarvest;
     cores_[core]->setState(sim_.now(),
                            hh::cpu::CoreState::RunningHarvest);
-    ctx.pendingEvent = sim_.schedule(
-        ctx.sliceDuration, tag(SnapTag::kHarvestSliceDone, core),
-        [this, core] { onHarvestSliceDone(core); });
+    ctx.pendingEvent =
+        post(ctx.sliceDuration, tag(SnapTag::kHarvestSliceDone, core));
 }
 
 hh::sim::Cycles
@@ -1862,13 +1661,8 @@ ServerSim::reclaimCore(unsigned core, std::uint32_t vm)
     if (tracer_)
         tracer_->record(hh::trace::EventType::ReclaimTransition,
                         sim_.now(), total, core, core);
-    sim_.schedule(total,
-                  tag(SnapTag::kReclaimDone, core, vm, reassign_cost,
-                      flush_cost),
-                  [this, core, vm, reassign_cost, flush_cost] {
-                      onReclaimDone(core, vm, reassign_cost,
-                                    flush_cost);
-                  });
+    post(total, tag(SnapTag::kReclaimDone, core, vm, reassign_cost,
+                    flush_cost));
 }
 
 void
@@ -1971,8 +1765,7 @@ ServerSim::agentTick()
         for (unsigned i = 0; i < n && i < candidates.size(); ++i)
             lendCore(candidates[i]);
     }
-    sim_.schedule(sw_policy_.config().agentPeriod,
-                  tag(SnapTag::kAgentTick), [this] { agentTick(); });
+    post(sw_policy_.config().agentPeriod, tag(SnapTag::kAgentTick));
 }
 
 hh::stats::ServerCounters
@@ -2244,15 +2037,12 @@ ServerSim::startRun()
 
     // Harvest VM's own cores start working immediately.
     for (unsigned c : vms_[harvest_vm_].desc.cores)
-        sim_.schedule(0, tag(SnapTag::kCoreIdle, c),
-                      [this, c] { onCoreIdle(c); });
+        post(0, tag(SnapTag::kCoreIdle, c));
 
     // The Fig 4 idle-harvest study still lends cores via the agent,
     // so only the hardware scheduler skips the software tick.
     if (!cfg_.hwSched && cfg_.harvesting) {
-        sim_.schedule(sw_policy_.config().agentPeriod,
-                      tag(SnapTag::kAgentTick),
-                      [this] { agentTick(); });
+        post(sw_policy_.config().agentPeriod, tag(SnapTag::kAgentTick));
     }
     scheduleFirstArrivals();
     if (injector_)
@@ -2406,66 +2196,59 @@ ServerSim::finishRun()
     return res;
 }
 
+hh::sim::EventId
+ServerSim::post(Cycles delay, const SnapTag &t)
+{
+    return postAt(sim_.now() + delay, t);
+}
+
+hh::sim::EventId
+ServerSim::postAt(Cycles when, const SnapTag &t)
+{
+    auto cb = rearmEvent(t);
+    if (!cb)
+        hh::sim::panic("ServerSim: no handler for event kind ", t.kind);
+    return sim_.scheduleAt(when, t, std::move(cb));
+}
+
 hh::sim::Simulator::Callback
 ServerSim::rearmEvent(const SnapTag &t)
 {
+    const auto core = static_cast<unsigned>(t.a);
+    const auto vm = static_cast<std::uint32_t>(t.a);
     switch (t.kind) {
-    case SnapTag::kArrival: {
-        const auto vm = static_cast<std::uint32_t>(t.a);
+    case SnapTag::kArrival:
         return [this, vm] { onArrival(vm); };
-    }
-    case SnapTag::kExecSegment: {
-        const auto core = static_cast<unsigned>(t.a);
-        const std::uint64_t reqId = t.b;
-        return [this, core, reqId] { executeSegment(core, reqId); };
-    }
-    case SnapTag::kSegmentDone: {
-        const auto core = static_cast<unsigned>(t.a);
-        const std::uint64_t reqId = t.b;
-        return [this, core, reqId] { onSegmentDone(core, reqId); };
-    }
-    case SnapTag::kIoResponse: {
-        const auto vm = static_cast<std::uint32_t>(t.a);
-        const std::uint64_t reqId = t.b;
-        return [this, vm, reqId] { deliverIoResponse(vm, reqId); };
-    }
-    case SnapTag::kLendDone: {
-        const auto core = static_cast<unsigned>(t.a);
-        return [this, core] { onLendDone(core); };
-    }
-    case SnapTag::kLendDoneRace: {
-        const auto core = static_cast<unsigned>(t.a);
-        return [this, core] { onLendDoneRace(core); };
-    }
-    case SnapTag::kHarvestSliceDone: {
-        const auto core = static_cast<unsigned>(t.a);
+    case SnapTag::kExecSegment:
+        return [this, core, reqId = t.b] { executeSegment(core, reqId); };
+    case SnapTag::kSegmentDone:
+        return [this, core, reqId = t.b] { onSegmentDone(core, reqId); };
+    case SnapTag::kIoResponse:
+        return [this, vm, reqId = t.b] { deliverIoResponse(vm, reqId); };
+    case SnapTag::kLendDone:
+        return [this, core] { onLendDone(core, true); };
+    case SnapTag::kLendDoneRace:
+        return [this, core] { onLendDone(core, false); };
+    case SnapTag::kHarvestSliceDone:
         return [this, core] { onHarvestSliceDone(core); };
-    }
-    case SnapTag::kReclaimDone: {
-        const auto core = static_cast<unsigned>(t.a);
-        const auto vm = static_cast<std::uint32_t>(t.b);
-        const Cycles reassign = t.c;
-        const Cycles flush = t.d;
-        return [this, core, vm, reassign, flush] {
-            onReclaimDone(core, vm, reassign, flush);
+    case SnapTag::kReclaimDone:
+        return [this, core, owner = static_cast<std::uint32_t>(t.b),
+                reassign = Cycles{t.c}, flush = Cycles{t.d}] {
+            onReclaimDone(core, owner, reassign, flush);
         };
-    }
     case SnapTag::kAgentTick:
         return [this] { agentTick(); };
-    case SnapTag::kCoreIdle: {
-        const auto core = static_cast<unsigned>(t.a);
+    case SnapTag::kCoreIdle:
         return [this, core] { onCoreIdle(core); };
-    }
     case SnapTag::kNicDeliver:
-        return nic_->rearmDelivery(
-            hh::net::Packet::fromDeliveryTag(t));
-    case SnapTag::kGraphWireArrive: {
+        return nic_->rearmDelivery(hh::net::Packet::fromDeliveryTag(t));
+    case SnapTag::kGraphWireArrive:
         // A cross-server RPC still on the wire: the tag packs the
         // whole packet, so replaying Nic::receive needs no engine
         // state at all.
-        const auto pkt = hh::net::Packet::fromDeliveryTag(t);
-        return [this, pkt] { nic_->receive(pkt); };
-    }
+        return [this, pkt = hh::net::Packet::fromDeliveryTag(t)] {
+            nic_->receive(pkt);
+        };
     default:
         // The periodic services present on this server. An absent
         // service's kind, like an unknown kind, re-arms to an empty

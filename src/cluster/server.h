@@ -448,7 +448,10 @@ class ServerSim
     void scheduleFirstArrivals();
     /** Register every component's stats into registry_. */
     void registerMetrics();
-    /** Register the cross-component invariants into auditor_. */
+    /**
+     * Register the invariants into auditor_: the cross-component ones
+     * here, the subsystem-local ones as delegations to their owners.
+     */
     void registerInvariants();
     /** Register the perturbation actions into injector_. */
     void registerFaultActions();
@@ -491,10 +494,12 @@ class ServerSim
     /** May blocked-anchored cores of @p vm be harvested right now? */
     bool blockHarvestAllowed(std::uint32_t vm) const;
     void lendCore(unsigned core);
-    /** Lend-transition costs paid; take up harvest work (tracked). */
-    void onLendDone(unsigned core);
-    /** Untracked variant used by the resurrected PR-1 race. */
-    void onLendDoneRace(unsigned core);
+    /**
+     * Lend-transition costs paid; take up harvest work. Only a
+     * @p tracked completion (CoreCtx::pendingEvent) clears the
+     * pending id; the resurrected race schedules untracked ones.
+     */
+    void onLendDone(unsigned core, bool tracked);
     void beginHarvestWork(unsigned core);
     void startHarvestSlice(unsigned core);
     void onHarvestSliceDone(unsigned core);
@@ -512,10 +517,24 @@ class ServerSim
     void agentTick();
     /** @} */
 
-    /** @name Snapshot plumbing @{ */
+    /** @name Events and snapshot plumbing @{ */
+    /**
+     * Schedule the event @p t names, @p delay cycles from now, with
+     * the handler rearmEvent(t) maps it to. Panics here, at the
+     * schedule site, when the kind has no handler.
+     */
+    hh::sim::EventId post(hh::sim::Cycles delay,
+                          const hh::snap::SnapTag &t);
+    /** As post(), at absolute time @p when. */
+    hh::sim::EventId postAt(hh::sim::Cycles when,
+                            const hh::snap::SnapTag &t);
     /** Deliver a backend I/O response through the NIC. */
     void deliverIoResponse(std::uint32_t vm, std::uint64_t reqId);
-    /** Rebuild the callback of a restored event from its tag. */
+    /**
+     * The one tag -> handler map: post()/postAt() schedule the
+     * closure it returns, and a checkpoint restore re-arms pending
+     * events through it. Empty for a kind this server cannot handle.
+     */
     hh::sim::Simulator::Callback
     rearmEvent(const hh::snap::SnapTag &t);
     /** Bidirectional body behind saveState()/loadState(). */

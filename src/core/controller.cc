@@ -1,6 +1,7 @@
 #include "core/controller.h"
 
 #include <algorithm>
+#include <unordered_set>
 
 #include "sim/log.h"
 #include "stats/registry.h"
@@ -285,6 +286,83 @@ HardHarvestController::registerMetrics(hh::stats::MetricRegistry &reg,
                       [this] { return double(rq_.freeChunks()); });
     reg.registerGauge(prefix + ".vms",
                       [this] { return double(numVms()); });
+}
+
+std::optional<std::string>
+HardHarvestController::auditRq() const
+{
+    using hh::sim::detail::concat;
+    std::vector<unsigned> owners(rq_.numChunks(), 0);
+    std::size_t mapped = 0;
+    for (const auto &slot : qms_) {
+        const QueueManager &qm = *slot.qm;
+        const auto &q = qm.queue();
+        for (const unsigned chunk : q.rqMap()) {
+            if (chunk >= rq_.numChunks())
+                return concat("vm ", qm.vm(), " maps nonexistent chunk ",
+                              chunk);
+            if (++owners[chunk] > 1)
+                return concat("chunk ", chunk,
+                              " mapped by more than one subqueue");
+            if (!rq_.isAllocated(chunk))
+                return concat("chunk ", chunk, " mapped by vm ", qm.vm(),
+                              " but marked free");
+            ++mapped;
+        }
+        std::unordered_set<std::uint64_t> seen;
+        const auto dup = [&](std::uint64_t id) {
+            return !seen.insert(id).second;
+        };
+        for (const auto id : q.readyEntries())
+            if (dup(id))
+                return concat("request ", id, " present twice in vm ",
+                              qm.vm(), "'s subqueue");
+        for (const auto *set : {&q.runningEntries(), &q.blockedEntries()})
+            for (const auto id : *set)
+                if (dup(id))
+                    return concat("request ", id,
+                                  " in two containers of vm ", qm.vm(),
+                                  "'s subqueue");
+        for (const auto id : q.overflowEntries())
+            if (dup(id))
+                return concat("request ", id,
+                              " both in hardware and overflow of vm ",
+                              qm.vm());
+        if (!q.overflowEntries().empty() && q.occupancy() < q.capacity())
+            return concat("vm ", qm.vm(),
+                          " has overflow entries while hardware slots "
+                          "are free");
+    }
+    if (mapped != rq_.allocatedChunks() ||
+        mapped + rq_.freeChunks() != rq_.numChunks())
+        return concat("chunk accounting broken: ", mapped, " mapped, ",
+                      rq_.allocatedChunks(), " allocated, ",
+                      rq_.freeChunks(), " free of ", rq_.numChunks());
+    return std::nullopt;
+}
+
+std::optional<std::string>
+HardHarvestController::auditHarvestMasks(bool partitioning) const
+{
+    using hh::sim::detail::concat;
+    for (const auto &slot : qms_) {
+        const QueueManager &qm = *slot.qm;
+        const HarvestMask &m = qm.harvestMask();
+        for (unsigned s = 0; s < kNumMaskedStructs; ++s) {
+            const auto ms = static_cast<MaskedStruct>(s);
+            const auto mask = m.mask(ms);
+            const auto full = static_cast<hh::cache::WayMask>(
+                (1u << m.wayCount(ms)) - 1);
+            if (mask & ~full)
+                return concat("vm ", qm.vm(),
+                              " harvest mask wider than structure ", s);
+            if (partitioning && (mask == 0 || mask == full))
+                return concat("vm ", qm.vm(),
+                              " harvest mask for structure ", s,
+                              " does not partition");
+        }
+    }
+    return std::nullopt;
 }
 
 } // namespace hh::core

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/queue_manager.h"
@@ -137,6 +138,22 @@ class HardHarvestController
 
     /** Total weight of registered VMs. */
     unsigned totalWeight() const;
+
+    /** @name Invariant audits (nullopt = holds, else the report) @{ */
+    /**
+     * RQ chunk accounting: every allocated chunk is mapped by exactly
+     * one subqueue and vice versa; no payload sits in two containers
+     * of a subqueue; the overflow queue only backs a full subqueue
+     * (the FIFO guarantee behind SubQueue::enqueue's contract).
+     */
+    std::optional<std::string> auditRq() const;
+
+    /**
+     * Per-VM HarvestMask registers: masks fit their structures and,
+     * when @p partitioning is on, actually partition them.
+     */
+    std::optional<std::string> auditHarvestMasks(bool partitioning) const;
+    /** @} */
 
     /**
      * Register controller-level gauges ("<prefix>.free_chunks",

@@ -77,6 +77,36 @@ CacheLeaseManager::release(unsigned vm, SetAssocArray &l3, Cycles now,
     return flushed;
 }
 
+std::optional<std::string>
+CacheLeaseManager::audit(std::span<const SetAssocArray *const> l3ByVm,
+                         std::uint32_t batchAsid) const
+{
+    using hh::sim::detail::concat;
+    for (unsigned vm = 0; vm < leases_.size() && vm < l3ByVm.size();
+         ++vm) {
+        const SetAssocArray *l3 = l3ByVm[vm];
+        if (!l3)
+            continue;
+        if (l3->harvestWays() != leases_[vm].held())
+            return concat("vm ", vm,
+                          " L3 harvest mask disagrees with its lease "
+                          "slot");
+        std::optional<std::string> err;
+        l3->forEachValidInWays(
+            leases_[vm].returned(),
+            [&](std::uint32_t, unsigned way, hh::cache::Addr t) {
+                if (!err && static_cast<std::uint32_t>(t >> 48) ==
+                                batchAsid)
+                    err = concat("vm ", vm, " L3 way ", way,
+                                 " holds a batch line after its lease "
+                                 "ended");
+            });
+        if (err)
+            return err;
+    }
+    return std::nullopt;
+}
+
 std::vector<unsigned>
 CacheLeaseManager::activeLenders() const
 {

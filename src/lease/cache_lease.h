@@ -20,8 +20,8 @@
  * grant (leased ways flushed so the borrower starts clean) -> use ->
  * recall or term expiry -> flush-on-return (every borrower line in
  * the leased ways is invalidated before the owner reclaims them).
- * The auditor's "lease" invariant checks the return half: no
- * harvested line may outlive its lease.
+ * audit() checks the return half for the auditor's "lease"
+ * invariant: no harvested line may outlive its lease.
  *
  * The manager is pure mechanism. Deciding *which* VMs lend and when
  * is the owner's job (ServerSim::leaseTick, driven by the policy
@@ -33,6 +33,9 @@
 
 #include <bit>
 #include <cstdint>
+#include <optional>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "cache/set_assoc.h"
@@ -63,6 +66,15 @@ class CacheLeaseManager
          * scans them for borrower lines that outlived their lease.
          */
         hh::cache::WayMask everLeased = 0;
+
+        /** Ways leased out now (none while inactive). */
+        hh::cache::WayMask
+        held() const
+        {
+            return active ? l3Ways : hh::cache::WayMask{0};
+        }
+        /** Ways leased out before and handed back since. */
+        hh::cache::WayMask returned() const { return everLeased & ~held(); }
 
         void
         serialize(hh::snap::Archive &ar)
@@ -115,6 +127,21 @@ class CacheLeaseManager
     const Lease &lease(unsigned vm) const { return leases_[vm]; }
 
     unsigned vmCount() const { return static_cast<unsigned>(leases_.size()); }
+
+    /**
+     * Invariant audit: every lender partition's harvest mask equals
+     * the ways its lease slot holds, and no line of address space
+     * @p batchAsid survives in a way whose lease ended. Line keys
+     * carry their asid from bit 48 up (src/workload/address_space.cc).
+     *
+     * @param l3ByVm    Each VM's L3 partition, indexed by VM id; null
+     *                  entries (VMs that never lend) are skipped.
+     * @param batchAsid The borrower's address-space id.
+     * @return nullopt when it holds, else the first report.
+     */
+    std::optional<std::string>
+    audit(std::span<const hh::cache::SetAssocArray *const> l3ByVm,
+          std::uint32_t batchAsid) const;
 
     /** Active lender VM ids, ascending (deterministic binding order). */
     std::vector<unsigned> activeLenders() const;

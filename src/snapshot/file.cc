@@ -2,44 +2,24 @@
 
 #include <cstdio>
 
+#include "sim/jsonl.h"
 #include "snapshot/archive.h"
 
 namespace hh::snap {
-
-namespace {
-
-void
-appendJsonString(std::string &out, const std::string &s)
-{
-    out += '"';
-    for (const char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          default: out += c;
-        }
-    }
-    out += '"';
-}
-
-} // namespace
 
 std::string
 manifestJson(const CheckpointFile &f)
 {
     std::string j = "{\n";
     j += "  \"format_version\": " + std::to_string(f.version) + ",\n";
-    j += "  \"config_fingerprint\": ";
-    appendJsonString(j, f.configFingerprint);
-    j += ",\n";
+    j += "  \"config_fingerprint\": \"" +
+         hh::sim::jsonEscape(f.configFingerprint) + "\",\n";
     j += "  \"servers\": " + std::to_string(f.servers) + ",\n";
     j += "  \"seed\": " + std::to_string(f.seed) + ",\n";
     j += "  \"saved_at_cycles\": " + std::to_string(f.savedAtCycles) +
          ",\n";
-    j += "  \"batch_apps\": ";
-    appendJsonString(j, f.batchApps);
-    j += "\n}\n";
+    j += "  \"batch_apps\": \"" + hh::sim::jsonEscape(f.batchApps) +
+         "\"\n}\n";
     return j;
 }
 

@@ -12,8 +12,11 @@
  *
  * The kind registry is central (this header) so tags stay unique
  * across components; a component adding a schedule site must add a
- * kind here and handle it in its re-arm hook. Saving a live *untagged*
- * event is a hard error, which is how coverage is enforced.
+ * kind here and handle it in its re-arm hook. ServerSim schedules
+ * through that hook too (`post(delay, tag)`), so a new ServerSim
+ * event is one kind plus one `rearmEvent` case, with no second
+ * closure. Saving a live *untagged* event is a hard error, which is
+ * how coverage is enforced.
  */
 
 #ifndef HH_SNAPSHOT_TAG_H

@@ -8,7 +8,6 @@
 #include "cluster/parallel.h"
 #include "sim/log.h"
 #include "sim/time.h"
-#include "snapshot/archive.h"
 #include "snapshot/file.h"
 #include "stats/histogram.h"
 #include "workload/batch.h"
@@ -235,42 +234,31 @@ FleetSim::finish(unsigned workers)
 bool
 FleetSim::save(const std::string &path, std::string *error) const
 {
-    hh::snap::CheckpointFile f;
-    f.configFingerprint = hh::cluster::configFingerprint(cfg_);
-    f.servers = sims_.size();
-    f.seed = seed_;
-    f.savedAtCycles = barrier_;
-    std::ostringstream apps;
-    for (std::size_t s = 0; s < batch_apps_.size(); ++s)
-        apps << (s ? "," : "") << batch_apps_[s];
-    f.batchApps = apps.str();
-    for (const auto &sim : sims_) {
-        auto ar = hh::snap::Archive::forSave();
-        sim->saveState(ar);
-        if (!ar.ok()) {
-            if (error)
-                *error = "fleet save failed: " + ar.error();
-            return false;
-        }
-        f.blobs.push_back(ar.take());
+    try {
+        std::vector<std::vector<std::uint8_t>> blobs;
+        for (const auto &sim : sims_)
+            blobs.push_back(hh::cluster::saveServer(*sim));
+        return hh::cluster::writeContainer(path, cfg_, seed_, barrier_,
+                                           batch_apps_, std::move(blobs),
+                                           error);
+    } catch (const std::exception &e) {
+        if (error)
+            *error = e.what();
+        return false;
     }
-    return hh::snap::writeCheckpointFile(path, f, error);
 }
 
 bool
 FleetSim::resume(const std::string &path, std::string *error)
 {
     hh::snap::CheckpointFile f;
-    if (!hh::snap::readCheckpointFile(path, f, error))
+    if (!hh::cluster::readContainer(path, cfg_, f, error))
         return false;
     const auto fail = [&](const std::string &msg) {
         if (error)
             *error = msg;
         return false;
     };
-    if (f.configFingerprint != hh::cluster::configFingerprint(cfg_))
-        return fail("checkpoint was taken under a different "
-                    "configuration or graph topology");
     if (f.servers != sims_.size())
         return fail("checkpoint holds " + std::to_string(f.servers) +
                     " servers, fleet has " +
@@ -278,11 +266,11 @@ FleetSim::resume(const std::string &path, std::string *error)
     if (f.seed != seed_)
         return fail("checkpoint seed mismatch");
     for (std::size_t s = 0; s < sims_.size(); ++s) {
-        auto ar = hh::snap::Archive::forLoad(std::move(f.blobs[s]));
-        sims_[s]->loadState(ar);
-        if (!ar.ok())
-            return fail("server " + std::to_string(s) +
-                        " blob failed to load: " + ar.error());
+        try {
+            hh::cluster::loadServer(*sims_[s], std::move(f.blobs[s]));
+        } catch (const std::exception &e) {
+            return fail("server " + std::to_string(s) + ": " + e.what());
+        }
     }
     barrier_ = f.savedAtCycles;
     return true;

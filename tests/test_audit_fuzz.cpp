@@ -10,17 +10,23 @@
  * simulator survives every seed with zero violations; the
  * deliberately resurrected lend/reclaim race from the seed tree is
  * the positive control proving the harness actually catches
- * corruption at the offending sim-time.
+ * corruption at the offending sim-time. The subsystem audits behind
+ * the "rq", "qm", "cache" and "lease" invariants are also driven
+ * directly, on hand-built objects with planted faults.
  */
 
 #include <gtest/gtest.h>
 
 #include <string>
 
+#include "cache/hierarchy.h"
+#include "cache/replacement.h"
 #include "check/auditor.h"
 #include "check/fault_inject.h"
 #include "cluster/experiment.h"
+#include "core/controller.h"
 #include "core/rq.h"
+#include "lease/cache_lease.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
 
@@ -285,4 +291,108 @@ TEST(FaultInjector, MaxActionsBoundsTheTickChain)
     sim.run(10'000'000);
     EXPECT_LE(inj.actionsFired(), 20u);
     EXPECT_TRUE(sim.idle()); // the chain stopped by itself
+}
+
+// ------------------------------------------------- subsystem audits
+
+TEST(AuditorChecks, ControllerAuditsItsRqAndMasks)
+{
+    hh::core::HardHarvestController ctrl(hh::core::ControllerConfig{},
+                                         8);
+    for (const std::uint32_t vm : {0u, 1u}) {
+        auto &qm = ctrl.registerVm(vm, vm == 0, 4);
+        qm.harvestMask().setFraction(0.5);
+    }
+    ctrl.enqueue(0, 7);
+    EXPECT_EQ(ctrl.auditRq(), std::nullopt);
+    EXPECT_EQ(ctrl.auditHarvestMasks(true), std::nullopt);
+
+    // A mask with no harvest ways, or with nothing but harvest ways,
+    // does not partition; without partitioning either is legal.
+    using hh::core::MaskedStruct;
+    auto &mask = ctrl.qmFor(1)->harvestMask();
+    mask.setMask(MaskedStruct::L2, 0);
+    EXPECT_EQ(ctrl.auditHarvestMasks(true),
+              "vm 1 harvest mask for structure 2 does not partition");
+    EXPECT_EQ(ctrl.auditHarvestMasks(false), std::nullopt);
+    mask.setMask(MaskedStruct::L2,
+                 (hh::cache::WayMask{1} << mask.wayCount(MaskedStruct::L2)) -
+                     1);
+    EXPECT_EQ(ctrl.auditHarvestMasks(true),
+              "vm 1 harvest mask for structure 2 does not partition");
+
+    // A chunk handed back to the free pool while still mapped.
+    const unsigned chunk = ctrl.qmFor(0)->queue().rqMap().front();
+    ctrl.rq().freeChunk(chunk);
+    EXPECT_EQ(ctrl.auditRq(), "chunk " + std::to_string(chunk) +
+                                  " mapped by vm 0 but marked free");
+    ASSERT_EQ(ctrl.rq().allocChunk(), static_cast<int>(chunk));
+    EXPECT_EQ(ctrl.auditRq(), std::nullopt);
+    ctrl.qmFor(0)->queue().discard();
+}
+
+TEST(AuditorChecks, ControllerFlagsADuplicatedPayload)
+{
+    hh::core::HardHarvestController ctrl(hh::core::ControllerConfig{},
+                                         4);
+    ctrl.registerVm(0, true, 4);
+    ctrl.enqueue(0, 7);
+    ctrl.enqueue(0, 7);
+    EXPECT_EQ(ctrl.auditRq(),
+              "request 7 present twice in vm 0's subqueue");
+    ctrl.qmFor(0)->queue().discard();
+}
+
+TEST(AuditorChecks, HierarchyAuditsItsPartition)
+{
+    hh::cache::HierarchyConfig hcfg;
+    hcfg.partitioning = true;
+    hh::cache::CoreHierarchy h(hcfg, nullptr, nullptr);
+    EXPECT_EQ(h.auditPartition(), std::nullopt);
+
+    h.l2().setHarvestWays(h.l2().allWays());
+    EXPECT_EQ(h.auditPartition(), "l2 harvest region covers every way");
+    h.l2().setHarvestWays(0);
+    EXPECT_EQ(h.auditPartition(), "l2 has an empty harvest region");
+
+    // Unpartitioned hierarchies carry no harvest region at all.
+    hcfg.partitioning = false;
+    hh::cache::CoreHierarchy flat(hcfg, nullptr, nullptr);
+    EXPECT_EQ(flat.auditPartition(), std::nullopt);
+    flat.l1d().setHarvestWays(flat.l1d().allWays());
+    EXPECT_EQ(flat.auditPartition(), std::nullopt);
+}
+
+TEST(AuditorChecks, LeaseManagerFlagsABatchLineInAReturnedWay)
+{
+    using hh::cache::WayMask;
+    hh::cache::SetAssocArray l3(
+        hh::cache::Geometry{64, 16, 36},
+        hh::cache::makePolicy(hh::cache::ReplKind::LRU));
+    hh::lease::CacheLeaseManager mgr(2, 1000);
+    // VM 1 is the borrower: it has no partition to audit.
+    const hh::cache::SetAssocArray *l3ByVm[] = {&l3, nullptr};
+    const std::uint32_t batchAsid = 9;
+    const auto lineOf = [](std::uint32_t asid, hh::cache::Addr page) {
+        return ((hh::cache::Addr{asid} << 42) | page) *
+               hh::cache::kLinesPerPage;
+    };
+    EXPECT_EQ(mgr.audit(l3ByVm, batchAsid), std::nullopt);
+
+    mgr.grant(0, l3, 0, WayMask{0b11}, 0);
+    EXPECT_EQ(mgr.audit(l3ByVm, batchAsid), std::nullopt);
+    l3.setHarvestWays(0);
+    EXPECT_EQ(mgr.audit(l3ByVm, batchAsid),
+              "vm 0 L3 harvest mask disagrees with its lease slot");
+    l3.setHarvestWays(0b11);
+
+    mgr.release(0, l3, 10, false);
+    EXPECT_EQ(mgr.audit(l3ByVm, batchAsid), std::nullopt);
+    // The owner's own lines may refill a returned way.
+    l3.access(lineOf(1, 5), true, WayMask{1});
+    EXPECT_EQ(mgr.audit(l3ByVm, batchAsid), std::nullopt);
+    // A borrower line in a returned way is what lease_overstay plants.
+    l3.access(lineOf(batchAsid, 6), true, WayMask{1} << 1);
+    EXPECT_EQ(mgr.audit(l3ByVm, batchAsid),
+              "vm 0 L3 way 1 holds a batch line after its lease ended");
 }

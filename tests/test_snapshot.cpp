@@ -4,7 +4,8 @@
  * position-exactness and stream independence, SubQueue state with
  * overflow pending, a cache hierarchy mid-flush (hidden harvest
  * ways), a full server saved while a lend/reclaim race is in flight
- * (the PR-1 regression state), and the event queue's pinned encoding.
+ * (the historical race state), the event queue's pinned encoding and
+ * the checkpoint manifest's JSON escaping.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 #include "core/rq.h"
 #include "sim/rng.h"
 #include "snapshot/archive.h"
+#include "snapshot/file.h"
 
 using hh::snap::Archive;
 
@@ -431,3 +433,30 @@ TEST(SnapshotEventQueue, IdenticalHistoryIdenticalBytes)
                              std::uint64_t{42}));
     EXPECT_EQ(drainQueue(restored, restored_log), want);
 }
+
+// A graph name is free text and rides the fingerprint into the
+// manifest, so every control character must come out escaped or the
+// manifest is not JSON. Quotes, backslashes and newlines keep the
+// escapes every existing manifest already has.
+TEST(SnapshotManifest, ControlCharactersAreEscaped)
+{
+    hh::snap::CheckpointFile f;
+    f.configFingerprint = "graphSpec=name a\tb\x01 \"q\" c:\\d\ne";
+    f.servers = 2;
+    f.seed = 7;
+    f.savedAtCycles = 42;
+    f.batchApps = "BFS,CC";
+    EXPECT_EQ(hh::snap::manifestJson(f),
+              "{\n"
+              "  \"format_version\": " +
+                  std::to_string(hh::snap::kFormatVersion) +
+                  ",\n"
+                  "  \"config_fingerprint\": \"graphSpec=name "
+                  "a\\tb\\u0001 \\\"q\\\" c:\\\\d\\ne\",\n"
+                  "  \"servers\": 2,\n"
+                  "  \"seed\": 7,\n"
+                  "  \"saved_at_cycles\": 42,\n"
+                  "  \"batch_apps\": \"BFS,CC\"\n"
+                  "}\n");
+}
+
