@@ -144,6 +144,22 @@ CoreHierarchy::access(Cycles now, const MemAccess &a)
 }
 
 void
+CoreHierarchy::prefetch(const MemAccess &a) const
+{
+    if (cfg_.infinite)
+        return;
+    const Addr line_key = a.page * kLinesPerPage + (a.line % kLinesPerPage);
+    l1tlb_->prefetch(a.page);
+    l2tlb_->prefetch(a.page);
+    (a.isInstr ? *l1i_ : *l1d_).prefetch(line_key);
+    l2_->prefetch(line_key);
+    if (l3_)
+        l3_->prefetch(line_key);
+    if (lease_l3_ && lease_l3_mask_)
+        lease_l3_->prefetch(line_key);
+}
+
+void
 CoreHierarchy::flushAll()
 {
     l1d_->flushAll();

@@ -18,6 +18,8 @@
 #ifndef HH_CACHE_HIERARCHY_H
 #define HH_CACHE_HIERARCHY_H
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -83,6 +85,9 @@ struct HierarchyConfig
     unsigned accessWeight = 1;
 };
 
+/** Accesses CoreHierarchy::replay() draws ahead of its probe. */
+inline constexpr std::uint32_t kReplayLookahead = 8;
+
 /**
  * The private hierarchy of one core.
  */
@@ -107,6 +112,67 @@ class CoreHierarchy
      * @param a   The access.
      */
     hh::sim::Cycles access(hh::sim::Cycles now, const MemAccess &a);
+
+    /**
+     * Start loading, into the host's caches, the set of every
+     * structure that access(a) would probe: both TLBs, L1I or L1D,
+     * L2, the bound L3 partition and the leased L3, if any. Changes
+     * no simulated state.
+     */
+    void prefetch(const MemAccess &a) const;
+
+    /**
+     * Replay the sampled share of @p accesses real accesses from
+     * @p now and return the memory time they take at full weight.
+     *
+     * One replayed access stands for accessWeight real ones. The
+     * replayed count is rounded to nearest and the residual weight
+     * carried in @p carry, so over many calls the replayed total
+     * converges to accesses / accessWeight (plain truncation would
+     * lose up to accessWeight - 1 accesses per call). The time cursor
+     * advances by each access's latency times accessWeight, so DRAM
+     * sees correctly spaced traffic instead of a same-instant burst.
+     *
+     * @p draw yields the next MemAccess. It is called exactly once
+     * per replayed access, in order, but up to kReplayLookahead
+     * accesses ahead of the probe, and each drawn access is
+     * prefetched: the host loads of successive accesses overlap.
+     * This gives the same result as drawing each access just before
+     * its probe because the stream never depends on cache state.
+     */
+    template <typename Draw>
+    hh::sim::Cycles
+    replay(hh::sim::Cycles now, std::uint32_t accesses,
+           std::int32_t &carry, Draw &&draw)
+    {
+        const unsigned sampling = std::max(1u, cfg_.accessWeight);
+        const std::int64_t pool =
+            static_cast<std::int64_t>(accesses) + carry;
+        const auto n = static_cast<std::uint32_t>(
+            (pool + sampling / 2) / sampling);
+        carry = static_cast<std::int32_t>(
+            pool - static_cast<std::int64_t>(n) * sampling);
+
+        std::array<MemAccess, kReplayLookahead> ring;
+        std::uint32_t drawn = 0;
+        const auto fetch = [&] {
+            MemAccess &slot = ring[drawn % kReplayLookahead];
+            slot = draw();
+            prefetch(slot);
+            ++drawn;
+        };
+        while (drawn < std::min(n, kReplayLookahead))
+            fetch();
+        hh::sim::Cycles t = now;
+        for (std::uint32_t i = 0; i < n; ++i) {
+            // Copy out before the refill reuses this slot.
+            const MemAccess a = ring[i % kReplayLookahead];
+            if (drawn < n)
+                fetch();
+            t += sampling * access(t, a);
+        }
+        return t - now;
+    }
 
     /**
      * Switch between Primary (false) and Harvest (true) execution.

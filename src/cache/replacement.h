@@ -3,7 +3,7 @@
  * Replacement-policy interface shared by caches and TLBs.
  *
  * A policy sees one set at a time through SetContext: the set's
- * tag/rank/rrpv columns and valid/shared/instr bitmaps, which ways
+ * tags, ranks and RRPVs and its valid/shared/instr bitmaps, which ways
  * are harvest ways (HarvestMask), which ways the current requester
  * may use, and — for the HardHarvest policy — the eviction-candidate
  * subset (the M least-recently-used ways, paper Section 4.2.3).
@@ -12,6 +12,7 @@
 #ifndef HH_CACHE_REPLACEMENT_H
 #define HH_CACHE_REPLACEMENT_H
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <memory>
@@ -23,8 +24,9 @@ namespace hh::cache {
 
 /**
  * One way's state, as the snapshot record and the inspection value.
- * The array does not store these: it keeps the fields in columns
- * (see SetAssocArray) and assembles a WayState on demand.
+ * The array does not store these: it keeps a tag column and one
+ * metadata row per set (see SetAssocArray) and assembles a WayState
+ * on demand.
  */
 struct WayState
 {
@@ -54,7 +56,7 @@ struct WayState
 
 /**
  * Everything a policy may inspect when choosing a victim in one set:
- * the set's columns, its per-set bitmaps and the region masks.
+ * the set's per-way arrays, its per-set bitmaps and the region masks.
  *
  * Recency is a per-set rank: the ranks of a set's ways are a
  * permutation of [0, ways), higher meaning more recently used. Only
@@ -146,17 +148,16 @@ namespace detail {
 inline unsigned
 lruWay(const std::uint8_t *rank, WayMask mask)
 {
-    unsigned best = 64;
-    unsigned best_rank = ~0U;
+    // The minimum of (rank << 8) | way: ranks are distinct, so it is
+    // the lowest-ranked way, found without a data-dependent branch.
+    // The start value sorts above every real key and carries 64.
+    unsigned best = 0xFF00U | 64U;
     for (WayMask m = mask; m; m &= m - 1) {
         const auto w =
             static_cast<unsigned>(std::countr_zero(m));
-        if (rank[w] < best_rank) {
-            best_rank = rank[w];
-            best = w;
-        }
+        best = std::min(best, (unsigned{rank[w]} << 8) | w);
     }
-    return best;
+    return best & 0xFFU;
 }
 
 /**

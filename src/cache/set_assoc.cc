@@ -13,11 +13,18 @@ namespace hh::cache {
 
 namespace {
 
-/** Bytes per set in the rank column: ways rounded up to 8. */
+/** Rank bytes per row: ways rounded up to 8. */
 unsigned
-rankStride(unsigned ways)
+rankBytes(unsigned ways)
 {
     return (ways + 7) & ~7U;
+}
+
+/** 64-bit words per metadata row: masks, ranks and RRPVs. */
+std::size_t
+rowWords(unsigned ways)
+{
+    return (SetAssocArray::kRankOffset + rankBytes(ways) + ways + 7) / 8;
 }
 
 } // namespace
@@ -26,11 +33,8 @@ SetAssocArray::SetAssocArray(const Geometry &geom,
                              std::unique_ptr<ReplacementPolicy> policy)
     : geom_(geom), policy_(std::move(policy)),
       tags_(static_cast<std::size_t>(geom.sets) * geom.ways),
-      rank_(static_cast<std::size_t>(geom.sets) * rankStride(geom.ways)),
-      rrpv_(static_cast<std::size_t>(geom.sets) * geom.ways,
-            WayState{}.rrpv),
-      valid_bits_(geom.sets), shared_bits_(geom.sets),
-      instr_bits_(geom.sets), candidate_count_(geom.ways)
+      candidate_count_(geom.ways), rank_stride_(rankBytes(geom.ways)),
+      row_words_(rowWords(geom.ways))
 {
     if (!policy_)
         hh::sim::panic("SetAssocArray: null policy");
@@ -42,12 +46,20 @@ SetAssocArray::SetAssocArray(const Geometry &geom,
     all_mask_ = geom.ways == 64 ? ~WayMask{0}
                                 : ((WayMask{1} << geom.ways) - 1);
     policy_uses_candidates_ = policy_->usesCandidates();
-    rank_stride_ = rankStride(geom.ways);
-    // Rank by way index: the order of an all-invalid set, where the
-    // lowest index counts as least recently used.
-    for (std::uint32_t s = 0; s < geom.sets; ++s)
-        for (unsigned w = 0; w < geom.ways; ++w)
-            setRanks(s)[w] = static_cast<std::uint8_t>(w);
+    // Every set starts as the same row: no valid way, default RRPVs,
+    // ranked by way index (the order of an all-invalid set, where the
+    // lowest index counts as least recently used). Build it once and
+    // copy it out in doubling blocks.
+    rows_.resize(static_cast<std::size_t>(geom.sets) * row_words_);
+    std::uint64_t *first = setRow(0);
+    for (unsigned w = 0; w < geom.ways; ++w) {
+        rowRanks(first)[w] = static_cast<std::uint8_t>(w);
+        rowRrpv(first)[w] = WayState{}.rrpv;
+    }
+    for (std::size_t done = row_words_; done < rows_.size(); done *= 2)
+        std::memcpy(rows_.data() + done, rows_.data(),
+                    std::min(done, rows_.size() - done) *
+                        sizeof(std::uint64_t));
 }
 
 void
@@ -74,35 +86,27 @@ SetAssocArray::setCandidateFraction(double f)
                std::lround(f * static_cast<double>(geom_.ways))));
 }
 
-std::uint32_t
-SetAssocArray::setIndex(Addr key) const
-{
-    // Power-of-two fast path; otherwise modulo.
-    if ((geom_.sets & (geom_.sets - 1)) == 0)
-        return static_cast<std::uint32_t>(key & (geom_.sets - 1));
-    return static_cast<std::uint32_t>(key % geom_.sets);
-}
-
 WayMask
-SetAssocArray::candidateMask(std::uint32_t set, WayMask allowed) const
+SetAssocArray::candidateMask(const std::uint8_t *rank,
+                             WayMask allowed) const
 {
     if (candidate_count_ >= geom_.ways)
         return allowed;
-    // Invert the set's rank permutation, then walk it from the least
-    // recently used way up, taking the first M allowed ways.
-    const std::uint8_t *rank = setRanks(set);
-    std::uint8_t by_rank[64];
-    for (unsigned w = 0; w < geom_.ways; ++w)
-        by_rank[rank[w]] = static_cast<std::uint8_t>(w);
+    // The ranks of the allowed ways as a bitmap. Ranks are a
+    // permutation, so the M least recently used allowed ways are
+    // those ranked at or below the M-th lowest set bit.
+    std::uint64_t ranks = 0;
+    for (WayMask m = allowed; m; m &= m - 1)
+        ranks |= std::uint64_t{1} << rank[std::countr_zero(m)];
+    if (static_cast<unsigned>(std::popcount(ranks)) <= candidate_count_)
+        return allowed;
+    for (unsigned i = 1; i < candidate_count_; ++i)
+        ranks &= ranks - 1;
+    const unsigned limit = static_cast<unsigned>(std::countr_zero(ranks));
     WayMask mask = 0;
-    unsigned chosen = 0;
-    for (unsigned r = 0; r < geom_.ways && chosen < candidate_count_;
-         ++r) {
-        const WayMask bit = WayMask{1} << by_rank[r];
-        if (allowed & bit) {
-            mask |= bit;
-            ++chosen;
-        }
+    for (WayMask m = allowed; m; m &= m - 1) {
+        const auto w = static_cast<unsigned>(std::countr_zero(m));
+        mask |= WayMask{rank[w] <= limit} << w;
     }
     return mask;
 }
@@ -141,11 +145,13 @@ SetAssocArray::access(Addr key, bool shared, WayMask allowed,
 
     const std::uint32_t set = setIndex(key);
     const std::size_t si = static_cast<std::size_t>(set) * geom_.ways;
-    std::uint8_t *rank = setRanks(set);
+    std::uint64_t *row = setRow(set);
+    std::uint8_t *rank = rowRanks(row);
+    std::uint8_t *rrpv = rowRrpv(row);
     AccessResult res;
 
-    // Tag search over the contiguous column, valid ways only.
-    const WayMask valid = valid_bits_[set];
+    // Tag search over the set's tags, valid ways only.
+    const WayMask valid = row[kValid];
     const Addr *tags = &tags_[si];
     for (WayMask m = valid; m; m &= m - 1) {
         const auto w = static_cast<unsigned>(std::countr_zero(m));
@@ -154,7 +160,7 @@ SetAssocArray::access(Addr key, bool shared, WayMask allowed,
         res.hit = true;
         res.way = w;
         promote(rank, w);
-        policy_->touch(rrpv_[si + w]);
+        policy_->touch(rrpv[w]);
         ++hits_;
         return res;
     }
@@ -163,11 +169,11 @@ SetAssocArray::access(Addr key, bool shared, WayMask allowed,
     SetContext ctx;
     ctx.tags = tags;
     ctx.rank = rank;
-    ctx.rrpv = &rrpv_[si];
+    ctx.rrpv = rrpv;
     ctx.ways = geom_.ways;
     ctx.validMask = valid;
-    ctx.sharedMask = shared_bits_[set];
-    ctx.instrMask = instr_bits_[set];
+    ctx.sharedMask = row[kShared];
+    ctx.instrMask = row[kInstr];
     ctx.harvestMask = harvest_mask_;
     ctx.allowedMask = allowed;
     ctx.setIndex = set;
@@ -177,7 +183,7 @@ SetAssocArray::access(Addr key, bool shared, WayMask allowed,
     // selection before candidates are looked at.
     ctx.candidateMask =
         (policy_uses_candidates_ && (allowed & ~valid) == 0)
-            ? candidateMask(set, allowed)
+            ? candidateMask(rank, allowed)
             : allowed;
 
     const unsigned victim = policy_->victim(ctx, shared);
@@ -188,16 +194,14 @@ SetAssocArray::access(Addr key, bool shared, WayMask allowed,
     if (valid & bit) {
         ++evictions_;
         res.evictedValid = true;
-        res.victimShared = (shared_bits_[set] & bit) != 0;
+        res.victimShared = (row[kShared] & bit) != 0;
     }
     tags_[si + victim] = key;
     promote(rank, victim);
-    policy_->fill(rrpv_[si + victim]);
-    valid_bits_[set] |= bit;
-    shared_bits_[set] = shared ? (shared_bits_[set] | bit)
-                               : (shared_bits_[set] & ~bit);
-    instr_bits_[set] = instr ? (instr_bits_[set] | bit)
-                             : (instr_bits_[set] & ~bit);
+    policy_->fill(rrpv[victim]);
+    row[kValid] |= bit;
+    row[kShared] = shared ? (row[kShared] | bit) : (row[kShared] & ~bit);
+    row[kInstr] = instr ? (row[kInstr] | bit) : (row[kInstr] & ~bit);
     res.way = victim;
     return res;
 }
@@ -208,7 +212,7 @@ SetAssocArray::probe(Addr key) const
     const std::uint32_t set = setIndex(key);
     const std::size_t si = static_cast<std::size_t>(set) * geom_.ways;
     const Addr *tags = &tags_[si];
-    for (WayMask m = valid_bits_[set]; m; m &= m - 1) {
+    for (WayMask m = setRow(set)[kValid]; m; m &= m - 1) {
         const auto w = static_cast<unsigned>(std::countr_zero(m));
         if (tags[w] == key)
             return true;
@@ -220,10 +224,11 @@ void
 SetAssocArray::flushAll()
 {
     std::fill(tags_.begin(), tags_.end(), Addr{0});
-    std::fill(rrpv_.begin(), rrpv_.end(), WayState{}.rrpv);
-    std::fill(valid_bits_.begin(), valid_bits_.end(), WayMask{0});
-    std::fill(shared_bits_.begin(), shared_bits_.end(), WayMask{0});
-    std::fill(instr_bits_.begin(), instr_bits_.end(), WayMask{0});
+    for (std::uint32_t s = 0; s < geom_.sets; ++s) {
+        std::uint64_t *row = setRow(s);
+        row[kValid] = row[kShared] = row[kInstr] = 0;
+        std::memset(rowRrpv(row), WayState{}.rrpv, geom_.ways);
+    }
 }
 
 void
@@ -233,15 +238,17 @@ SetAssocArray::flushWays(WayMask mask)
     for (std::uint32_t s = 0; s < geom_.sets; ++s) {
         const std::size_t si =
             static_cast<std::size_t>(s) * geom_.ways;
+        std::uint64_t *row = setRow(s);
+        std::uint8_t *rrpv = rowRrpv(row);
         for (WayMask m = mask; m; m &= m - 1) {
             const auto w =
                 static_cast<unsigned>(std::countr_zero(m));
             tags_[si + w] = 0;
-            rrpv_[si + w] = WayState{}.rrpv;
+            rrpv[w] = WayState{}.rrpv;
         }
-        valid_bits_[s] &= ~mask;
-        shared_bits_[s] &= ~mask;
-        instr_bits_[s] &= ~mask;
+        row[kValid] &= ~mask;
+        row[kShared] &= ~mask;
+        row[kInstr] &= ~mask;
     }
 }
 
@@ -280,8 +287,9 @@ SetAssocArray::validCountInWays(WayMask mask) const
 {
     mask &= all_mask_;
     std::uint64_t n = 0;
-    for (const WayMask valid : valid_bits_)
-        n += static_cast<unsigned>(std::popcount(valid & mask));
+    for (std::uint32_t s = 0; s < geom_.sets; ++s)
+        n += static_cast<unsigned>(
+            std::popcount(setRow(s)[kValid] & mask));
     return n;
 }
 
@@ -290,15 +298,15 @@ SetAssocArray::wayState(std::uint32_t set, unsigned way) const
 {
     if (set >= geom_.sets || way >= geom_.ways)
         hh::sim::panic("SetAssocArray::wayState: out of range");
-    const std::size_t i = static_cast<std::size_t>(set) * geom_.ways + way;
+    const std::uint64_t *row = setRow(set);
     const WayMask bit = WayMask{1} << way;
     WayState ws;
-    ws.valid = (valid_bits_[set] & bit) != 0;
-    ws.tag = tags_[i];
-    ws.shared = (shared_bits_[set] & bit) != 0;
-    ws.instr = (instr_bits_[set] & bit) != 0;
-    ws.rank = setRanks(set)[way];
-    ws.rrpv = rrpv_[i];
+    ws.valid = (row[kValid] & bit) != 0;
+    ws.tag = tags_[static_cast<std::size_t>(set) * geom_.ways + way];
+    ws.shared = (row[kShared] & bit) != 0;
+    ws.instr = (row[kInstr] & bit) != 0;
+    ws.rank = rowRanks(row)[way];
+    ws.rrpv = rowRrpv(row)[way];
     return ws;
 }
 
@@ -341,27 +349,23 @@ void
 SetAssocArray::loadContents(hh::snap::Archive &ar)
 {
     std::vector<Addr> tags(tags_.size());
-    std::vector<std::uint8_t> rank(rank_.size());
-    std::vector<std::uint8_t> rrpv(rrpv_.size());
-    std::vector<WayMask> valid(geom_.sets);
-    std::vector<WayMask> shared(geom_.sets);
-    std::vector<WayMask> instr(geom_.sets);
+    std::vector<std::uint64_t> rows(rows_.size());
     for (std::uint32_t s = 0; s < geom_.sets; ++s) {
         const std::size_t si =
             static_cast<std::size_t>(s) * geom_.ways;
-        const std::size_t ri =
-            static_cast<std::size_t>(s) * rank_stride_;
+        std::uint64_t *row =
+            &rows[static_cast<std::size_t>(s) * row_words_];
         WayMask ranks_seen = 0;
         for (unsigned w = 0; w < geom_.ways; ++w) {
             WayState ws;
             ar.io(ws);
             const WayMask bit = WayMask{1} << w;
             tags[si + w] = ws.tag;
-            rank[ri + w] = ws.rank;
-            rrpv[si + w] = ws.rrpv;
-            valid[s] |= ws.valid ? bit : 0;
-            shared[s] |= ws.shared ? bit : 0;
-            instr[s] |= ws.instr ? bit : 0;
+            rowRanks(row)[w] = ws.rank;
+            rowRrpv(row)[w] = ws.rrpv;
+            row[kValid] |= ws.valid ? bit : 0;
+            row[kShared] |= ws.shared ? bit : 0;
+            row[kInstr] |= ws.instr ? bit : 0;
             if (ws.rank < geom_.ways)
                 ranks_seen |= WayMask{1} << ws.rank;
         }
@@ -377,11 +381,7 @@ SetAssocArray::loadContents(hh::snap::Archive &ar)
         }
     }
     tags_.swap(tags);
-    rank_.swap(rank);
-    rrpv_.swap(rrpv);
-    valid_bits_.swap(valid);
-    shared_bits_.swap(shared);
-    instr_bits_.swap(instr);
+    rows_.swap(rows);
 }
 
 } // namespace hh::cache

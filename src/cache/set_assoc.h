@@ -21,6 +21,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -89,6 +90,21 @@ class SetAssocArray
     /** Look up without filling. */
     bool probe(Addr key) const;
 
+    /**
+     * Ask the host to start loading the tag line(s) and the metadata
+     * row of the set @p key maps to, so a later access() finds them
+     * in its cache. Changes no state: a hint, not a lookup.
+     */
+    void
+    prefetch(Addr key) const
+    {
+        const std::uint32_t set = setIndex(key);
+        prefetchBytes(tags_.data() +
+                          static_cast<std::size_t>(set) * geom_.ways,
+                      geom_.ways * sizeof(Addr));
+        prefetchBytes(setRow(set), row_words_ * sizeof(std::uint64_t));
+    }
+
     /** Invalidate every entry. */
     void flushAll();
 
@@ -137,7 +153,7 @@ class SetAssocArray
         for (std::uint32_t s = 0; s < geom_.sets; ++s) {
             const std::size_t si =
                 static_cast<std::size_t>(s) * geom_.ways;
-            for (WayMask m = valid_bits_[s] & mask; m; m &= m - 1) {
+            for (WayMask m = setRow(s)[kValid] & mask; m; m &= m - 1) {
                 const auto w = static_cast<unsigned>(
                     std::countr_zero(m));
                 fn(s, w, tags_[si + w]);
@@ -146,13 +162,29 @@ class SetAssocArray
     }
 
     /**
-     * One way's state, assembled from the columns (tests, examples,
-     * snapshot records).
+     * One way's state, assembled from the tag column and the set's
+     * row (tests, examples, snapshot records).
      */
     WayState wayState(std::uint32_t set, unsigned way) const;
 
     /** Mask covering all ways of this array. */
     WayMask allWays() const { return all_mask_; }
+
+    /** @name Metadata row layout (tests, inspection) @{ */
+    /** Byte offset of the rank bytes in a row. */
+    static constexpr std::size_t kRankOffset = 3 * sizeof(WayMask);
+
+    /** Rank bytes per row: ways rounded up to 8, zero padding. */
+    unsigned rankStride() const { return rank_stride_; }
+
+    /** The metadata row of @p set, padding included. */
+    std::span<const std::uint8_t>
+    metadataRow(std::uint32_t set) const
+    {
+        return {reinterpret_cast<const std::uint8_t *>(setRow(set)),
+                row_words_ * sizeof(std::uint64_t)};
+    }
+    /** @} */
 
     /**
      * Save/restore contents and statistics. The restoring side must
@@ -169,41 +201,115 @@ class SetAssocArray
     void serialize(hh::snap::Archive &ar);
 
   private:
-    std::uint32_t setIndex(Addr key) const;
+    std::uint32_t
+    setIndex(Addr key) const
+    {
+        // Power-of-two fast path; otherwise modulo.
+        if ((geom_.sets & (geom_.sets - 1)) == 0)
+            return static_cast<std::uint32_t>(key & (geom_.sets - 1));
+        return static_cast<std::uint32_t>(key % geom_.sets);
+    }
+
+    /** Ask the host to load the cache line holding @p p. */
+    static void
+    prefetchLine(const char *p)
+    {
+#if defined(__x86_64__) || defined(__i386__)
+        // Not __builtin_prefetch: GCC counts the builtin as free of
+        // side effects, so it may mark a function made only of
+        // prefetches const and delete every call to it. A volatile
+        // asm statement is never deleted.
+        asm volatile("prefetcht0 %0" : : "m"(*p));
+#else
+        __builtin_prefetch(p);
+#endif
+    }
 
     /**
-     * The M least-recently-used ways of @p allowed in a set. Only
-     * meaningful when every allowed way is valid.
+     * Prefetch the host cache lines of [p, p + n), n > 0: all of them
+     * while n <= 128 (such a run spans at most three 64-byte lines,
+     * and its middle byte lies in the middle one), the first, middle
+     * and last beyond.
      */
-    WayMask candidateMask(std::uint32_t set, WayMask allowed) const;
-
-    /** The rank column of @p set (rank_stride_ bytes). */
-    std::uint8_t *
-    setRanks(std::uint32_t set)
+    static void
+    prefetchBytes(const void *p, std::size_t n)
     {
-        return &rank_[static_cast<std::size_t>(set) * rank_stride_];
+        const auto *b = static_cast<const char *>(p);
+        prefetchLine(b);
+        prefetchLine(b + (n - 1) / 2);
+        prefetchLine(b + n - 1);
+    }
+
+    /**
+     * The M least-recently-used ways of @p allowed in a set with
+     * ranks @p rank. Only meaningful when every allowed way is valid.
+     */
+    WayMask candidateMask(const std::uint8_t *rank,
+                          WayMask allowed) const;
+
+    /** @name Row access @{ */
+    /** Word indices of the per-set masks in a row. */
+    static constexpr unsigned kValid = 0;
+    static constexpr unsigned kShared = 1;
+    static constexpr unsigned kInstr = 2;
+
+    std::uint64_t *
+    setRow(std::uint32_t set)
+    {
+        return &rows_[static_cast<std::size_t>(set) * row_words_];
+    }
+    const std::uint64_t *
+    setRow(std::uint32_t set) const
+    {
+        return &rows_[static_cast<std::size_t>(set) * row_words_];
+    }
+    static std::uint8_t *
+    rowRanks(std::uint64_t *row)
+    {
+        return reinterpret_cast<std::uint8_t *>(row) + kRankOffset;
+    }
+    static const std::uint8_t *
+    rowRanks(const std::uint64_t *row)
+    {
+        return reinterpret_cast<const std::uint8_t *>(row) +
+               kRankOffset;
+    }
+    std::uint8_t *
+    rowRrpv(std::uint64_t *row) const
+    {
+        return rowRanks(row) + rank_stride_;
     }
     const std::uint8_t *
-    setRanks(std::uint32_t set) const
+    rowRrpv(const std::uint64_t *row) const
     {
-        return &rank_[static_cast<std::size_t>(set) * rank_stride_];
+        return rowRanks(row) + rank_stride_;
     }
+    /** @} */
 
     /** Make @p way the most recently used of the set at @p rank. */
     void promote(std::uint8_t *rank, unsigned way);
 
-    /** Read the way records into staged columns, then commit them. */
+    /** Read the way records into staged storage, then commit it. */
     void loadContents(hh::snap::Archive &ar);
 
     Geometry geom_;
     std::unique_ptr<ReplacementPolicy> policy_;
     /**
-     * @name Cache contents, one column per field
+     * @name Cache contents: a tag column and one metadata row per set
      *
-     * The per-way columns are sets * ways long, row-major; the
-     * boolean fields are folded into one bitmap per set. The access
-     * hot path is a tag search over the valid ways plus one pass over
-     * the set's ranks, each over contiguous memory. These columns are
+     * tags_ holds sets * ways tags, set-major. rows_ holds one
+     * metadata row per set, row_words_ 64-bit words long:
+     *
+     *   bytes [0, 24)         valid, shared and instr way masks
+     *   [24, 24 + S)          ranks, S = rank_stride_ (ways rounded
+     *                         up to 8, zero padding)
+     *   [24 + S, 24 + S + W)  RRPV bytes, W = ways
+     *   then zero padding to a multiple of 8 bytes.
+     *
+     * A probe reads the set's tag line(s) and one row (at most 56
+     * bytes for the Table 1 geometries; rows are not padded to host
+     * lines, so some straddle two). The tags stay apart: a miss
+     * compares every valid tag but touches only one row. These are
      * the only copy of the contents: snapshots and wayState()
      * assemble WayState records from them.
      *
@@ -213,22 +319,19 @@ class SetAssocArray
      * it by one. Flushes leave ranks alone: policies take an invalid
      * allowed way before comparing ranks, and promotion keeps the
      * relative order of the other ways, so among valid ways the rank
-     * order is the order of last use. The rank column gives each set
-     * rank_stride_ bytes (ways rounded up to 8, zero padding), so a
-     * promotion works on whole 64-bit words.
+     * order is the order of last use. A promotion works on whole
+     * 64-bit words of the rank bytes, so their padding must stay
+     * zero.
      * @{
      */
     std::vector<Addr> tags_;
-    std::vector<std::uint8_t> rank_;
-    std::vector<std::uint8_t> rrpv_;
-    std::vector<WayMask> valid_bits_;  //!< one mask per set.
-    std::vector<WayMask> shared_bits_; //!< one mask per set.
-    std::vector<WayMask> instr_bits_;  //!< one mask per set.
+    std::vector<std::uint64_t> rows_;
     /** @} */
     WayMask harvest_mask_ = 0;
     WayMask all_mask_ = 0;
     unsigned candidate_count_; //!< M as an absolute way count.
-    unsigned rank_stride_;     //!< Bytes per set in rank_.
+    unsigned rank_stride_;     //!< Rank bytes per row.
+    std::size_t row_words_;    //!< 64-bit words per row.
     /** Cached policy_->usesCandidates() (virtual call per miss). */
     bool policy_uses_candidates_ = false;
     std::uint64_t hits_ = 0;

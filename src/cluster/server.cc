@@ -1032,35 +1032,6 @@ ServerSim::startRequestOnCore(unsigned core, std::uint64_t reqId,
     post(overhead + ctx_cost, tag(SnapTag::kExecSegment, core, reqId));
 }
 
-hh::sim::Cycles
-ServerSim::replaySegment(unsigned core, std::uint64_t reqId,
-                         const hh::workload::Segment &seg)
-{
-    HH_PROF_SCOPE("server.replay_segment");
-    auto &req = requests_.at(reqId);
-    auto &wl = *vms_[req.vm].service;
-    const unsigned sampling = std::max(1u, cfg_.accessSampling);
-    // Round to nearest and carry the residual weight forward so the
-    // request's replayed access total converges to accesses/sampling
-    // (plain truncation loses up to sampling-1 accesses per segment,
-    // biasing short-segment services fast).
-    const std::int64_t pool =
-        static_cast<std::int64_t>(seg.accesses) + req.samplingCarry;
-    const auto n = static_cast<std::uint32_t>(
-        (pool + sampling / 2) / sampling);
-    req.samplingCarry = static_cast<std::int32_t>(
-        pool - static_cast<std::int64_t>(n) * sampling);
-    // The cursor advances with the accumulated (de-sampled) memory
-    // time so DRAM bandwidth sees correctly spaced traffic instead
-    // of an artificial same-instant burst.
-    Cycles t = sim_.now();
-    for (std::uint32_t i = 0; i < n; ++i) {
-        t += sampling * cores_[core]->hierarchy().access(
-                            t, wl.nextAccess(req.plan));
-    }
-    return seg.compute + (t - sim_.now());
-}
-
 void
 ServerSim::executeSegment(unsigned core, std::uint64_t reqId)
 {
@@ -1070,7 +1041,14 @@ ServerSim::executeSegment(unsigned core, std::uint64_t reqId)
     hh::cpu::Request &req = *found;
     const auto &seg = req.plan.segments[req.nextSegment];
 
-    const Cycles dur = replaySegment(core, reqId, seg);
+    Cycles dur = seg.compute;
+    {
+        HH_PROF_SCOPE("server.replay_segment");
+        auto &wl = *vms_[req.vm].service;
+        dur += cores_[core]->hierarchy().replay(
+            sim_.now(), seg.accesses, req.samplingCarry,
+            [&] { return wl.nextAccess(req.plan); });
+    }
     req.breakdown.execution += dur;
     if (tracer_)
         tracer_->record(hh::trace::EventType::ExecSegment, sim_.now(),
@@ -1478,7 +1456,15 @@ ServerSim::startHarvestSlice(unsigned core)
         slice.remainingAccesses = task.accesses;
     }
 
-    const Cycles dur = replayHarvest(core, slice);
+    // Banked per slice, so the sampling carry survives preemption
+    // resumes.
+    Cycles dur = slice.remainingCompute;
+    {
+        HH_PROF_SCOPE("server.replay_harvest");
+        dur += cores_[core]->hierarchy().replay(
+            sim_.now(), slice.remainingAccesses, slice.samplingCarry,
+            [&] { return batch_->nextAccess(); });
+    }
     ctx.slice = slice;
     ctx.sliceStart = sim_.now();
     ctx.sliceDuration = std::max<Cycles>(1, dur);
@@ -1487,28 +1473,6 @@ ServerSim::startHarvestSlice(unsigned core)
                            hh::cpu::CoreState::RunningHarvest);
     ctx.pendingEvent =
         post(ctx.sliceDuration, tag(SnapTag::kHarvestSliceDone, core));
-}
-
-hh::sim::Cycles
-ServerSim::replayHarvest(unsigned core, HarvestSlice &slice)
-{
-    HH_PROF_SCOPE("server.replay_harvest");
-    const unsigned sampling = std::max(1u, cfg_.accessSampling);
-    // Same round-to-nearest + residual-carry scheme as
-    // replaySegment, banked per slice across preemption resumes.
-    const std::int64_t pool =
-        static_cast<std::int64_t>(slice.remainingAccesses) +
-        slice.samplingCarry;
-    const auto n = static_cast<std::uint32_t>(
-        (pool + sampling / 2) / sampling);
-    slice.samplingCarry = static_cast<std::int32_t>(
-        pool - static_cast<std::int64_t>(n) * sampling);
-    Cycles t = sim_.now();
-    for (std::uint32_t i = 0; i < n; ++i) {
-        t += sampling *
-             cores_[core]->hierarchy().access(t, batch_->nextAccess());
-    }
-    return slice.remainingCompute + (t - sim_.now());
 }
 
 void
@@ -2060,12 +2024,17 @@ ServerResults
 ServerSim::finishRun()
 {
     // A final sweep so end-state invariants ("final", leak checks)
-    // run even when the last event lands between audit periods.
-    if (auditor_)
+    // run even when the last event lands between audit periods. A run
+    // the auditor stopped was just swept at this time; sweeping again
+    // would store and count each of its violations twice.
+    const auto stoppedByAuditor = [&] {
+        return auditor_ && cfg_.auditStopOnViolation &&
+               auditor_->violationCount() > 0;
+    };
+    if (auditor_ && !stoppedByAuditor())
         auditor_->audit(sim_.now());
     if (!done_) {
-        if (auditor_ && auditor_->violationCount() > 0 &&
-            cfg_.auditStopOnViolation) {
+        if (stoppedByAuditor()) {
             hh::sim::warn("ServerSim: run aborted by the invariant "
                           "auditor at t=", sim_.now(), " cycles");
         } else {

@@ -548,9 +548,6 @@ class ServerSim
     unsigned busyPrimaryCores(std::uint32_t vm) const;
     hh::sim::Cycles dispatchOverhead(std::uint32_t vm);
     hh::sim::Cycles ctxSwitchCost(unsigned core) const;
-    hh::sim::Cycles replaySegment(unsigned core, std::uint64_t reqId,
-                                  const hh::workload::Segment &seg);
-    hh::sim::Cycles replayHarvest(unsigned core, HarvestSlice &slice);
     /** @} */
 
     /** @name Periodic services @{ */

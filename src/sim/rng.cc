@@ -171,10 +171,9 @@ ZipfSampler::ZipfSampler(std::size_t n, double theta)
 }
 
 std::size_t
-ZipfSampler::sample(Rng &rng) const
+ZipfSampler::sampleAt(double u) const
 {
     HH_PROF_SCOPE("workload.zipf_sample");
-    const double u = rng.uniform();
     // Narrow to the index slice containing u, then lower_bound
     // inside it: cdf_[bucket_[b]] is the first value >= b/B and u
     // lies in [b/B, (b+1)/B), so the answer is in

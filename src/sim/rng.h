@@ -113,9 +113,25 @@ class ZipfSampler
     ZipfSampler(std::size_t n, double theta);
 
     /** Draw one item index in [0, n). */
-    std::size_t sample(Rng &rng) const;
+    std::size_t sample(Rng &rng) const { return sampleAt(rng.uniform()); }
+
+    /**
+     * The item a uniform draw @p u in [0, 1] maps to: the first
+     * index whose CDF value is >= u (the last index if none is).
+     */
+    std::size_t sampleAt(double u) const;
 
     std::size_t size() const { return cdf_.size(); }
+
+    /** The normalized CDF, one value per item (tests). */
+    const std::vector<double> &cdf() const { return cdf_; }
+
+    /**
+     * Buckets of the index below (B). A power of two, so u * B and
+     * b / B are exact; fine enough that the slices stay short in a
+     * Zipf tail, where one bucket of probability covers many items.
+     */
+    static constexpr std::size_t kIndexBuckets = 4096;
 
   private:
     std::vector<double> cdf_;
@@ -126,7 +142,6 @@ class ZipfSampler
      * in. Pure narrowing — the result is the exact lower_bound the
      * full-range search would return.
      */
-    static constexpr std::size_t kIndexBuckets = 256;
     std::vector<std::uint32_t> bucket_;
 };
 
@@ -137,9 +152,8 @@ class ZipfSampler
  * carries its own Rng), so instances with identical CDF parameters
  * can share one table. Service-graph fleets place the same tier
  * service on dozens of servers — without sharing, every server would
- * rebuild and hold its own copy of the same CDF plus 256-bucket
- * index. Thread-safe: servers construct concurrently under
- * runParallel.
+ * rebuild and hold its own copy of the same CDF plus bucket index.
+ * Thread-safe: servers construct concurrently under runParallel.
  */
 std::shared_ptr<const ZipfSampler> sharedZipfSampler(std::size_t n,
                                                      double theta);

@@ -219,6 +219,27 @@ TEST(AuditViolations, ResurrectedLendRaceIsCaught)
     EXPECT_GT(v.time, 0u);
 }
 
+// The same run, pinned: the sweep that finds the race stops the run,
+// and finishing it does not sweep that instant again, so the one
+// violation is stored and counted once.
+TEST(AuditViolations, StoppedRunReportsTheLendRaceOnce)
+{
+    auto cfg = auditConfig(SystemKind::HardHarvestBlock, 2);
+    cfg.faults.resurrectLendRace = true;
+    cfg.faults.meanPeriod = hh::sim::usToCycles(5);
+    cfg.faults.actionsPerTick = 6;
+    cfg.auditPeriod = 64;
+    cfg.auditStopOnViolation = true;
+    const auto res = runServer(cfg, "BFS", 2);
+    ASSERT_EQ(res.auditViolations, 1u);
+    ASSERT_EQ(res.auditReports.size(), 1u);
+    const auto &v = res.auditReports.front();
+    EXPECT_EQ(v.component, "request");
+    EXPECT_EQ(v.time, 1868657u);
+    EXPECT_EQ(v.message, "request 64 (vm 4) is Running on 0 cores "
+                         "(orphaned or duplicated)");
+}
+
 // ------------------------------------------------ unit-level checks
 
 TEST(Auditor, CapsStoredReportsButCountsAll)

@@ -402,7 +402,9 @@ TEST(LeaseAudit, OverstayFaultActionIsCaughtByTheLeaseInvariant)
 TEST(LeaseAudit, OverstayReportTextIsPinned)
 {
     // The exact report of the positive control above: which lender,
-    // which way, and when, as the "lease" invariant words it.
+    // which way, and when, as the "lease" invariant words it. The
+    // run stops at the sweep that finds it, and the final sweep of a
+    // stopped run is skipped, so it is stored and counted once.
     SystemConfig cfg = leaseConfig("static");
     cfg.auditEnabled = true;
     cfg.auditPeriod = 256;
@@ -412,8 +414,8 @@ TEST(LeaseAudit, OverstayReportTextIsPinned)
     cfg.faults.startAt = hh::sim::usToCycles(10);
     cfg.faults.actionsPerTick = 4;
     const auto res = runServer(cfg, "BFS", 2);
-    ASSERT_EQ(res.auditViolations, 2u);
-    ASSERT_EQ(res.auditReports.size(), 2u);
+    ASSERT_EQ(res.auditViolations, 1u);
+    ASSERT_EQ(res.auditReports.size(), 1u);
     for (const auto &v : res.auditReports) {
         EXPECT_EQ(v.component, "lease");
         EXPECT_EQ(v.time, 4969092u);

@@ -5,10 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "sim/rng.h"
+#include "workload/batch.h"
 
 using hh::sim::Rng;
 using hh::sim::ZipfSampler;
@@ -218,6 +222,47 @@ TEST(Zipf, SingleItem)
 TEST(Zipf, EmptyPanics)
 {
     EXPECT_THROW(ZipfSampler(0, 0.9), std::logic_error);
+}
+
+TEST(ZipfSampler, IndexedSearchIsThePlainLowerBound)
+{
+    // Every (n, theta) a batch application samples from: its data
+    // pages at its skew and its code pages at 0.9.
+    std::vector<std::pair<std::size_t, double>> shapes;
+    for (const auto &spec : hh::workload::batchApplications()) {
+        shapes.emplace_back(spec.dataPages, spec.zipfTheta);
+        shapes.emplace_back(spec.codePages, 0.9);
+    }
+    for (const auto &[n, theta] : shapes) {
+        const ZipfSampler z(n, theta);
+        const std::vector<double> &cdf = z.cdf();
+        ASSERT_EQ(cdf.size(), n);
+        const auto plain = [&](double u) {
+            const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+            return std::min<std::size_t>(
+                static_cast<std::size_t>(it - cdf.begin()), n - 1);
+        };
+        const auto check = [&](double u) {
+            for (const double v :
+                 {std::nextafter(u, 0.0), u, std::nextafter(u, 1.0)})
+                ASSERT_EQ(z.sampleAt(v), plain(v))
+                    << "n " << n << " theta " << theta << " u "
+                    << v;
+        };
+        // Every bucket edge b / B and its neighbours.
+        const auto buckets = ZipfSampler::kIndexBuckets;
+        for (std::size_t b = 0; b <= buckets; ++b)
+            check(static_cast<double>(b) / static_cast<double>(buckets));
+        // Every CDF value and its neighbours.
+        for (const double c : cdf)
+            check(c);
+        // Random draws, through sample() as the workloads call it.
+        Rng draw(29);
+        Rng same(29);
+        for (int i = 0; i < 20000; ++i)
+            ASSERT_EQ(z.sample(draw), plain(same.uniform()))
+                << "n " << n << " theta " << theta << " draw " << i;
+    }
 }
 
 /** Property: every distribution is reproducible per (seed, stream). */
