@@ -86,10 +86,15 @@ makeTrace(const hh::workload::ServiceSpec &spec, std::uint64_t seed,
     return trace;
 }
 
-/** Replay the trace into an L2 array with the given policy. */
+/**
+ * Replay the trace into an L2 array with the given policy. A flush
+ * marker toggles the harvest episode and, with @p flush, flushes the
+ * harvest ways.
+ */
 double
 replay(const std::vector<TraceEvent> &trace,
-       std::unique_ptr<ReplacementPolicy> policy, double candidates)
+       std::unique_ptr<ReplacementPolicy> policy, double candidates,
+       bool flush = true)
 {
     SetAssocArray l2(kL2, std::move(policy));
     l2.setHarvestWayCount(4); // 50% of 8 ways
@@ -101,7 +106,8 @@ replay(const std::vector<TraceEvent> &trace,
     bool in_harvest = false;
     for (const auto &e : trace) {
         if (e.flushHarvest) {
-            l2.flushWays(harvest);
+            if (flush)
+                l2.flushWays(harvest);
             in_harvest = !in_harvest;
             continue;
         }
@@ -117,7 +123,7 @@ replay(const std::vector<TraceEvent> &trace,
                 : 0.0;
 }
 
-/** Trace keys only (oracle construction). */
+/** Trace keys without the flush markers (oracle construction). */
 std::vector<Addr>
 keysOf(const std::vector<TraceEvent> &trace)
 {
@@ -127,38 +133,6 @@ keysOf(const std::vector<TraceEvent> &trace)
             keys.push_back(e.key);
     }
     return keys;
-}
-
-/** Belady needs per-access bookkeeping; skip flush markers. */
-double
-replayBelady(const std::vector<TraceEvent> &trace)
-{
-    const auto keys = keysOf(trace);
-    NextUseOracle oracle(keys);
-    SetAssocArray l2(kL2, std::make_unique<BeladyPolicy>(oracle));
-    l2.setHarvestWayCount(4);
-    const WayMask harvest = l2.harvestWays();
-    const WayMask all = l2.allWays();
-    std::uint64_t hits = 0;
-    std::uint64_t refs = 0;
-    bool in_harvest = false;
-    for (const auto &e : trace) {
-        if (e.flushHarvest) {
-            // The ideal bar is flush-free clairvoyant replacement:
-            // an upper bound no online, flushed policy can reach.
-            in_harvest = !in_harvest;
-            continue;
-        }
-        const WayMask allowed = in_harvest ? harvest : all;
-        const bool hit = l2.access(e.key, e.shared, allowed).hit;
-        if (e.primary) {
-            ++refs;
-            hits += hit ? 1 : 0;
-        }
-    }
-    return refs ? static_cast<double>(hits) /
-                      static_cast<double>(refs)
-                : 0.0;
 }
 
 /** @} */
@@ -337,7 +311,12 @@ Fig14Harness::submit(hh::exp::JobScheduler &s)
                     replay(trace, makePolicy(ReplKind::RRIP), 1.0);
                 const double hh = replay(
                     trace, makePolicy(ReplKind::HardHarvest), 0.75);
-                const double bel = replayBelady(trace);
+                // The ideal bar is flush-free clairvoyant replacement:
+                // an upper bound no online, flushed policy can reach.
+                const NextUseOracle oracle(keysOf(trace));
+                const double bel = replay(
+                    trace, std::make_unique<BeladyPolicy>(oracle), 1.0,
+                    false);
                 return encodeRates(lru, rrip, hh, bel);
             }));
     }

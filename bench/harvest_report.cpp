@@ -104,9 +104,8 @@ main(int argc, char **argv)
     hh::cluster::ClusterResults res = hh::bench::runClusterResumable(
         cfg, scale.servers, scale.seed, args.workers, args.obs);
 
-    hh::cluster::TelemetryHub hub(cfg);
-    for (auto &t : res.serverTelemetry)
-        hub.addServer(std::move(t));
+    const hh::cluster::TelemetryHub hub(cfg,
+                                        std::move(res.serverTelemetry));
 
     int rc = 0;
     if (!hh::cluster::writeTextFile(args.jsonlPath, hub.jsonl())) {

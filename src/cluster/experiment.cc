@@ -92,11 +92,12 @@ ClusterResults::serialized() const
     if (telemetryEnabled) {
         for (std::size_t s = 0; s < serverTelemetry.size(); ++s) {
             const ServerTelemetry &t = serverTelemetry[s];
+            const hh::stats::ServerCounters &c = t.totals;
             os << "telemetry server" << s << " rows=" << t.rows.size()
-               << " reclaims=" << t.reclaims << " loaned="
-               << t.batchLoaned << " native=" << t.batchNative
-               << " harvested=" << t.harvestedCycles << " end="
-               << t.endTime << '\n';
+               << " reclaims=" << c.reclaims() << " loaned="
+               << c.batchLoaned << " native=" << c.batchNative
+               << " harvested=" << c.harvestedCycles() << " end=" << c.t
+               << '\n';
             for (const auto &row : t.rows) {
                 os << "telemetry.row server" << s << " e=" << row.epoch
                    << " t=" << row.t << " harv="
@@ -231,11 +232,12 @@ aggregateClusterResults(const SystemConfig &cfg, unsigned servers,
         agg.coreLoans += run.coreLoans;
         agg.coreReclaims += run.coreReclaims;
         agg.primaryL2HitRate += run.primaryL2HitRate;
-        agg.leaseGrants += run.telemetry.leaseGrants;
-        agg.leaseRecalls += run.telemetry.leaseRecalls;
-        agg.leaseExpiries += run.telemetry.leaseExpiries;
-        agg.leaseFlushedLines += run.telemetry.leaseFlushedLines;
-        agg.leaseWayCycles += run.telemetry.leaseWayCycles;
+        const hh::stats::ServerCounters &c = run.telemetry.totals;
+        agg.leaseGrants += c.leaseGrants;
+        agg.leaseRecalls += c.leaseRecalls;
+        agg.leaseExpiries += c.leaseExpiries;
+        agg.leaseFlushedLines += c.leaseFlushedLines;
+        agg.leaseWayCycles += c.leaseWayCycles;
     }
     agg.avgBusyCores /= servers;
     agg.utilization /= servers;

@@ -61,7 +61,7 @@ ServerSim::ServerSim(const SystemConfig &cfg, const std::string &batchApp,
       mesh_(6, 6), fabric_(), rng_(seed_, 0x5E8FULL),
       telemetry_task_(sim_, SnapTag::kTelemetryTick,
                       [this] {
-                          telemetry_->record(telemetryCounters());
+                          telemetry_->record(counters(sim_.now()));
                           return cfg_.telemetryPeriod;
                       }),
       policy_(cfg_),
@@ -1733,10 +1733,10 @@ ServerSim::agentTick()
 }
 
 hh::stats::ServerCounters
-ServerSim::telemetryCounters()
+ServerSim::counters(Cycles at) const
 {
     hh::stats::ServerCounters s;
-    s.t = sim_.now();
+    s.t = at;
     s.vms.resize(vms_.size());
 
     // Per-core counters accumulate into the *owning* VM: a core keeps
@@ -1758,8 +1758,10 @@ ServerSim::telemetryCounters()
                            h.l2().geometry().entries();
         if (core_ctx_[c].onLoan)
             ++vc.coresLent;
-        if (core_loan_start_[c] != kNotLent)
-            vc.lentCycles += s.t - core_loan_start_[c];
+        // Loans still out count up to `at`, which a graph barrier can
+        // set before this server's clock.
+        if (core_loan_start_[c] != kNotLent && at > core_loan_start_[c])
+            vc.lentCycles += at - core_loan_start_[c];
     }
     for (std::size_t v = 0; v < vms_.size(); ++v) {
         hh::stats::VmCounters &vc = s.vms[v];
@@ -1803,7 +1805,7 @@ ServerSim::stopPeriodicTasks()
     // Final partial epoch; the view ignores the call when a periodic
     // tick already materialized this exact time.
     if (telemetry_task_.stop())
-        telemetry_->record(telemetryCounters());
+        telemetry_->record(counters(sim_.now()));
     policy_task_.stop();
     lease_task_.stop();
 }
@@ -1811,7 +1813,7 @@ ServerSim::stopPeriodicTasks()
 void
 ServerSim::policyTick()
 {
-    policy_view_->record(telemetryCounters());
+    policy_view_->record(counters(sim_.now()));
     const auto rows = policy_view_->takeRows();
     for (const auto &row : rows)
         policy_.observe(row);
@@ -2049,7 +2051,7 @@ ServerSim::finishRun()
     // that tail, so the fleet timeline's deltas sum exactly to the
     // run totals (the same-time guard makes this a no-op otherwise).
     if (telemetry_)
-        telemetry_->record(telemetryCounters());
+        telemetry_->record(counters(sim_.now()));
 
     ServerResults res;
     const Cycles end = end_time_ ? end_time_ : sim_.now();
@@ -2133,33 +2135,10 @@ ServerSim::finishRun()
     if (injector_)
         res.faultsInjected = injector_->actionsFired();
 
-    // Harvest-economics payload: always-on tap totals plus, when the
-    // telemetry plane is enabled, the per-epoch observation rows.
+    // Harvest-economics payload: the always-on taps at the end time
+    // plus, when the telemetry plane is enabled, the epoch rows.
     res.telemetry.enabled = cfg_.telemetryEnabled;
-    res.telemetry.reclaimHist = reclaim_hist_.counts();
-    res.telemetry.latencyHist = latency_hist_us_.counts();
-    res.telemetry.reclaims = reclaim_hist_.totalCount();
-    res.telemetry.batchLoaned = batch_tasks_loaned_;
-    res.telemetry.batchNative =
-        batch_tasks_done_ - batch_tasks_loaned_;
-    std::uint64_t harvested = 0;
-    for (const std::uint64_t c : vm_lent_cycles_)
-        harvested += c;
-    for (unsigned c = 0; c < cores_.size(); ++c) {
-        // Loans still out at run end count up to the end time.
-        if (core_loan_start_[c] != kNotLent &&
-            end > core_loan_start_[c])
-            harvested += end - core_loan_start_[c];
-    }
-    res.telemetry.harvestedCycles = harvested;
-    res.telemetry.endTime = end;
-    if (lease_mgr_) {
-        res.telemetry.leaseGrants = lease_mgr_->grants();
-        res.telemetry.leaseRecalls = lease_mgr_->recalls();
-        res.telemetry.leaseExpiries = lease_mgr_->expiries();
-        res.telemetry.leaseFlushedLines = lease_mgr_->flushedLines();
-        res.telemetry.leaseWayCycles = lease_mgr_->wayCycles(end);
-    }
+    res.telemetry.totals = counters(end);
     if (telemetry_)
         res.telemetry.rows = telemetry_->takeRows();
     return res;

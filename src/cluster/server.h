@@ -73,8 +73,8 @@ struct ServiceResult
 
 /**
  * Per-server harvest-telemetry payload (filled in finishRun). The
- * economics totals and histograms come from always-on taps, so they
- * are populated for every run; the per-epoch `rows` exist only when
+ * totals come from always-on taps, so they are populated for every
+ * run; the per-epoch `rows` exist only when
  * `SystemConfig::telemetryEnabled` scheduled the epoch tick.
  */
 struct ServerTelemetry
@@ -82,25 +82,8 @@ struct ServerTelemetry
     bool enabled = false; //!< telemetryEnabled of the producing run.
     /** Per-epoch observation rows (empty unless enabled). */
     std::vector<hh::stats::ObservationRow> rows;
-    /** Final cumulative reclaim-latency bucket counts (cycles). */
-    std::vector<std::uint64_t> reclaimHist;
-    /** Final cumulative post-warmup request-latency buckets (us). */
-    std::vector<std::uint64_t> latencyHist;
-    std::uint64_t reclaims = 0;
-    std::uint64_t batchLoaned = 0; //!< Batch tasks done on lent cores.
-    std::uint64_t batchNative = 0; //!< ... on the Harvest VM's own.
-    std::uint64_t harvestedCycles = 0; //!< Core-cycles spent on loan.
-    std::uint64_t endTime = 0;         //!< Run end (cycles).
-
-    /** @name Cache-capacity leasing (src/lease/) @{ */
-    std::uint64_t leaseGrants = 0;   //!< Leases granted.
-    std::uint64_t leaseRecalls = 0;  //!< Leases recalled by decision.
-    std::uint64_t leaseExpiries = 0; //!< Leases lapsed at term.
-    /** Lines flushed at grant/recall/expiry (§4.2 semantics). */
-    std::uint64_t leaseFlushedLines = 0;
-    /** Integral of leased-out L3 ways over time (way-cycles). */
-    std::uint64_t leaseWayCycles = 0;
-    /** @} */
+    /** Cumulative counters at the run's end time (`totals.t`). */
+    hh::stats::ServerCounters totals;
 };
 
 /** Results of one server run. */
@@ -561,8 +544,11 @@ class ServerSim
     /** @} */
 
     /** @name Telemetry plane @{ */
-    /** Cumulative counters for ObservationView::record(). */
-    hh::stats::ServerCounters telemetryCounters();
+    /**
+     * Every harvest tap read at @p at: the one source of the epoch
+     * rows, the policy's view and the run totals.
+     */
+    hh::stats::ServerCounters counters(hh::sim::Cycles at) const;
     /** @} */
 
     /** @name Harvest policy (PR 8) @{ */

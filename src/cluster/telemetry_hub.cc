@@ -30,65 +30,53 @@ sealRow(std::ostringstream &os, std::string row)
     os << row;
 }
 
-void
-mergeCounts(std::vector<std::uint64_t> &into,
-            const std::vector<std::uint64_t> &from)
-{
-    if (into.size() < from.size())
-        into.resize(from.size(), 0);
-    for (std::size_t i = 0; i < from.size(); ++i)
-        into[i] += from[i];
-}
-
 } // namespace
 
-TelemetryHub::TelemetryHub(const SystemConfig &cfg) : cfg_(cfg) {}
-
-void
-TelemetryHub::addServer(ServerTelemetry t)
+TelemetryHub::TelemetryHub(const SystemConfig &cfg,
+                           std::vector<ServerTelemetry> servers)
+    : cfg_(cfg), servers_(std::move(servers))
 {
-    std::uint64_t prevT = 0;
-    for (const auto &row : t.rows) {
-        if (row.epoch == 0)
-            continue;
-        const std::size_t i = row.epoch - 1;
-        if (timeline_.size() <= i) {
-            timeline_.resize(i + 1);
-            epochLatency_.resize(i + 1);
-            epochBudget_.resize(i + 1, 0);
-            timeline_[i].epoch = row.epoch;
+    // Per-epoch merged request-latency deltas (us) and summed
+    // core-cycle budget (epoch length x cores).
+    std::vector<std::vector<std::uint64_t>> latency;
+    std::vector<std::uint64_t> budget;
+    for (const auto &t : servers_) {
+        std::uint64_t prevT = 0;
+        for (const auto &row : t.rows) {
+            if (row.epoch == 0)
+                continue;
+            const std::size_t i = row.epoch - 1;
+            if (timeline_.size() <= i) {
+                timeline_.resize(i + 1);
+                latency.resize(i + 1);
+                budget.resize(i + 1, 0);
+                timeline_[i].epoch = row.epoch;
+            }
+            FleetEpochRow &f = timeline_[i];
+            f.t = std::max(f.t, row.t);
+            ++f.serversReporting;
+            f.batchLoanedDelta += row.batchLoanedDelta;
+            f.batchNativeDelta += row.batchNativeDelta;
+            f.harvestedCyclesDelta += row.harvestedCyclesDelta;
+            f.reclaimsDelta += row.reclaimsDelta;
+            for (const auto &vm : row.vms) {
+                f.leasedWays += vm.leasedWays;
+                f.leaseOccupancyDelta += vm.leaseOccupancyDelta;
+            }
+            f.leaseWayCyclesDelta += row.leaseWayCyclesDelta;
+            budget[i] +=
+                (row.t - prevT) * static_cast<std::uint64_t>(cfg_.cores);
+            hh::stats::addBucketCounts(latency[i], row.latencyHistDelta);
+            prevT = row.t;
         }
-        FleetEpochRow &f = timeline_[i];
-        f.t = std::max(f.t, row.t);
-        ++f.serversReporting;
-        f.batchLoanedDelta += row.batchLoanedDelta;
-        f.batchNativeDelta += row.batchNativeDelta;
-        f.harvestedCyclesDelta += row.harvestedCyclesDelta;
-        f.reclaimsDelta += row.reclaimsDelta;
-        for (const auto &vm : row.vms) {
-            f.leasedWays += vm.leasedWays;
-            f.leaseOccupancyDelta += vm.leaseOccupancyDelta;
-        }
-        f.leaseWayCyclesDelta += row.leaseWayCyclesDelta;
-        epochBudget_[i] +=
-            (row.t - prevT) * static_cast<std::uint64_t>(cfg_.cores);
-        mergeCounts(epochLatency_[i], row.latencyHistDelta);
-        prevT = row.t;
     }
-    servers_.push_back(std::move(t));
-
-    // Recompute the derived per-epoch rates; cheap relative to the
-    // simulation and keeps timeline() a plain accessor.
     for (std::size_t i = 0; i < timeline_.size(); ++i) {
         FleetEpochRow &f = timeline_[i];
         f.harvestIntensity =
-            epochBudget_[i] == 0
-                ? 0
-                : static_cast<double>(f.harvestedCyclesDelta) /
-                      static_cast<double>(epochBudget_[i]);
-        f.p99Ms =
-            hh::stats::logBucketPercentile(epochLatency_[i], 99.0) /
-            1000.0;
+            budget[i] == 0 ? 0
+                           : static_cast<double>(f.harvestedCyclesDelta) /
+                                 static_cast<double>(budget[i]);
+        f.p99Ms = hh::stats::logBucketPercentile(latency[i], 99.0) / 1000.0;
     }
 }
 
@@ -100,19 +88,20 @@ TelemetryHub::summary() const
     s.coresPerServer = cfg_.cores;
     std::uint64_t end = 0, harvested = 0, wayCycles = 0;
     std::vector<std::uint64_t> reclaimHist, latencyHist;
-    for (const auto &t : servers_) {
-        end = std::max(end, t.endTime);
-        harvested += t.harvestedCycles;
+    for (const auto &srv : servers_) {
+        const hh::stats::ServerCounters &t = srv.totals;
+        end = std::max(end, t.t);
+        harvested += t.harvestedCycles();
         s.batchLoaned += t.batchLoaned;
         s.batchNative += t.batchNative;
-        s.reclaims += t.reclaims;
+        s.reclaims += t.reclaims();
         s.leaseGrants += t.leaseGrants;
         s.leaseRecalls += t.leaseRecalls;
         s.leaseExpiries += t.leaseExpiries;
         s.leaseFlushedLines += t.leaseFlushedLines;
         wayCycles += t.leaseWayCycles;
-        mergeCounts(reclaimHist, t.reclaimHist);
-        mergeCounts(latencyHist, t.latencyHist);
+        hh::stats::addBucketCounts(reclaimHist, t.reclaimHist);
+        hh::stats::addBucketCounts(latencyHist, t.latencyHist);
     }
     s.leaseWaySeconds = hh::sim::cyclesToSec(wayCycles);
     s.horizonSec = hh::sim::cyclesToSec(end);

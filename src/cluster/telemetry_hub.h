@@ -80,18 +80,19 @@ struct TelemetrySummary
 /**
  * Merges per-server telemetry payloads into the fleet view.
  *
- * Feed payloads in server order (0, 1, ...); every product below is
- * then canonical. The hub deliberately excludes worker counts, host
- * names and wall-clock from its outputs — they would break the
- * any-worker-count byte-identity contract.
+ * The hub deliberately excludes worker counts, host names and
+ * wall-clock from its outputs — they would break the any-worker-count
+ * byte-identity contract.
  */
 class TelemetryHub
 {
   public:
-    explicit TelemetryHub(const SystemConfig &cfg);
-
-    /** Add one server's payload; call in server order. */
-    void addServer(ServerTelemetry t);
+    /**
+     * Merge @p servers (in server order, as in
+     * ClusterResults::serverTelemetry) in one pass.
+     */
+    TelemetryHub(const SystemConfig &cfg,
+                 std::vector<ServerTelemetry> servers);
 
     /** Merged fleet timeline, one row per epoch index. */
     const std::vector<FleetEpochRow> &timeline() const
@@ -123,10 +124,6 @@ class TelemetryHub
     SystemConfig cfg_;
     std::vector<ServerTelemetry> servers_;
     std::vector<FleetEpochRow> timeline_;
-    /** Per-epoch merged request-latency histogram deltas (us). */
-    std::vector<std::vector<std::uint64_t>> epochLatency_;
-    /** Per-epoch summed core-cycle budget (epoch len x cores). */
-    std::vector<std::uint64_t> epochBudget_;
 };
 
 /**

@@ -126,8 +126,6 @@ class CacheLeaseManager
 
     const Lease &lease(unsigned vm) const { return leases_[vm]; }
 
-    unsigned vmCount() const { return static_cast<unsigned>(leases_.size()); }
-
     /**
      * Invariant audit: every lender partition's harvest mask equals
      * the ways its lease slot holds, and no line of address space

@@ -12,10 +12,11 @@
  * BENCH_sim_speed.json, so every future PR can see where kernel time
  * goes without rebuilding with -pg.
  *
- * Counters are relaxed atomics: concurrent cluster shards may run
- * while profiling, and approximate per-site sums are fine for a
- * profile (the alternative — per-thread sites — would complicate the
- * registry for no analytical gain).
+ * Each site keeps kSlots cache-line-padded {cycles, hits} slots; a
+ * thread adds into the slot its thread_local id picks (round-robin at
+ * first use), so pool workers do not contend on one counter line.
+ * reset() and snapshot() walk every slot. Slots stay relaxed atomics:
+ * threads beyond kSlots share one, and snapshot() may run mid-pass.
  */
 
 #ifndef HH_SIM_PROF_H
@@ -50,18 +51,38 @@ now()
 #endif
 }
 
+/** Counter slots per site: one per thread for typical pool sizes. */
+inline constexpr unsigned kSlots = 16;
+
+inline std::atomic<unsigned> g_next_slot{0};
+
+/** This thread's slot index, assigned round-robin at first use. */
+inline unsigned
+slotId()
+{
+    thread_local const unsigned id =
+        g_next_slot.fetch_add(1, std::memory_order_relaxed) % kSlots;
+    return id;
+}
+
 } // namespace detail
 
 /**
  * One instrumented site; constructed as a function-local static by
- * HH_PROF_SCOPE and linked into the global registry on first hit.
+ * HH_PROF_SCOPE and linked into the global registry on construction.
  */
 struct Site
 {
+    /** One thread group's counters, alone on its cache line. */
+    struct alignas(64) Slot
+    {
+        std::atomic<std::uint64_t> cycles{0};
+        std::atomic<std::uint64_t> hits{0};
+    };
+
     const char *name;
-    std::atomic<std::uint64_t> cycles{0};
-    std::atomic<std::uint64_t> hits{0};
     Site *next = nullptr;
+    Slot slots[detail::kSlots];
 
     explicit Site(const char *n);
 };
@@ -100,8 +121,10 @@ reset()
 {
     std::lock_guard<std::mutex> lock(detail::g_registry_mutex);
     for (Site *s = detail::g_sites; s; s = s->next) {
-        s->cycles.store(0, std::memory_order_relaxed);
-        s->hits.store(0, std::memory_order_relaxed);
+        for (Site::Slot &slot : s->slots) {
+            slot.cycles.store(0, std::memory_order_relaxed);
+            slot.hits.store(0, std::memory_order_relaxed);
+        }
     }
 }
 
@@ -121,13 +144,14 @@ snapshot()
     {
         std::lock_guard<std::mutex> lock(detail::g_registry_mutex);
         for (Site *s = detail::g_sites; s; s = s->next) {
-            const std::uint64_t h =
-                s->hits.load(std::memory_order_relaxed);
-            if (h == 0)
-                continue;
-            out.push_back(Sample{
-                s->name,
-                s->cycles.load(std::memory_order_relaxed), h});
+            Sample sample{s->name};
+            for (const Site::Slot &slot : s->slots) {
+                sample.cycles +=
+                    slot.cycles.load(std::memory_order_relaxed);
+                sample.hits += slot.hits.load(std::memory_order_relaxed);
+            }
+            if (sample.hits > 0)
+                out.push_back(std::move(sample));
         }
     }
     std::sort(out.begin(), out.end(),
@@ -156,9 +180,10 @@ class Scope
     {
         if (!site_)
             return;
-        site_->cycles.fetch_add(detail::now() - start_,
-                                std::memory_order_relaxed);
-        site_->hits.fetch_add(1, std::memory_order_relaxed);
+        Site::Slot &slot = site_->slots[detail::slotId()];
+        slot.cycles.fetch_add(detail::now() - start_,
+                              std::memory_order_relaxed);
+        slot.hits.fetch_add(1, std::memory_order_relaxed);
     }
 
     Scope(const Scope &) = delete;

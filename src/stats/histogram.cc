@@ -108,4 +108,14 @@ logBucketPercentile(const std::vector<std::uint64_t> &counts, double p)
     return LogHistogram::bucketLow(percentileBucket(counts, total, p));
 }
 
+void
+addBucketCounts(std::vector<std::uint64_t> &into,
+                const std::vector<std::uint64_t> &from)
+{
+    if (into.size() < from.size())
+        into.resize(from.size(), 0);
+    for (std::size_t i = 0; i < from.size(); ++i)
+        into[i] += from[i];
+}
+
 } // namespace hh::stats

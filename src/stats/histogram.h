@@ -66,6 +66,10 @@ class LogHistogram
 double logBucketPercentile(const std::vector<std::uint64_t> &counts,
                            double p);
 
+/** Add @p from into @p into bucket-wise, growing @p into to fit. */
+void addBucketCounts(std::vector<std::uint64_t> &into,
+                     const std::vector<std::uint64_t> &from);
+
 } // namespace hh::stats
 
 #endif // HH_STATS_HISTOGRAM_H

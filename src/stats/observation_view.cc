@@ -98,19 +98,20 @@ ObservationRow::serialize(hh::snap::Archive &ar)
 void
 ObservationView::record(const ServerCounters &cum)
 {
-    const std::uint64_t prevT = havePrev_ ? prev_.t : 0;
-    // Zero-length-epoch guard. With a previous snapshot this is the
-    // final-row call landing exactly on a tick. Without one it is a
-    // record at t=0 — against the implicit all-zero baseline that
-    // would be a bogus zero-length all-zero row, so instead the
-    // snapshot becomes the explicit baseline (a stopped-before-first-
-    // tick run then emits no rows, matching its zero epochs).
-    if (cum.t == prevT) {
+    // prev_ is all-zero until the first record, so every delta below
+    // diffs against it directly. Zero-length-epoch guard: with a
+    // previous snapshot this is the final-row call landing exactly on
+    // a tick. Without one it is a record at t=0 — against the
+    // all-zero baseline that would be a bogus zero-length all-zero
+    // row, so instead the snapshot becomes the explicit baseline (a
+    // stopped-before-first-tick run then emits no rows, matching its
+    // zero epochs).
+    if (cum.t == prev_.t) {
         prev_ = cum;
         havePrev_ = true;
         return;
     }
-    const std::uint64_t epochCycles = cum.t - prevT;
+    const std::uint64_t epochCycles = cum.t - prev_.t;
 
     ObservationRow row;
     row.epoch = ++epoch_;
@@ -120,7 +121,7 @@ ObservationView::record(const ServerCounters &cum)
         const VmCounters &c = cum.vms[v];
         static const VmCounters kZero;
         const VmCounters &p =
-            (havePrev_ && v < prev_.vms.size()) ? prev_.vms[v] : kZero;
+            v < prev_.vms.size() ? prev_.vms[v] : kZero;
 
         VmFeatures f;
         f.vm = static_cast<std::uint32_t>(v);
@@ -156,27 +157,15 @@ ObservationView::record(const ServerCounters &cum)
         row.reclaimsDelta += f.reclaims;
         row.vms.push_back(f);
     }
-    row.batchLoanedDelta =
-        cum.batchLoaned - (havePrev_ ? prev_.batchLoaned : 0);
-    row.batchNativeDelta =
-        cum.batchNative - (havePrev_ ? prev_.batchNative : 0);
-    row.reclaimHistDelta = bucketDelta(
-        cum.reclaimHist,
-        havePrev_ ? prev_.reclaimHist : std::vector<std::uint64_t>{});
-    row.latencyHistDelta = bucketDelta(
-        cum.latencyHist,
-        havePrev_ ? prev_.latencyHist : std::vector<std::uint64_t>{});
-    row.leaseGrantsDelta =
-        cum.leaseGrants - (havePrev_ ? prev_.leaseGrants : 0);
-    row.leaseRecallsDelta =
-        cum.leaseRecalls - (havePrev_ ? prev_.leaseRecalls : 0);
-    row.leaseExpiriesDelta =
-        cum.leaseExpiries - (havePrev_ ? prev_.leaseExpiries : 0);
-    row.leaseFlushedDelta =
-        cum.leaseFlushedLines -
-        (havePrev_ ? prev_.leaseFlushedLines : 0);
-    row.leaseWayCyclesDelta =
-        cum.leaseWayCycles - (havePrev_ ? prev_.leaseWayCycles : 0);
+    row.batchLoanedDelta = cum.batchLoaned - prev_.batchLoaned;
+    row.batchNativeDelta = cum.batchNative - prev_.batchNative;
+    row.reclaimHistDelta = bucketDelta(cum.reclaimHist, prev_.reclaimHist);
+    row.latencyHistDelta = bucketDelta(cum.latencyHist, prev_.latencyHist);
+    row.leaseGrantsDelta = cum.leaseGrants - prev_.leaseGrants;
+    row.leaseRecallsDelta = cum.leaseRecalls - prev_.leaseRecalls;
+    row.leaseExpiriesDelta = cum.leaseExpiries - prev_.leaseExpiries;
+    row.leaseFlushedDelta = cum.leaseFlushedLines - prev_.leaseFlushedLines;
+    row.leaseWayCyclesDelta = cum.leaseWayCycles - prev_.leaseWayCycles;
     rows_.push_back(std::move(row));
 
     prev_ = cum;

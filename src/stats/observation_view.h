@@ -77,6 +77,26 @@ struct ServerCounters
     std::uint64_t leaseWayCycles = 0;
     /** @} */
 
+    /** Core-cycles on loan, summed over the VMs' `lentCycles`. */
+    std::uint64_t
+    harvestedCycles() const
+    {
+        std::uint64_t n = 0;
+        for (const VmCounters &vm : vms)
+            n += vm.lentCycles;
+        return n;
+    }
+
+    /** Reclaims so far, the sum of `reclaimHist`. */
+    std::uint64_t
+    reclaims() const
+    {
+        std::uint64_t n = 0;
+        for (const std::uint64_t c : reclaimHist)
+            n += c;
+        return n;
+    }
+
     void serialize(hh::snap::Archive &ar);
 };
 
@@ -170,7 +190,9 @@ class ObservationView
     void serialize(hh::snap::Archive &ar);
 
   private:
+    /** Set by the first record(); part of the snapshot bytes. */
     bool havePrev_ = false;
+    /** Last recorded counters; all-zero until the first record(). */
     ServerCounters prev_;
     std::uint64_t epoch_ = 0;
     std::vector<ObservationRow> rows_;

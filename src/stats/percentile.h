@@ -47,7 +47,6 @@ class LatencyRecorder
 
     /** Convenience accessors. */
     double p50() const { return percentile(50.0); }
-    double p95() const { return percentile(95.0); }
     double p99() const { return percentile(99.0); }
     double max() const;
 

@@ -213,16 +213,13 @@ FleetSim::finish(unsigned workers)
         r.batchThroughput += res.batchThroughput;
         r.coreLoans += res.coreLoans;
         r.coreReclaims += res.coreReclaims;
-        r.harvestedCycles += res.telemetry.harvestedCycles;
+        r.harvestedCycles += res.telemetry.totals.harvestedCycles();
         r.avgUtilization += res.utilization;
         r.auditsRun += res.auditsRun;
         r.auditViolations += res.auditViolations;
         r.elapsedSec = std::max(r.elapsedSec, res.elapsedSec);
-        const auto &hist = res.telemetry.latencyHist;
-        if (latencyBuckets.empty())
-            latencyBuckets.assign(hist.size(), 0);
-        for (std::size_t i = 0; i < hist.size(); ++i)
-            latencyBuckets[i] += hist[i];
+        hh::stats::addBucketCounts(latencyBuckets,
+                                   res.telemetry.totals.latencyHist);
     }
     if (!results.empty())
         r.avgUtilization /= static_cast<double>(results.size());

@@ -68,9 +68,9 @@ struct FleetResults
 
     /**
      * Fleet P99 over the servers' merged post-warmup request-latency
-     * buckets (the same `ServerTelemetry::latencyHist` plane the
-     * TelemetryHub aggregates) — in graph mode these taps carry the
-     * end-to-end tree latencies recorded at the front tier.
+     * buckets (the same `ServerTelemetry::totals.latencyHist` plane
+     * the TelemetryHub aggregates) — in graph mode these taps carry
+     * the end-to-end tree latencies recorded at the front tier.
      */
     double fleetP99Us = 0;
 

@@ -62,16 +62,6 @@ leaseConfig(const std::string &policy)
     return cfg;
 }
 
-/** Build the hub over a run's per-server payloads. */
-TelemetryHub
-hubFor(const SystemConfig &cfg, ClusterResults res)
-{
-    TelemetryHub hub(cfg);
-    for (auto &t : res.serverTelemetry)
-        hub.addServer(std::move(t));
-    return hub;
-}
-
 std::string
 tmpPath(const std::string &name)
 {
@@ -220,11 +210,13 @@ TEST_P(LeaseConformance, WorkerCountsAndMidLeaseResumeAreByteIdentical)
     EXPECT_GT(ref.leaseRecalls + ref.leaseExpiries, 0u);
     EXPECT_GT(ref.leaseWayCycles, 0u);
     const std::string want = ref.serialized();
-    const std::string want_jsonl = hubFor(cfg, ref).jsonl();
+    const std::string want_jsonl =
+        TelemetryHub(cfg, ref.serverTelemetry).jsonl();
     for (const unsigned workers : {4u, 8u}) {
         ClusterResults res = runCluster(cfg, servers, seed, workers);
         EXPECT_EQ(res.serialized(), want) << "workers=" << workers;
-        EXPECT_EQ(hubFor(cfg, std::move(res)).jsonl(), want_jsonl)
+        EXPECT_EQ(TelemetryHub(cfg, std::move(res.serverTelemetry)).jsonl(),
+                  want_jsonl)
             << "workers=" << workers;
     }
 
@@ -243,7 +235,9 @@ TEST_P(LeaseConformance, WorkerCountsAndMidLeaseResumeAreByteIdentical)
     auto resumed = resumeCluster(path, cfg, 4, &err);
     ASSERT_TRUE(resumed.has_value()) << err;
     EXPECT_EQ(resumed->serialized(), want);
-    EXPECT_EQ(hubFor(cfg, *std::move(resumed)).jsonl(), want_jsonl);
+    EXPECT_EQ(
+        TelemetryHub(cfg, std::move(resumed->serverTelemetry)).jsonl(),
+        want_jsonl);
 }
 
 INSTANTIATE_TEST_SUITE_P(LeasePolicies, LeaseConformance,

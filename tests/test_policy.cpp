@@ -43,16 +43,6 @@ policyConfig(const std::string &policy)
     return cfg;
 }
 
-/** Build the hub over a run's per-server payloads. */
-TelemetryHub
-hubFor(const SystemConfig &cfg, ClusterResults res)
-{
-    TelemetryHub hub(cfg);
-    for (auto &t : res.serverTelemetry)
-        hub.addServer(std::move(t));
-    return hub;
-}
-
 std::string
 tmpPath(const std::string &name)
 {
@@ -262,11 +252,13 @@ TEST_P(PolicyConformance, WorkerCountsAndResumeAreByteIdentical)
 
     const ClusterResults ref = runCluster(cfg, servers, seed, 1);
     const std::string want = ref.serialized();
-    const std::string want_jsonl = hubFor(cfg, ref).jsonl();
+    const std::string want_jsonl =
+        TelemetryHub(cfg, ref.serverTelemetry).jsonl();
     for (const unsigned workers : {4u, 8u}) {
         ClusterResults res = runCluster(cfg, servers, seed, workers);
         EXPECT_EQ(res.serialized(), want) << "workers=" << workers;
-        EXPECT_EQ(hubFor(cfg, std::move(res)).jsonl(), want_jsonl)
+        EXPECT_EQ(TelemetryHub(cfg, std::move(res.serverTelemetry)).jsonl(),
+                  want_jsonl)
             << "workers=" << workers;
     }
 
@@ -283,7 +275,9 @@ TEST_P(PolicyConformance, WorkerCountsAndResumeAreByteIdentical)
     auto resumed = resumeCluster(path, cfg, 4, &err);
     ASSERT_TRUE(resumed.has_value()) << err;
     EXPECT_EQ(resumed->serialized(), want);
-    EXPECT_EQ(hubFor(cfg, *std::move(resumed)).jsonl(), want_jsonl);
+    EXPECT_EQ(
+        TelemetryHub(cfg, std::move(resumed->serverTelemetry)).jsonl(),
+        want_jsonl);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, PolicyConformance,

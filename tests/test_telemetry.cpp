@@ -17,6 +17,7 @@
 #include "cluster/telemetry_hub.h"
 #include "snapshot/archive.h"
 #include "stats/observation_view.h"
+#include "workload/batch.h"
 
 using namespace hh::cluster;
 using hh::stats::ObservationView;
@@ -35,16 +36,6 @@ telemetryConfig()
     cfg.telemetryEnabled = true;
     cfg.telemetryPeriod = hh::sim::msToCycles(1.0);
     return cfg;
-}
-
-/** Build the hub over a run's per-server payloads. */
-TelemetryHub
-hubFor(const SystemConfig &cfg, ClusterResults res)
-{
-    TelemetryHub hub(cfg);
-    for (auto &t : res.serverTelemetry)
-        hub.addServer(std::move(t));
-    return hub;
 }
 
 /** The ledger's FNV-1a, re-derived to validate hub row checksums. */
@@ -204,8 +195,8 @@ TEST(Telemetry, OffRunSerializationIsPrefixOfOnRun)
 TEST(Telemetry, HubProductsAreWorkerCountInvariant)
 {
     const SystemConfig cfg = telemetryConfig();
-    const TelemetryHub h1 = hubFor(cfg, runCluster(cfg, 2, 5, 1));
-    const TelemetryHub h4 = hubFor(cfg, runCluster(cfg, 2, 5, 4));
+    const TelemetryHub h1(cfg, runCluster(cfg, 2, 5, 1).serverTelemetry);
+    const TelemetryHub h4(cfg, runCluster(cfg, 2, 5, 4).serverTelemetry);
     ASSERT_FALSE(h1.timeline().empty());
     EXPECT_EQ(h1.jsonl(), h4.jsonl());
     EXPECT_EQ(h1.counterTrackJson(), h4.counterTrackJson());
@@ -219,7 +210,8 @@ TEST(Telemetry, CheckpointResumeReproducesTelemetryByteExact)
     const std::uint64_t seed = 5;
     const ClusterResults full = runCluster(cfg, servers, seed, 2);
     const std::string want = full.serialized();
-    const std::string want_jsonl = hubFor(cfg, full).jsonl();
+    const std::string want_jsonl =
+        TelemetryHub(cfg, full.serverTelemetry).jsonl();
 
     const std::string path = tmpPath("hh_telemetry_ckpt.hhcp");
     std::string err;
@@ -232,9 +224,9 @@ TEST(Telemetry, CheckpointResumeReproducesTelemetryByteExact)
         ASSERT_TRUE(resumed.has_value()) << err;
         EXPECT_EQ(resumed->serialized(), want)
             << "workers=" << workers;
-        EXPECT_EQ(hubFor(cfg, *std::move(resumed)).jsonl(),
-                  want_jsonl)
-            << "workers=" << workers;
+        const TelemetryHub hub(cfg,
+                               std::move(resumed->serverTelemetry));
+        EXPECT_EQ(hub.jsonl(), want_jsonl) << "workers=" << workers;
     }
 }
 
@@ -265,8 +257,8 @@ TEST(Telemetry, HubEconomicsAreInternallyConsistent)
 
     std::uint64_t batch_total = 0;
     for (const auto &t : res.serverTelemetry)
-        batch_total += t.batchLoaned + t.batchNative;
-    const TelemetryHub hub = hubFor(cfg, std::move(res));
+        batch_total += t.totals.batchLoaned + t.totals.batchNative;
+    const TelemetryHub hub(cfg, std::move(res.serverTelemetry));
     const TelemetrySummary s = hub.summary();
     EXPECT_EQ(s.servers, 2u);
     EXPECT_EQ(s.coresPerServer, cfg.cores);
@@ -291,10 +283,47 @@ TEST(Telemetry, HubEconomicsAreInternallyConsistent)
     EXPECT_EQ(reclaims, s.reclaims);
 }
 
+TEST(Telemetry, ServerTotalsAgreeWithResultCounters)
+{
+    // The totals are one counters() read at the run's end; tie each
+    // field to a counter the server keeps apart from the harvest taps,
+    // so a totals field that reads the wrong tap shows here.
+    SystemConfig cfg = telemetryConfig();
+    cfg.cacheLendEnabled = true;
+    cfg.cacheLendPeriod = hh::sim::msToCycles(0.25);
+    cfg.cacheLendTerm = hh::sim::msToCycles(1.0);
+    const unsigned servers = 2;
+    const auto batch = hh::workload::batchApplications();
+    std::vector<ServerResults> runs;
+    for (unsigned s = 0; s < servers; ++s)
+        runs.push_back(runServer(cfg, batch[s].name, 5 + s));
+
+    ServerCounters sum;
+    for (const auto &r : runs) {
+        const ServerCounters &c = r.telemetry.totals;
+        EXPECT_EQ(c.reclaims(), r.coreReclaims);
+        EXPECT_EQ(c.batchLoaned + c.batchNative, r.batchTasksCompleted);
+        EXPECT_EQ(hh::sim::cyclesToSec(c.t), r.elapsedSec);
+        sum.leaseGrants += c.leaseGrants;
+        sum.leaseRecalls += c.leaseRecalls;
+        sum.leaseExpiries += c.leaseExpiries;
+        sum.leaseFlushedLines += c.leaseFlushedLines;
+        sum.leaseWayCycles += c.leaseWayCycles;
+    }
+    EXPECT_GT(sum.leaseGrants, 0u);
+    const ClusterResults res =
+        aggregateClusterResults(cfg, servers, std::move(runs));
+    EXPECT_EQ(res.leaseGrants, sum.leaseGrants);
+    EXPECT_EQ(res.leaseRecalls, sum.leaseRecalls);
+    EXPECT_EQ(res.leaseExpiries, sum.leaseExpiries);
+    EXPECT_EQ(res.leaseFlushedLines, sum.leaseFlushedLines);
+    EXPECT_EQ(res.leaseWayCycles, sum.leaseWayCycles);
+}
+
 TEST(Telemetry, JsonlRowsCarryValidChecksums)
 {
     const SystemConfig cfg = telemetryConfig();
-    const TelemetryHub hub = hubFor(cfg, runCluster(cfg, 2, 5, 2));
+    const TelemetryHub hub(cfg, runCluster(cfg, 2, 5, 2).serverTelemetry);
     const std::string jsonl = hub.jsonl();
 
     std::istringstream is(jsonl);

@@ -1,7 +1,8 @@
 /**
  * @file
- * Unit tests for the experiment-level thread pool and the
- * deterministic parallel sweep runner.
+ * Unit tests for the experiment-level thread pool, the
+ * deterministic parallel sweep runner, and the profile counters that
+ * concurrent workers add into.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "cluster/parallel.h"
+#include "sim/prof.h"
 #include "sim/thread_pool.h"
 
 using hh::cluster::resolveWorkers;
@@ -189,4 +191,39 @@ TEST(ParallelRunner, StringResults)
     const auto r = runParallel<std::string>(
         4, [](std::size_t i) { return std::to_string(i * 11); }, 2);
     EXPECT_EQ(r, (std::vector<std::string>{"0", "11", "22", "33"}));
+}
+
+TEST(Prof, ConcurrentScopesSumExactly)
+{
+    namespace prof = hh::sim::prof;
+    static prof::Site site("test.prof.concurrent");
+    constexpr unsigned kThreads = 4;
+    constexpr std::uint64_t kScopes = 100000;
+    prof::reset();
+    prof::setEnabled(true);
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < kThreads; ++t) {
+        threads.emplace_back([] {
+            for (std::uint64_t i = 0; i < kScopes; ++i)
+                prof::Scope scope(site);
+        });
+    }
+    for (auto &t : threads)
+        t.join();
+    prof::setEnabled(false);
+
+    std::uint64_t hits = 0;
+    for (const auto &s : prof::snapshot()) {
+        if (s.name == "test.prof.concurrent")
+            hits = s.hits;
+    }
+    EXPECT_EQ(hits, kThreads * kScopes);
+
+    prof::reset();
+    for (const auto &slot : site.slots) {
+        EXPECT_EQ(slot.cycles.load(), 0u);
+        EXPECT_EQ(slot.hits.load(), 0u);
+    }
+    for (const auto &s : prof::snapshot())
+        EXPECT_NE(s.name, "test.prof.concurrent");
 }
