@@ -29,7 +29,7 @@ class CdpPolicy : public ReplacementPolicy
   public:
     unsigned victim(const SetContext &ctx, bool incoming_shared) override;
     const char *name() const override { return "CDP"; }
-    bool usesCandidates() const override { return true; }
+    bool hasAccessHooks() const override { return false; }
 };
 
 } // namespace hh::cache

@@ -35,8 +35,9 @@ namespace hh::cache {
  *   4. Non-Harvest way holding a private entry
  *   5. any way (all-shared fallback; LRU picks)
  *
- * Classes 3-5 only consider ways in ctx.candidateMask (the M
- * least-recently-used allowed ways); within a class LRU breaks ties.
+ * Classes 3-5 only consider the ctx.candidates (M) least-recently-used
+ * allowed ways; within a class LRU breaks ties. Class 5's LRU way is
+ * always a candidate, so the ladder never runs dry.
  * Invalid ways (classes 1-2) ignore the candidate restriction, as
  * taking an empty slot evicts nothing.
  */
@@ -45,7 +46,7 @@ class HardHarvestPolicy : public ReplacementPolicy
   public:
     unsigned victim(const SetContext &ctx, bool incoming_shared) override;
     const char *name() const override { return "HardHarvest"; }
-    bool usesCandidates() const override { return true; }
+    bool hasAccessHooks() const override { return false; }
 };
 
 } // namespace hh::cache

@@ -18,6 +18,7 @@ class LruPolicy : public ReplacementPolicy
   public:
     unsigned victim(const SetContext &ctx, bool incoming_shared) override;
     const char *name() const override { return "LRU"; }
+    bool hasAccessHooks() const override { return false; }
 };
 
 } // namespace hh::cache

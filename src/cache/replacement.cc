@@ -18,7 +18,6 @@ steeredVictim(const SetContext &ctx, bool incoming_shared,
     const WayMask harvest = allowed & ctx.harvestMask;
     const WayMask non_harvest = allowed & ~ctx.harvestMask;
     const WayMask first_region = incoming_shared ? non_harvest : harvest;
-    const WayMask second_region = incoming_shared ? harvest : non_harvest;
 
     // Invalid slots, preferred region first. These are exempt from
     // the eviction-candidate restriction (nothing is evicted when
@@ -30,20 +29,32 @@ steeredVictim(const SetContext &ctx, bool incoming_shared,
             std::countr_zero(preferred ? preferred : inv));
     }
 
-    // Unprotected candidates, region order set by the incoming
-    // entry's type; then any candidate; then, for a degenerate
-    // candidate mask (e.g. all candidates outside the allowed
-    // region), plain LRU over the allowed ways.
-    const WayMask cand = ctx.candidateMask & allowed;
-    WayMask victims = cand & first_region & evictable;
-    if (!victims)
-        victims = cand & second_region & evictable;
-    if (!victims)
-        victims = cand;
-    if (!victims)
-        victims = allowed;
-
-    const unsigned v = lruWay(ctx.rank, victims);
+    // Algorithm 1 as one priority multiplexer (Section 4.2.4): the
+    // victim is the LRU unprotected way of the first region, else of
+    // the second, as long as it is among the M least recently used
+    // allowed ways; else the LRU allowed way, which always is. A way
+    // is among them exactly when fewer than M allowed ways rank below
+    // it, and that set is closed downward in rank, so a region holds a
+    // candidate exactly when its LRU way is one. With no more than M
+    // allowed ways every way is a candidate and no ranks are counted.
+    const unsigned m = ctx.candidates;
+    const bool restricted = popcount64(allowed) > m;
+    std::uint64_t ranks = 0; // bit r: an allowed way has rank r
+    if (restricted) {
+        for (WayMask a = allowed; a; a &= a - 1)
+            ranks |= std::uint64_t{1} << ctx.rank[std::countr_zero(a)];
+    }
+    const auto candidate = [&](unsigned way) {
+        const std::uint64_t below =
+            (std::uint64_t{1} << ctx.rank[way]) - 1;
+        return !restricted || popcount64(ranks & below) < m;
+    };
+    unsigned v = lruWay(ctx.rank, evictable & first_region & allowed);
+    if (v >= ctx.ways || !candidate(v)) {
+        v = lruWay(ctx.rank, evictable & ~first_region & allowed);
+        if (v >= ctx.ways || !candidate(v))
+            v = lruWay(ctx.rank, allowed);
+    }
     if (v >= ctx.ways)
         hh::sim::panic(who, ": empty allowed mask");
     return v;

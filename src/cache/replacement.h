@@ -5,8 +5,9 @@
  * A policy sees one set at a time through SetContext: the set's
  * tags, ranks and RRPVs and its valid/shared/instr bitmaps, which ways
  * are harvest ways (HarvestMask), which ways the current requester
- * may use, and — for the HardHarvest policy — the eviction-candidate
- * subset (the M least-recently-used ways, paper Section 4.2.3).
+ * may use, and — for the HardHarvest and CDP policies — the
+ * eviction-candidate count M (victims among valid ways come from the
+ * M least-recently-used allowed ways, paper Section 4.2.3).
  */
 
 #ifndef HH_CACHE_REPLACEMENT_H
@@ -78,7 +79,11 @@ struct SetContext
     WayMask instrMask = 0;     //!< Ways whose valid entry is I-side.
     WayMask harvestMask = 0;   //!< Ways in the harvest region.
     WayMask allowedMask = 0;   //!< Ways the requester may fill.
-    WayMask candidateMask = 0; //!< Eviction candidates (valid ways).
+    /**
+     * M: valid victims come from the M least-recently-used allowed
+     * ways (HardHarvest, CDP). 64 or more places no restriction.
+     */
+    unsigned candidates = 64;
     std::uint64_t setIndex = 0; //!< Which set (Belady oracle key).
 
     /** Mask covering the set's ways. */
@@ -112,22 +117,26 @@ class ReplacementPolicy
 
     /**
      * Metadata update on a hit. The array has already promoted the
-     * way's rank; policies only keep their own state here.
+     * way's rank; policies only keep their own state here. Called
+     * only when hasAccessHooks().
      */
     virtual void touch(std::uint8_t &rrpv) { (void)rrpv; }
 
-    /** Metadata update on a fill (after victim selection). */
+    /**
+     * Metadata update on a fill (after victim selection). Called only
+     * when hasAccessHooks().
+     */
     virtual void fill(std::uint8_t &rrpv) { (void)rrpv; }
 
     /** Human-readable policy name. */
     virtual const char *name() const = 0;
 
     /**
-     * True when victim() reads ctx.candidateMask. Lets the array
-     * skip the M-least-recently-used selection entirely for
-     * policies (LRU, RRIP, Belady) that never look at it.
+     * False when touch() and fill() do nothing, so the array may skip
+     * both calls (LRU, HardHarvest, CDP: the array's ranks are all
+     * their state). The array reads it once, at construction.
      */
-    virtual bool usesCandidates() const { return false; }
+    virtual bool hasAccessHooks() const { return true; }
 };
 
 /**
@@ -161,12 +170,26 @@ lruWay(const std::uint8_t *rank, WayMask mask)
 }
 
 /**
+ * Set bits in @p x. std::popcount compiles to a libgcc call on
+ * baseline x86-64, which has no popcnt instruction.
+ */
+constexpr unsigned
+popcount64(std::uint64_t x)
+{
+    x -= (x >> 1) & 0x5555555555555555ULL;
+    x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+    x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
+    return static_cast<unsigned>((x * 0x0101010101010101ULL) >> 56);
+}
+
+/**
  * Victim choice shared by HardHarvest (Algorithm 1) and CDP: an
  * invalid way in the incoming entry's region, then any invalid way,
  * then the LRU unprotected candidate in that region, then in the
- * other region, then the LRU candidate, then the LRU allowed way.
- * Shared entries go to the non-harvest region, private ones to the
- * harvest region.
+ * other region, then the LRU allowed way. Shared entries go to the
+ * non-harvest region, private ones to the harvest region. The
+ * candidates are the ctx.candidates least-recently-used allowed ways;
+ * the LRU allowed way is always one of them.
  *
  * @param evictable Ways whose entries the policy does not protect.
  * @param who       Policy name for the empty-mask panic.

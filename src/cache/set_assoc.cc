@@ -45,7 +45,7 @@ SetAssocArray::SetAssocArray(const Geometry &geom,
         hh::sim::fatal("SetAssocArray: sets must be > 0");
     all_mask_ = geom.ways == 64 ? ~WayMask{0}
                                 : ((WayMask{1} << geom.ways) - 1);
-    policy_uses_candidates_ = policy_->usesCandidates();
+    policy_hooks_ = policy_->hasAccessHooks();
     // Every set starts as the same row: no valid way, default RRPVs,
     // ranked by way index (the order of an all-invalid set, where the
     // lowest index counts as least recently used). Build it once and
@@ -86,31 +86,6 @@ SetAssocArray::setCandidateFraction(double f)
                std::lround(f * static_cast<double>(geom_.ways))));
 }
 
-WayMask
-SetAssocArray::candidateMask(const std::uint8_t *rank,
-                             WayMask allowed) const
-{
-    if (candidate_count_ >= geom_.ways)
-        return allowed;
-    // The ranks of the allowed ways as a bitmap. Ranks are a
-    // permutation, so the M least recently used allowed ways are
-    // those ranked at or below the M-th lowest set bit.
-    std::uint64_t ranks = 0;
-    for (WayMask m = allowed; m; m &= m - 1)
-        ranks |= std::uint64_t{1} << rank[std::countr_zero(m)];
-    if (static_cast<unsigned>(std::popcount(ranks)) <= candidate_count_)
-        return allowed;
-    for (unsigned i = 1; i < candidate_count_; ++i)
-        ranks &= ranks - 1;
-    const unsigned limit = static_cast<unsigned>(std::countr_zero(ranks));
-    WayMask mask = 0;
-    for (WayMask m = allowed; m; m &= m - 1) {
-        const auto w = static_cast<unsigned>(std::countr_zero(m));
-        mask |= WayMask{rank[w] <= limit} << w;
-    }
-    return mask;
-}
-
 void
 SetAssocArray::promote(std::uint8_t *rank, unsigned way)
 {
@@ -121,17 +96,21 @@ SetAssocArray::promote(std::uint8_t *rank, unsigned way)
     // last way never exceeds old and stays zero.
     constexpr std::uint64_t kOnes = 0x0101010101010101ULL;
     constexpr std::uint64_t kHigh = 0x8080808080808080ULL;
+    // (Members are read once, up front: the byte stores below may
+    // alias them as far as the compiler knows.)
+    const unsigned stride = rank_stride_;
+    const unsigned top = geom_.ways - 1;
     const unsigned old = rank[way];
     const std::uint64_t above = (old + 1) * kOnes;
-    for (unsigned w = 0; w < rank_stride_; w += 8) {
+    for (unsigned w = 0; w < stride; w += 8) {
         std::uint64_t r;
         std::memcpy(&r, rank + w, sizeof r);
         r -= (((r | kHigh) - above) & kHigh) >> 7;
         std::memcpy(rank + w, &r, sizeof r);
     }
-    // The promoted way rises past the ways - 1 - old ways that were
-    // above it, to the top.
-    rank[way] = static_cast<std::uint8_t>(rank[way] + geom_.ways - 1 - old);
+    // The promoted way rises past the top - old ways that were above
+    // it, to the top.
+    rank[way] = static_cast<std::uint8_t>(top);
 }
 
 AccessResult
@@ -150,17 +129,18 @@ SetAssocArray::access(Addr key, bool shared, WayMask allowed,
     std::uint8_t *rrpv = rowRrpv(row);
     AccessResult res;
 
-    // Tag search over the set's tags, valid ways only.
+    // Match the whole tag row, then keep the valid ways: at most one
+    // valid way holds the key.
     const WayMask valid = row[kValid];
     const Addr *tags = &tags_[si];
-    for (WayMask m = valid; m; m &= m - 1) {
-        const auto w = static_cast<unsigned>(std::countr_zero(m));
-        if (tags[w] != key)
-            continue;
+    const WayMask match = detail::matchTags(tags, geom_.ways, key) & valid;
+    if (match) {
+        const auto w = static_cast<unsigned>(std::countr_zero(match));
         res.hit = true;
         res.way = w;
         promote(rank, w);
-        policy_->touch(rrpv[w]);
+        if (policy_hooks_)
+            policy_->touch(rrpv[w]);
         ++hits_;
         return res;
     }
@@ -176,15 +156,8 @@ SetAssocArray::access(Addr key, bool shared, WayMask allowed,
     ctx.instrMask = row[kInstr];
     ctx.harvestMask = harvest_mask_;
     ctx.allowedMask = allowed;
+    ctx.candidates = candidate_count_;
     ctx.setIndex = set;
-    // The M-LRU selection only matters to policies that read it
-    // (HardHarvest/CDP), and those consult it only when every
-    // allowed way is valid — an invalid way short-circuits victim
-    // selection before candidates are looked at.
-    ctx.candidateMask =
-        (policy_uses_candidates_ && (allowed & ~valid) == 0)
-            ? candidateMask(rank, allowed)
-            : allowed;
 
     const unsigned victim = policy_->victim(ctx, shared);
     if (victim >= geom_.ways)
@@ -198,7 +171,8 @@ SetAssocArray::access(Addr key, bool shared, WayMask allowed,
     }
     tags_[si + victim] = key;
     promote(rank, victim);
-    policy_->fill(rrpv[victim]);
+    if (policy_hooks_)
+        policy_->fill(rrpv[victim]);
     row[kValid] |= bit;
     row[kShared] = shared ? (row[kShared] | bit) : (row[kShared] & ~bit);
     row[kInstr] = instr ? (row[kInstr] | bit) : (row[kInstr] & ~bit);
@@ -210,14 +184,10 @@ bool
 SetAssocArray::probe(Addr key) const
 {
     const std::uint32_t set = setIndex(key);
-    const std::size_t si = static_cast<std::size_t>(set) * geom_.ways;
-    const Addr *tags = &tags_[si];
-    for (WayMask m = setRow(set)[kValid]; m; m &= m - 1) {
-        const auto w = static_cast<unsigned>(std::countr_zero(m));
-        if (tags[w] == key)
-            return true;
-    }
-    return false;
+    return (detail::matchTags(
+                &tags_[static_cast<std::size_t>(set) * geom_.ways],
+                geom_.ways, key) &
+            setRow(set)[kValid]) != 0;
 }
 
 void
@@ -348,8 +318,8 @@ SetAssocArray::serialize(hh::snap::Archive &ar)
 void
 SetAssocArray::loadContents(hh::snap::Archive &ar)
 {
-    std::vector<Addr> tags(tags_.size());
-    std::vector<std::uint64_t> rows(rows_.size());
+    decltype(tags_) tags(tags_.size());
+    decltype(rows_) rows(rows_.size());
     for (std::uint32_t s = 0; s < geom_.sets; ++s) {
         const std::size_t si =
             static_cast<std::size_t>(s) * geom_.ways;

@@ -7,7 +7,8 @@
  *  - a per-entry Shared bit (copied from the page table, §4.2.2), and
  *  - a per-way Harvest bit (the HarvestMask region, §4.2.1),
  * plus selective flushing of only the harvest ways and the
- * eviction-candidate restriction used by the HardHarvest policy.
+ * eviction-candidate count M used by the HardHarvest and CDP
+ * policies.
  *
  * Keys are opaque 64-bit values (line or page identifiers); callers
  * must embed the VM/address-space id in the key so distinct VMs never
@@ -20,10 +21,15 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <span>
 #include <string>
 #include <vector>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 #include "cache/config.h"
 #include "cache/replacement.h"
@@ -33,6 +39,99 @@ class MetricRegistry;
 }
 
 namespace hh::cache {
+
+namespace detail {
+
+/**
+ * The ways among tags[0, ways) that hold @p key, as a way mask. Reads
+ * no tag past tags[ways - 1]. With SSE2 (every x86-64 host) it
+ * compares two 64-bit tags per 128-bit load, four ways per step, and
+ * takes an odd last way alone; elsewhere it is the plain loop.
+ */
+inline WayMask
+matchTags(const Addr *tags, unsigned ways, Addr key)
+{
+    WayMask match = 0;
+    unsigned w = 0;
+#if defined(__SSE2__)
+    // SSE2 has no 64-bit equality: compare the 32-bit halves, then
+    // AND each half's result with its partner's.
+    const __m128i k = _mm_set1_epi64x(static_cast<long long>(key));
+    const auto eq64 = [&](unsigned at) {
+        const __m128i eq32 = _mm_cmpeq_epi32(
+            _mm_loadu_si128(reinterpret_cast<const __m128i *>(tags + at)),
+            k);
+        return _mm_and_si128(
+            eq32, _mm_shuffle_epi32(eq32, _MM_SHUFFLE(2, 3, 0, 1)));
+    };
+    // Four ways per step: packing two pairs' 64-bit results to 32-bit
+    // lanes puts way i's result in lane i for one movemask.
+    for (; w + 4 <= ways; w += 4) {
+        const __m128i four = _mm_packs_epi32(eq64(w), eq64(w + 2));
+        match |= static_cast<WayMask>(
+                     _mm_movemask_ps(_mm_castsi128_ps(four)))
+                 << w;
+    }
+    if (w + 2 <= ways) {
+        match |= static_cast<WayMask>(
+                     _mm_movemask_pd(_mm_castsi128_pd(eq64(w))))
+                 << w;
+        w += 2;
+    }
+#endif
+    for (; w < ways; ++w)
+        match |= WayMask{tags[w] == key} << w;
+    return match;
+}
+
+/**
+ * Storage aligned to a 64-byte host cache line, so a set whose tags
+ * or row fit in one line lie in one line.
+ *
+ * It takes a plain block one line (plus a pointer) longer and keeps
+ * the block's address just below the aligned start: the aligned
+ * operator new (glibc memalign) raised the experiment engine's peak
+ * RSS, and its spread across runs, by about a MiB.
+ */
+template <typename T>
+struct LineAllocator
+{
+    using value_type = T;
+    static constexpr std::size_t kLine = 64;
+
+    LineAllocator() = default;
+    template <typename U>
+    LineAllocator(const LineAllocator<U> &) noexcept
+    {}
+
+    T *
+    allocate(std::size_t n)
+    {
+        char *raw = static_cast<char *>(
+            ::operator new(n * sizeof(T) + kLine - 1 + sizeof raw));
+        // The first line boundary with room for `raw` below it.
+        const auto base = reinterpret_cast<std::uintptr_t>(raw);
+        const auto at = (base + sizeof raw + kLine - 1) & ~(kLine - 1);
+        char *start = raw + (at - base);
+        std::memcpy(start - sizeof raw, &raw, sizeof raw);
+        return reinterpret_cast<T *>(start);
+    }
+    void
+    deallocate(T *p, std::size_t) noexcept
+    {
+        char *raw;
+        std::memcpy(&raw, reinterpret_cast<char *>(p) - sizeof raw,
+                    sizeof raw);
+        ::operator delete(raw);
+    }
+    friend bool
+    operator==(const LineAllocator &, const LineAllocator &)
+    {
+        return true;
+    }
+};
+
+} // namespace detail
 
 /** Outcome of one array access. */
 struct AccessResult
@@ -170,7 +269,15 @@ class SetAssocArray
     /** Mask covering all ways of this array. */
     WayMask allWays() const { return all_mask_; }
 
-    /** @name Metadata row layout (tests, inspection) @{ */
+    /** @name Set layout (tests, inspection) @{ */
+    /** The tags of @p set, one per way. */
+    std::span<const Addr>
+    tagRow(std::uint32_t set) const
+    {
+        return {tags_.data() + static_cast<std::size_t>(set) * geom_.ways,
+                geom_.ways};
+    }
+
     /** Byte offset of the rank bytes in a row. */
     static constexpr std::size_t kRankOffset = 3 * sizeof(WayMask);
 
@@ -240,13 +347,6 @@ class SetAssocArray
         prefetchLine(b + n - 1);
     }
 
-    /**
-     * The M least-recently-used ways of @p allowed in a set with
-     * ranks @p rank. Only meaningful when every allowed way is valid.
-     */
-    WayMask candidateMask(const std::uint8_t *rank,
-                          WayMask allowed) const;
-
     /** @name Row access @{ */
     /** Word indices of the per-set masks in a row. */
     static constexpr unsigned kValid = 0;
@@ -306,12 +406,17 @@ class SetAssocArray
      *   [24 + S, 24 + S + W)  RRPV bytes, W = ways
      *   then zero padding to a multiple of 8 bytes.
      *
-     * A probe reads the set's tag line(s) and one row (at most 56
-     * bytes for the Table 1 geometries; rows are not padded to host
-     * lines, so some straddle two). The tags stay apart: a miss
-     * compares every valid tag but touches only one row. These are
-     * the only copy of the contents: snapshots and wayState()
-     * assemble WayState records from them.
+     * Both columns start on a 64-byte host line (detail::
+     * LineAllocator; operator new only promises 16 bytes). Set s's
+     * tags start 8 * ways * s bytes in, so an 8-way set's tags fill
+     * exactly one host line and a 16-way set's exactly two. Rows are
+     * not padded to host lines (at most 56 bytes for the Table 1
+     * geometries), so some straddle two. A probe compares the key with
+     * the set's whole tag row at once (detail::matchTags) and ANDs the
+     * match with the valid mask, so it takes no branch per way; a miss
+     * touches only that one row. These are the only copy of the
+     * contents: snapshots and wayState() assemble WayState records
+     * from them.
      *
      * Each set's ranks are a permutation of [0, ways), higher meaning
      * more recent; they start as the way index. A hit or fill
@@ -324,16 +429,17 @@ class SetAssocArray
      * zero.
      * @{
      */
-    std::vector<Addr> tags_;
-    std::vector<std::uint64_t> rows_;
+    std::vector<Addr, detail::LineAllocator<Addr>> tags_;
+    std::vector<std::uint64_t, detail::LineAllocator<std::uint64_t>>
+        rows_;
     /** @} */
     WayMask harvest_mask_ = 0;
     WayMask all_mask_ = 0;
     unsigned candidate_count_; //!< M as an absolute way count.
     unsigned rank_stride_;     //!< Rank bytes per row.
     std::size_t row_words_;    //!< 64-bit words per row.
-    /** Cached policy_->usesCandidates() (virtual call per miss). */
-    bool policy_uses_candidates_ = false;
+    /** Cached policy_->hasAccessHooks(): skips no-op virtual calls. */
+    bool policy_hooks_ = true;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
     std::uint64_t evictions_ = 0;

@@ -2046,10 +2046,13 @@ ServerSim::finishRun()
         end_time_ = sim_.now();
     }
     stopPeriodicTasks();
-    // Batch slices still in flight when all requests completed drain
-    // after the all-done stop; one more row at the drain time captures
-    // that tail, so the fleet timeline's deltas sum exactly to the
-    // run totals (the same-time guard makes this a no-op otherwise).
+    // One more row at the drain time closes the timeline (the
+    // same-time guard makes this a no-op when the last epoch ended
+    // here). The rows then sum to counters(drain), not to the totals
+    // below, which are read at the earlier all-done end: batch and
+    // reclaim counts agree with the totals, but loans still open keep
+    // accruing lent cycles through the drain tail, so the rows' lent
+    // cycles can exceed the totals'.
     if (telemetry_)
         telemetry_->record(counters(sim_.now()));
 

@@ -278,6 +278,12 @@ class ServerSim
         return telemetry_.get();
     }
 
+    /**
+     * Every harvest tap read at @p at: the one source of the epoch
+     * rows, the policy's view and the run totals.
+     */
+    hh::stats::ServerCounters counters(hh::sim::Cycles at) const;
+
     /** The harvest policy. */
     const HarvestPolicy &harvestPolicy() const { return policy_; }
 
@@ -541,14 +547,6 @@ class ServerSim
      * partial row / epoch.
      */
     void stopPeriodicTasks();
-    /** @} */
-
-    /** @name Telemetry plane @{ */
-    /**
-     * Every harvest tap read at @p at: the one source of the epoch
-     * rows, the policy's view and the run totals.
-     */
-    hh::stats::ServerCounters counters(hh::sim::Cycles at) const;
     /** @} */
 
     /** @name Harvest policy (PR 8) @{ */

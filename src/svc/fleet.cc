@@ -7,6 +7,7 @@
 #include "cluster/checkpoint.h"
 #include "cluster/parallel.h"
 #include "sim/log.h"
+#include "sim/thread_pool.h"
 #include "sim/time.h"
 #include "snapshot/file.h"
 #include "stats/histogram.h"
@@ -15,6 +16,28 @@
 namespace hh::svc {
 
 using hh::sim::Cycles;
+
+namespace {
+
+/**
+ * Run job(0) .. job(n-1): on @p pool when it is set, else in order on
+ * the calling thread. Each job must touch only its own server.
+ */
+template <typename Job>
+void
+runEach(hh::sim::ThreadPool *pool, std::size_t n, const Job &job)
+{
+    for (std::size_t i = 0; i < n; ++i) {
+        if (pool)
+            pool->submit([&job, i] { job(i); });
+        else
+            job(i);
+    }
+    if (pool)
+        pool->wait();
+}
+
+} // namespace
 
 std::string
 FleetResults::serialized() const
@@ -105,6 +128,8 @@ void
 FleetSim::advanceWindows(unsigned workers, Cycles until)
 {
     constexpr Cycles kNoEvent = std::numeric_limits<Cycles>::max();
+    hh::sim::ThreadPool *const lanes = pool(workers);
+    std::vector<std::size_t> busy;
     while (!drained() && (until == 0 || barrier_ < until)) {
         Cycles m = kNoEvent;
         for (const auto &sim : sims_) {
@@ -122,15 +147,17 @@ FleetSim::advanceWindows(unsigned workers, Cycles until)
         // before B, so every server may run strictly below B without
         // seeing the others' messages.
         const Cycles B = m + rpc_latency_;
-        hh::cluster::runParallel<int>(
-            sims_.size(),
-            [&](std::size_t s) {
-                if (!sims_[s]->simIdle() &&
-                    sims_[s]->nextEventTime() < B)
-                    sims_[s]->advanceRun(B - 1);
-                return 0;
-            },
-            workers);
+        // Only servers with an event below B have work this window;
+        // a lone one runs here rather than on a worker.
+        busy.clear();
+        for (std::size_t s = 0; s < sims_.size(); ++s) {
+            if (!sims_[s]->simIdle() && sims_[s]->nextEventTime() < B)
+                busy.push_back(s);
+        }
+        runEach(busy.size() > 1 ? lanes : nullptr, busy.size(),
+                [&](std::size_t i) {
+                    sims_[busy[i]]->advanceRun(B - 1);
+                });
         // Exchange, sequential in server order (determinism): every
         // arrival lands at sendTime + L >= B, i.e. in the future of
         // all servers.
@@ -158,15 +185,11 @@ FleetSim::finish(unsigned workers)
     // must agree for merged statistics to be meaningful.
     for (auto &sim : sims_)
         sim->setGraphDone(barrier_);
-    const auto results =
-        hh::cluster::runParallel<hh::cluster::ServerResults>(
-            sims_.size(),
-            [&](std::size_t s) {
-                sims_[s]->advanceRun(
-                    hh::cluster::ServerSim::horizon());
-                return sims_[s]->finishRun();
-            },
-            workers);
+    std::vector<hh::cluster::ServerResults> results(sims_.size());
+    runEach(pool(workers), sims_.size(), [&](std::size_t s) {
+        sims_[s]->advanceRun(hh::cluster::ServerSim::horizon());
+        results[s] = sims_[s]->finishRun();
+    });
 
     FleetResults r;
     r.graph = spec_.name;
@@ -226,6 +249,17 @@ FleetSim::finish(unsigned workers)
     r.fleetP99Us =
         hh::stats::logBucketPercentile(latencyBuckets, 99.0);
     return r;
+}
+
+hh::sim::ThreadPool *
+FleetSim::pool(unsigned workers)
+{
+    const unsigned n = hh::cluster::resolveWorkers(workers, sims_.size());
+    if (n <= 1)
+        return nullptr;
+    if (!pool_ || pool_->workers() != n)
+        pool_ = std::make_unique<hh::sim::ThreadPool>(n);
+    return pool_.get();
 }
 
 bool

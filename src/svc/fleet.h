@@ -38,6 +38,10 @@
 #include "svc/graph_spec.h"
 #include "svc/rpc_engine.h"
 
+namespace hh::sim {
+class ThreadPool;
+}
+
 namespace hh::svc {
 
 /** Per-tier aggregate of one fleet run. */
@@ -172,8 +176,18 @@ class FleetSim
     std::vector<std::unique_ptr<RpcEngine>> engines_;
     std::vector<std::string> batch_apps_;
 
+    /**
+     * The window-phase workers for @p workers (0 = auto), or null when
+     * that resolves to one: the servers then run on the calling
+     * thread. Built on first use and kept, so a run does not start
+     * and join threads once per window; rebuilt only when a call asks
+     * for a different count.
+     */
+    hh::sim::ThreadPool *pool(unsigned workers);
+
     hh::sim::Cycles barrier_ = 0;
     std::uint64_t windows_ = 0;
+    std::unique_ptr<hh::sim::ThreadPool> pool_;
 };
 
 /** Convenience: construct, start, drain, finish. */

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <memory>
 #include <ostream>
 #include <vector>
@@ -51,7 +53,7 @@ struct SetFixture
     {
         ctx.harvestMask = 0b0011; // ways 0-1 are the harvest region
         ctx.allowedMask = (WayMask{1} << n) - 1;
-        ctx.candidateMask = ctx.allowedMask;
+        ctx.candidates = n;
         refresh();
     }
 
@@ -269,13 +271,17 @@ TEST(HardHarvest, CandidateMaskRestrictsEviction)
     SetFixture f;
     f.fillAll(true);
     f.ways[0].shared = false; // private, harvest, but NOT a candidate
-    f.ways[3].lastUse = 0;    // LRU among candidates
-    f.ctx.candidateMask = 0b1110;
+    f.ways[0].lastUse = 10;   // most recently used
+    f.ways[3].lastUse = 0;    // LRU
+    f.ctx.candidates = 3;     // ways 3, 1, 2 in LRU order
     f.refresh();
     HardHarvestPolicy p;
     // Incoming private would take way 0, but it is protected;
     // no other private entries, so LRU among candidates: way 3.
     EXPECT_EQ(p.victim(f.ctx, false), 3u);
+    // With every way a candidate, way 0 is the class-3 victim.
+    f.ctx.candidates = 4;
+    EXPECT_EQ(p.victim(f.ctx, false), 0u);
 }
 
 TEST(HardHarvest, InvalidSlotsIgnoreCandidateRestriction)
@@ -283,7 +289,8 @@ TEST(HardHarvest, InvalidSlotsIgnoreCandidateRestriction)
     SetFixture f;
     f.fillAll(true);
     f.ways[0].valid = false;
-    f.ctx.candidateMask = 0b1110; // way 0 not a candidate
+    f.ways[0].lastUse = 10; // way 0 not a candidate
+    f.ctx.candidates = 1;
     f.refresh();
     HardHarvestPolicy p;
     EXPECT_EQ(p.victim(f.ctx, false), 0u);
@@ -310,7 +317,7 @@ TEST(HardHarvest, PriorityMuxSharedIncoming)
     SetFixture f(2);
     f.ctx.harvestMask = 0b01;
     f.ctx.allowedMask = 0b11;
-    f.ctx.candidateMask = 0b11;
+    f.ctx.candidates = 2;
     HardHarvestPolicy p;
 
     // Invalid & NotHarvest beats Invalid & Harvest.
@@ -329,7 +336,7 @@ TEST(HardHarvest, PriorityMuxPrivateIncoming)
     SetFixture f(2);
     f.ctx.harvestMask = 0b01;
     f.ctx.allowedMask = 0b11;
-    f.ctx.candidateMask = 0b11;
+    f.ctx.candidates = 2;
     HardHarvestPolicy p;
 
     // Invalid & Harvest preferred.
@@ -415,8 +422,8 @@ namespace {
 struct MaskCase
 {
     const char *name;
-    WayMask allowed;   //!< May include bits beyond the 4-way set.
-    WayMask candidate; //!< May be disjoint from allowed.
+    WayMask allowed;     //!< May include bits beyond the 4-way set.
+    unsigned candidates; //!< M; may exceed the allowed ways or be 0.
     bool incomingShared;
 };
 
@@ -435,20 +442,20 @@ void PrintTo(const MaskCase &c, std::ostream *os)
  */
 const MaskCase kMaskCases[] = {
     // Out-of-range allowed bits alongside valid ones.
-    {"allowed_with_phantom_bits", 0b1111 | (WayMask{0xF0} << 4),
-     0b1111, true},
-    // Candidates entirely out of range (and allowed covering them):
-    // class 5 would otherwise select a phantom-only victims mask and
-    // panic; the safety net must fall back to in-range allowed LRU.
-    {"candidates_all_phantom", 0b1111 | (WayMask{0xF} << 8),
-     WayMask{0xF} << 8, true},
-    // Candidates disjoint from allowed (degenerate candidate mask).
-    {"candidates_outside_allowed", 0b0011, 0b1100, false},
-    // Partial overlap: only the overlap may be evicted from.
-    {"partial_overlap", 0b0111, 0b1110 | (WayMask{1} << 9), true},
+    {"allowed_with_phantom_bits", 0b1111 | (WayMask{0xF0} << 4), 4,
+     true},
     // Harvest region itself carries phantom bits.
-    {"harvest_mask_phantom", 0b1111 | (WayMask{1} << 17), 0b1111,
-     false},
+    {"harvest_mask_phantom", 0b1111 | (WayMask{1} << 17), 4, false},
+    // One candidate, phantom allowed bits above it.
+    {"one_candidate_phantom_allowed", 0b1111 | (WayMask{0xF} << 8), 1,
+     true},
+    // Fewer candidates than allowed ways, a phantom allowed bit too.
+    {"fewer_candidates_than_allowed", 0b0111 | (WayMask{1} << 9), 2,
+     true},
+    // M above the number of allowed ways: every allowed way counts.
+    {"candidates_exceed_allowed", 0b0011, 3, false},
+    // M = 0 (never set by the array): only the LRU allowed way.
+    {"zero_candidates", 0b0111, 0, true},
 };
 
 } // namespace
@@ -462,7 +469,7 @@ TEST_P(DegenerateMasks, HardHarvestVictimStaysInRange)
     SetFixture f;
     f.fillAll(true); // all-shared: forces class 5 / safety net
     f.ctx.allowedMask = c.allowed;
-    f.ctx.candidateMask = c.candidate;
+    f.ctx.candidates = c.candidates;
     if (std::string(c.name) == "harvest_mask_phantom")
         f.ctx.harvestMask = 0b0011 | (WayMask{1} << 17);
     HardHarvestPolicy p;
@@ -478,7 +485,7 @@ TEST_P(DegenerateMasks, CdpVictimStaysInRange)
     SetFixture f;
     f.fillAll(true);
     f.ctx.allowedMask = c.allowed;
-    f.ctx.candidateMask = c.candidate;
+    f.ctx.candidates = c.candidates;
     CdpPolicy p;
     const unsigned v = p.victim(f.ctx, c.incomingShared);
     EXPECT_LT(v, f.ways.size()) << c.name;
@@ -495,8 +502,121 @@ TEST(DegenerateMasks, PrivateEntriesWithPhantomRegion)
     SetFixture f;
     f.fillAll(false); // all-private
     f.ctx.allowedMask = 0b1111 | (WayMask{0x3} << 6);
-    f.ctx.candidateMask = WayMask{0x3} << 6; // candidates all phantom
+    f.ctx.harvestMask = WayMask{0x3} << 6; // harvest region all phantom
+    f.ctx.candidates = 1;
     HardHarvestPolicy p;
-    const unsigned v = p.victim(f.ctx, false);
-    EXPECT_LT(v, f.ways.size());
+    // No in-range harvest way: the LRU non-harvest private way.
+    EXPECT_EQ(p.victim(f.ctx, false), 0u);
+}
+
+// ------------------------------------------------ steered victim
+// steeredVictim() tests each class's LRU way against M with one
+// popcount over a bitmap of the allowed ways' ranks. The reference
+// sorts the allowed ways by rank, takes the first M as the candidate
+// mask and walks the classes over it.
+
+namespace {
+
+unsigned
+bruteForceVictim(const SetContext &ctx, bool incoming_shared,
+                 WayMask evictable)
+{
+    const WayMask allowed = ctx.allowedMask & ctx.wayMask();
+    const WayMask harvest = allowed & ctx.harvestMask;
+    const WayMask non_harvest = allowed & ~ctx.harvestMask;
+    const WayMask first = incoming_shared ? non_harvest : harvest;
+    const WayMask second = incoming_shared ? harvest : non_harvest;
+    const WayMask inv = allowed & ~ctx.validMask;
+    if (inv)
+        return static_cast<unsigned>(
+            std::countr_zero((inv & first) ? (inv & first) : inv));
+    std::vector<unsigned> order;
+    for (unsigned w = 0; w < ctx.ways; ++w) {
+        if ((allowed >> w) & 1)
+            order.push_back(w);
+    }
+    std::sort(order.begin(), order.end(), [&](unsigned a, unsigned b) {
+        return ctx.rank[a] < ctx.rank[b];
+    });
+    WayMask cand = 0;
+    for (std::size_t i = 0; i < order.size() && i < ctx.candidates; ++i)
+        cand |= WayMask{1} << order[i];
+    WayMask victims = cand & first & evictable;
+    if (!victims)
+        victims = cand & second & evictable;
+    if (!victims)
+        victims = cand;
+    for (unsigned w : order) {
+        if ((victims >> w) & 1)
+            return w;
+    }
+    return 64;
+}
+
+} // namespace
+
+TEST(SteeredVictim, MatchesBruteForceMLru)
+{
+    hh::sim::Rng rng(25, 7);
+    std::uint64_t compared = 0;
+    for (unsigned n = 1; n <= 16; ++n) {
+        const WayMask full = (WayMask{1} << n) - 1;
+        for (unsigned m = 1; m <= n + 1; ++m) {
+            for (int trial = 0; trial < 64; ++trial) {
+                std::vector<std::uint8_t> rank(n);
+                for (unsigned w = 0; w < n; ++w)
+                    rank[w] = static_cast<std::uint8_t>(w);
+                for (unsigned w = n; w > 1; --w)
+                    std::swap(rank[w - 1],
+                              rank[rng.uniformInt(std::uint64_t{w})]);
+                std::vector<Addr> tags(n);
+                std::vector<std::uint8_t> rrpv(n, 3);
+                SetContext ctx;
+                ctx.tags = tags.data();
+                ctx.rank = rank.data();
+                ctx.rrpv = rrpv.data();
+                ctx.ways = n;
+                ctx.candidates = m;
+                // Mostly full sets, where the candidates matter.
+                ctx.validMask = trial % 8 == 0
+                                    ? rng.uniformInt(full + 1)
+                                    : full;
+                ctx.sharedMask = rng.uniformInt(full + 1);
+                ctx.instrMask = rng.uniformInt(full + 1);
+                // Empty, full and random harvest regions.
+                ctx.harvestMask = trial % 3 == 0   ? 0
+                                  : trial % 3 == 1 ? full
+                                                   : rng.uniformInt(full + 1);
+                // Every way, then random non-empty subsets (some
+                // with no more ways than M).
+                ctx.allowedMask = trial % 4 == 0
+                                      ? full
+                                      : 1 + rng.uniformInt(full);
+                for (bool shared : {false, true}) {
+                    HardHarvestPolicy hh;
+                    CdpPolicy cdp;
+                    ASSERT_EQ(hh.victim(ctx, shared),
+                              bruteForceVictim(
+                                  ctx, shared,
+                                  ctx.validMask & ~ctx.sharedMask))
+                        << "ways " << n << " M " << m;
+                    ASSERT_EQ(cdp.victim(ctx, shared),
+                              bruteForceVictim(
+                                  ctx, shared,
+                                  ctx.validMask & ~ctx.instrMask))
+                        << "ways " << n << " M " << m;
+                    compared += 2;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(compared, 4u * 64u * (16u * 17u / 2u + 16u));
+}
+
+TEST(PolicyHooks, RankOnlyPoliciesSkipThem)
+{
+    EXPECT_FALSE(LruPolicy().hasAccessHooks());
+    EXPECT_FALSE(HardHarvestPolicy().hasAccessHooks());
+    EXPECT_FALSE(CdpPolicy().hasAccessHooks());
+    EXPECT_TRUE(RripPolicy().hasAccessHooks());
 }

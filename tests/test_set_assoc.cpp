@@ -354,3 +354,134 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_pair(64u, 12u),
                       std::make_pair(256u, 8u),
                       std::make_pair(32u, 16u)));
+
+// ---------------------------------------------------------- tag match
+// detail::matchTags compares two ways per SSE2 lane pair on x86-64 and
+// the odd last way alone. Each tag row below is its own heap block of
+// exactly `ways` tags, so a load past the last way is an over-read an
+// address sanitizer reports.
+
+namespace {
+
+constexpr unsigned kTagMatchWays[] = {1, 3, 5, 7, 12, 16, 64};
+
+WayMask
+lowWays(unsigned ways)
+{
+    return ways == 64 ? ~WayMask{0} : (WayMask{1} << ways) - 1;
+}
+
+} // namespace
+
+TEST(TagMatch, FindsEveryWayAtEveryWayCount)
+{
+    using hh::cache::detail::matchTags;
+    for (unsigned ways : kTagMatchWays) {
+        std::vector<hh::cache::Addr> tags(ways);
+        for (unsigned w = 0; w < ways; ++w)
+            tags[w] = 0x9E3779B97F4A7C15ULL * (w + 1);
+        for (unsigned w = 0; w < ways; ++w)
+            EXPECT_EQ(matchTags(tags.data(), ways, tags[w]),
+                      WayMask{1} << w)
+                << ways << " ways, way " << w;
+        EXPECT_EQ(matchTags(tags.data(), ways, 42), 0u) << ways;
+        // A key held by every way matches every way.
+        std::vector<hh::cache::Addr> same(ways, 7);
+        EXPECT_EQ(matchTags(same.data(), ways, 7), lowWays(ways))
+            << ways;
+    }
+}
+
+TEST(TagMatch, KeysAgreeingInOneHalfMiss)
+{
+    using hh::cache::detail::matchTags;
+    const hh::cache::Addr key = 0x0123456789ABCDEFULL;
+    const hh::cache::Addr same_low = 0xFEDCBA9889ABCDEFULL;
+    const hh::cache::Addr same_high = 0x0123456776543210ULL;
+    for (unsigned ways : kTagMatchWays) {
+        for (unsigned w = 0; w < ways; ++w) {
+            std::vector<hh::cache::Addr> tags(ways, 0);
+            tags[w] = same_low;
+            EXPECT_EQ(matchTags(tags.data(), ways, key), 0u)
+                << ways << " ways, way " << w;
+            tags[w] = same_high;
+            EXPECT_EQ(matchTags(tags.data(), ways, key), 0u)
+                << ways << " ways, way " << w;
+            tags[w] = key;
+            EXPECT_EQ(matchTags(tags.data(), ways, key), WayMask{1} << w)
+                << ways << " ways, way " << w;
+        }
+    }
+}
+
+TEST(TagMatch, KeyZeroMissesZeroedInvalidWays)
+{
+    for (unsigned ways : kTagMatchWays) {
+        auto a = makeArray(3, ways);
+        // Fresh and flushed ways hold tag 0 but are not valid.
+        EXPECT_FALSE(a.probe(0)) << ways;
+        EXPECT_FALSE(a.access(0, true).hit) << ways;
+        EXPECT_TRUE(a.access(0, true).hit) << ways;
+        a.flushAll();
+        EXPECT_FALSE(a.probe(0)) << ways;
+        EXPECT_FALSE(a.access(0, true).hit) << ways;
+        a.flushWays(a.allWays());
+        EXPECT_FALSE(a.probe(0)) << ways;
+    }
+}
+
+TEST(TagMatch, ArrayHitsTheWayItFilled)
+{
+    for (unsigned ways : kTagMatchWays) {
+        // Three sets (the modulo path): the middle set's tags sit
+        // between two others, the last set's at the end of the column.
+        auto a = makeArray(3, ways);
+        std::vector<unsigned> filled;
+        for (hh::cache::Addr i = 0; i < 3 * ways; ++i) {
+            const auto r = a.access(1000 + i, i % 2 == 0);
+            ASSERT_FALSE(r.hit) << ways;
+            filled.push_back(r.way);
+        }
+        for (hh::cache::Addr i = 0; i < 3 * ways; ++i) {
+            const auto r = a.access(1000 + i, i % 2 == 0);
+            EXPECT_TRUE(r.hit) << ways << " ways, key " << i;
+            EXPECT_EQ(r.way, filled[i]) << ways << " ways, key " << i;
+            EXPECT_TRUE(a.probe(1000 + i));
+        }
+        EXPECT_FALSE(a.probe(1000 + 3 * ways)) << ways;
+        EXPECT_EQ(a.hits(), 3u * ways);
+        EXPECT_EQ(a.misses(), 3u * ways);
+    }
+}
+
+TEST(SetAssocLayout, ColumnsStartOnHostLines)
+{
+    for (unsigned ways : kTagMatchWays) {
+        for (std::uint32_t sets : {1u, 3u, 64u}) {
+            auto a = makeArray(sets, ways);
+            const auto tags =
+                reinterpret_cast<std::uintptr_t>(a.tagRow(0).data());
+            const auto row =
+                reinterpret_cast<std::uintptr_t>(a.metadataRow(0).data());
+            EXPECT_EQ(tags % 64, 0u) << sets << " x " << ways;
+            EXPECT_EQ(row % 64, 0u) << sets << " x " << ways;
+            EXPECT_EQ(a.tagRow(sets - 1).data(),
+                      a.tagRow(0).data() +
+                          static_cast<std::size_t>(sets - 1) * ways);
+        }
+    }
+    // A snapshot load replaces both columns; they stay aligned.
+    auto a = makeArray(3, 5);
+    a.access(1, true);
+    auto save = hh::snap::Archive::forSave();
+    a.serialize(save);
+    auto load = hh::snap::Archive::forLoad(save.take());
+    a.serialize(load);
+    ASSERT_TRUE(load.ok()) << load.error();
+    EXPECT_TRUE(a.probe(1));
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a.tagRow(0).data()) % 64,
+              0u);
+    EXPECT_EQ(
+        reinterpret_cast<std::uintptr_t>(a.metadataRow(0).data()) % 64,
+        0u);
+}

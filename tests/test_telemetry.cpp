@@ -14,6 +14,7 @@
 
 #include "cluster/checkpoint.h"
 #include "cluster/experiment.h"
+#include "cluster/server.h"
 #include "cluster/telemetry_hub.h"
 #include "snapshot/archive.h"
 #include "stats/observation_view.h"
@@ -318,6 +319,55 @@ TEST(Telemetry, ServerTotalsAgreeWithResultCounters)
     EXPECT_EQ(res.leaseExpiries, sum.leaseExpiries);
     EXPECT_EQ(res.leaseFlushedLines, sum.leaseFlushedLines);
     EXPECT_EQ(res.leaseWayCycles, sum.leaseWayCycles);
+}
+
+TEST(Telemetry, EpochRowsSumToTheDrainCounters)
+{
+    // The last epoch row is taken when the run drains, after the
+    // all-done end time the totals are read at. Batch slices finish
+    // and reclaims happen only while requests are live, so those
+    // counts agree with the totals too; loans still open keep
+    // accruing lent cycles through the drain tail.
+    const SystemConfig cfg = telemetryConfig();
+    const auto batch = hh::workload::batchApplications();
+    std::uint64_t tail_cycles = 0;
+    for (unsigned s = 0; s < 2; ++s) {
+        ServerSim sim(cfg, batch[s].name, 5 + s);
+        sim.startRun();
+        sim.advanceRun(ServerSim::horizon());
+        const ServerResults r = sim.finishRun();
+        const ServerCounters drain = sim.counters(sim.now());
+        const ServerCounters &totals = r.telemetry.totals;
+        ASSERT_FALSE(r.telemetry.rows.empty());
+        EXPECT_EQ(r.telemetry.rows.back().t, sim.now());
+        EXPECT_LE(totals.t, drain.t);
+
+        std::uint64_t loaned = 0, native = 0, harvested = 0,
+                      reclaims = 0;
+        std::vector<std::uint64_t> vm_lent(drain.vms.size(), 0);
+        for (const auto &row : r.telemetry.rows) {
+            loaned += row.batchLoanedDelta;
+            native += row.batchNativeDelta;
+            harvested += row.harvestedCyclesDelta;
+            reclaims += row.reclaimsDelta;
+            for (const auto &vm : row.vms)
+                vm_lent[vm.vm] += vm.lentCycles;
+        }
+        EXPECT_EQ(loaned, drain.batchLoaned);
+        EXPECT_EQ(native, drain.batchNative);
+        EXPECT_EQ(harvested, drain.harvestedCycles());
+        EXPECT_EQ(reclaims, drain.reclaims());
+        for (std::size_t v = 0; v < vm_lent.size(); ++v)
+            EXPECT_EQ(vm_lent[v], drain.vms[v].lentCycles) << "vm " << v;
+
+        EXPECT_EQ(loaned, totals.batchLoaned);
+        EXPECT_EQ(native, totals.batchNative);
+        EXPECT_EQ(reclaims, totals.reclaims());
+        EXPECT_GE(harvested, totals.harvestedCycles());
+        tail_cycles += harvested - totals.harvestedCycles();
+    }
+    // The drain tail is real: some loan outlives the last request.
+    EXPECT_GT(tail_cycles, 0u);
 }
 
 TEST(Telemetry, JsonlRowsCarryValidChecksums)
