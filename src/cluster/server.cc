@@ -371,7 +371,7 @@ ServerSim::registerInvariants()
                 if (ctx.slice)
                     return concat("core ", c,
                                   " RunPrimary with a harvest slice");
-                const auto *req = requests_.find(ctx.runningRequest);
+                const auto *req = findRequest(ctx.runningRequest);
                 if (!req)
                     return concat("core ", c, " runs unknown request ",
                                   ctx.runningRequest);
@@ -415,10 +415,9 @@ ServerSim::registerInvariants()
                 ++claims[ctx.runningRequest];
         }
         std::optional<std::string> req_err;
-        requests_.forEach([&](std::uint64_t id,
-                              const hh::cpu::Request &req) {
+        for (const auto &[id, req] : requests_) {
             if (req_err)
-                return;
+                break;
             const auto it = claims.find(id);
             const unsigned n = it == claims.end() ? 0 : it->second;
             switch (req.state) {
@@ -444,7 +443,7 @@ ServerSim::registerInvariants()
                                  " lingers in Done state");
                 break;
             }
-        });
+        }
         if (req_err)
             return req_err;
         std::optional<std::string> err;
@@ -455,7 +454,7 @@ ServerSim::registerInvariants()
             const auto check = [&](std::uint64_t id,
                                    hh::cpu::RequestState want,
                                    const char *where) {
-                const auto *req = requests_.find(id);
+                const auto *req = findRequest(id);
                 if (!req)
                     err = concat("vm ", qm.vm(), " ", where,
                                  " holds unknown request ", id);
@@ -524,7 +523,7 @@ ServerSim::registerInvariants()
                           anchor_.size(), " anchors vs ", anchored,
                           " anchored-blocked marks");
         for (const auto &[id, core] : anchor_) {
-            const auto *req = requests_.find(id);
+            const auto *req = findRequest(id);
             if (!req)
                 return concat("anchored request ", id,
                               " does not exist");
@@ -827,7 +826,7 @@ ServerSim::graphInjectRequest(std::uint32_t vm)
 {
     VmCtx &v = vmCtx(vm);
     const std::uint64_t id = next_request_id_++;
-    hh::cpu::Request &req = requests_.create(id);
+    hh::cpu::Request &req = requests_[id];
     req.id = id;
     req.vm = vm;
     req.plan = v.service->planInvocation();
@@ -860,11 +859,8 @@ ServerSim::onPacket(const hh::net::Packet &pkt)
     }
 
     const std::uint32_t vm = pkt.dstVm;
-    hh::cpu::Request *found = requests_.find(pkt.requestId);
-    if (!found)
-        hh::sim::panic("ServerSim::onPacket: unknown request ",
-                       pkt.requestId);
-    hh::cpu::Request &req = *found;
+    hh::cpu::Request &req =
+        liveRequest(pkt.requestId, "ServerSim::onPacket");
 
     if (pkt.kind == hh::net::PacketKind::NewRequest) {
         ctrl_->enqueue(vm, req.id);
@@ -982,10 +978,7 @@ ServerSim::startRequestOnCore(unsigned core, std::uint64_t reqId,
                               Cycles overhead, Cycles reassignPart,
                               Cycles flushPart)
 {
-    hh::cpu::Request *found = requests_.find(reqId);
-    if (!found)
-        hh::sim::panic("startRequestOnCore: unknown request ", reqId);
-    hh::cpu::Request &req = *found;
+    hh::cpu::Request &req = liveRequest(reqId, "startRequestOnCore");
     CoreCtx &ctx = core_ctx_[core];
     if (ctx.phase != Phase::Idle && ctx.phase != Phase::Transition)
         hh::sim::panic("startRequestOnCore: core ", core, " not idle");
@@ -1035,10 +1028,7 @@ ServerSim::startRequestOnCore(unsigned core, std::uint64_t reqId,
 void
 ServerSim::executeSegment(unsigned core, std::uint64_t reqId)
 {
-    hh::cpu::Request *found = requests_.find(reqId);
-    if (!found)
-        hh::sim::panic("executeSegment: unknown request ", reqId);
-    hh::cpu::Request &req = *found;
+    hh::cpu::Request &req = liveRequest(reqId, "executeSegment");
     const auto &seg = req.plan.segments[req.nextSegment];
 
     Cycles dur = seg.compute;
@@ -1061,10 +1051,7 @@ ServerSim::executeSegment(unsigned core, std::uint64_t reqId)
 void
 ServerSim::onSegmentDone(unsigned core, std::uint64_t reqId)
 {
-    hh::cpu::Request *found = requests_.find(reqId);
-    if (!found)
-        hh::sim::panic("onSegmentDone: unknown request ", reqId);
-    hh::cpu::Request &req = *found;
+    hh::cpu::Request &req = liveRequest(reqId, "onSegmentDone");
     const auto seg = req.plan.segments[req.nextSegment];
     ++req.nextSegment;
 
@@ -1125,7 +1112,7 @@ ServerSim::onSegmentDone(unsigned core, std::uint64_t reqId)
 void
 ServerSim::completeRequest(unsigned core, std::uint64_t reqId)
 {
-    hh::cpu::Request &req = requests_.at(reqId);
+    hh::cpu::Request &req = liveRequest(reqId, "completeRequest");
     req.state = hh::cpu::RequestState::Done;
     req.completion = sim_.now();
     ctrl_->complete(req.vm, reqId);
@@ -1358,10 +1345,7 @@ void
 ServerSim::graphUnblock(std::uint32_t vm, std::uint64_t reqId,
                         hh::sim::Cycles blockedAt)
 {
-    hh::cpu::Request *found = requests_.find(reqId);
-    if (!found)
-        hh::sim::panic("graphUnblock: unknown request ", reqId);
-    hh::cpu::Request &req = *found;
+    hh::cpu::Request &req = liveRequest(reqId, "graphUnblock");
 
     // The synthetic-backend path charges its fixed io_total up front;
     // here the wait was the subtree's drain time, known only now.
@@ -1401,10 +1385,26 @@ ServerSim::setGraphDone(hh::sim::Cycles end)
     stopPeriodicTasks();
 }
 
+const hh::cpu::Request *
+ServerSim::findRequest(std::uint64_t id) const
+{
+    const auto it = requests_.find(id);
+    return it == requests_.end() ? nullptr : &it->second;
+}
+
+hh::cpu::Request &
+ServerSim::liveRequest(std::uint64_t id, const char *where)
+{
+    const auto it = requests_.find(id);
+    if (it == requests_.end())
+        hh::sim::panic(where, ": unknown request ", id);
+    return it->second;
+}
+
 bool
 ServerSim::requestBlocked(std::uint64_t reqId) const
 {
-    const auto *req = requests_.find(reqId);
+    const auto *req = findRequest(reqId);
     return req && req->state == hh::cpu::RequestState::Blocked;
 }
 
@@ -2279,7 +2279,7 @@ ServerSim::serializeState(hh::snap::Archive &ar)
         }
     }
     ar.io(core_ctx_);
-    requests_.serialize(ar);
+    ar.io(requests_);
     ar.io(next_request_id_);
     ar.io(anchor_);
     ar.io(pending_reclaims_);

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -31,7 +32,6 @@
 #include "core/controller.h"
 #include "cpu/core.h"
 #include "cpu/request.h"
-#include "cpu/request_arena.h"
 #include "mem/dram.h"
 #include "net/fabric.h"
 #include "net/nic.h"
@@ -472,6 +472,10 @@ class ServerSim
                             hh::sim::Cycles overhead,
                             hh::sim::Cycles reassignPart,
                             hh::sim::Cycles flushPart);
+    /** Live request @p id, or nullptr. */
+    const hh::cpu::Request *findRequest(std::uint64_t id) const;
+    /** Live request @p id; panics naming @p where if it is absent. */
+    hh::cpu::Request &liveRequest(std::uint64_t id, const char *where);
     void executeSegment(unsigned core, std::uint64_t reqId);
     void onSegmentDone(unsigned core, std::uint64_t reqId);
     void completeRequest(unsigned core, std::uint64_t reqId);
@@ -601,12 +605,9 @@ class ServerSim
     std::vector<std::unique_ptr<hh::cpu::Core>> cores_;
     std::vector<CoreCtx> core_ctx_;
 
-    /**
-     * In-flight requests, arena-allocated so segment replay walks
-     * chunk-contiguous records instead of hash-scattered nodes.
-     * Serialized byte-identically to the unordered_map it replaced.
-     */
-    hh::cpu::RequestArena requests_;
+    /** In-flight requests; ascending id order keeps the request
+     *  invariant's first report deterministic. */
+    std::map<std::uint64_t, hh::cpu::Request> requests_;
     std::uint64_t next_request_id_ = 1;
     std::unordered_map<std::uint64_t, unsigned> anchor_; //!< req -> core
 

@@ -36,7 +36,7 @@ void
 EventQueue::freeSlot(std::uint32_t slot)
 {
     Record &rec = slab_[slot];
-    rec.cb.reset();
+    rec.cb = nullptr;
     rec.tag = hh::snap::SnapTag{};
     ++rec.gen;
     free_slots_.push_back(slot);

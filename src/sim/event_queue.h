@@ -8,14 +8,14 @@
  * polling core that gets a hardware notification first).
  *
  * Design: a binary min-heap of plain (when, seq, slot, gen) entries.
- * Callbacks live in a slab of reusable records and are stored in a
- * small-buffer-optimised `InlineFunction`, so the schedule/pop cycle
- * performs no heap allocation for typical events. An `EventId`
- * encodes (generation, slot); cancellation bumps the slot's
- * generation, which is O(1) and needs no hash-map lookup — stale heap
- * entries are recognised by a generation mismatch and discarded
- * lazily, with periodic compaction keeping stored entries proportional
- * to the number of live events.
+ * Callbacks are `std::function`s held in a slab of reusable records.
+ * A run executes tens of thousands of events, each costing tens of
+ * microseconds of cache replay, so a callback allocation per event is
+ * noise. An `EventId` encodes (generation, slot); cancellation bumps
+ * the slot's generation, which is O(1) and needs no hash-map lookup —
+ * stale heap entries are recognised by a generation mismatch and
+ * discarded lazily, with periodic compaction keeping stored entries
+ * proportional to the number of live events.
  *
  * Determinism contract: pops deliver the globally minimal (when, seq)
  * pair, where seq is the schedule-order sequence number. The
@@ -31,7 +31,6 @@
 #include <functional>
 #include <vector>
 
-#include "sim/inline_function.h"
 #include "sim/time.h"
 #include "snapshot/tag.h"
 
@@ -59,7 +58,7 @@ inline constexpr EventId kInvalidEventId = 0;
 class EventQueue
 {
   public:
-    using Callback = InlineFunction<void()>;
+    using Callback = std::function<void()>;
     /** Member alias so generic code can name the id type. */
     using EventId = hh::sim::EventId;
 

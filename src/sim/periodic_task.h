@@ -25,10 +25,10 @@
 #ifndef HH_SIM_PERIODIC_TASK_H
 #define HH_SIM_PERIODIC_TASK_H
 
+#include <functional>
 #include <string>
 #include <utility>
 
-#include "sim/inline_function.h"
 #include "sim/log.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
@@ -41,7 +41,7 @@ class PeriodicTask
 {
   public:
     /** One tick's work; returns the delay to the next tick, 0 to end. */
-    using Fire = InlineFunction<Cycles()>;
+    using Fire = std::function<Cycles()>;
 
     PeriodicTask(Simulator &sim, hh::snap::SnapTag::Kind kind, Fire fire)
         : sim_(sim), kind_(kind), fire_(std::move(fire))

@@ -269,23 +269,31 @@ class Archive
         }
     }
 
-    /** Unordered map, serialized in ascending key order. */
-    template <typename K, typename V, typename H, typename Eq>
+    /**
+     * Map, ordered or unordered: the count, then key/value pairs in
+     * ascending key order.
+     */
+    template <typename M>
+        requires requires { typename M::mapped_type; }
     void
-    io(std::unordered_map<K, V, H, Eq> &m)
+    io(M &m)
     {
+        using K = typename M::key_type;
         if (saving()) {
-            std::vector<K> keys;
-            keys.reserve(m.size());
-            for (const auto &kv : m)
-                keys.push_back(kv.first);
-            std::sort(keys.begin(), keys.end());
-            std::uint64_t n = keys.size();
+            std::vector<typename M::value_type *> kvs;
+            kvs.reserve(m.size());
+            for (auto &kv : m)
+                kvs.push_back(&kv);
+            std::sort(kvs.begin(), kvs.end(),
+                      [](const auto *a, const auto *b) {
+                          return a->first < b->first;
+                      });
+            std::uint64_t n = kvs.size();
             io(n);
-            for (const K &k : keys) {
-                K key = k;
+            for (auto *kv : kvs) {
+                K key = kv->first;
                 io(key);
-                io(m.at(k));
+                io(kv->second);
             }
         } else {
             std::uint64_t n = 0;
@@ -294,7 +302,7 @@ class Archive
             for (std::uint64_t i = 0; i < n && ok_; ++i) {
                 K k{};
                 io(k);
-                V v{};
+                typename M::mapped_type v{};
                 io(v);
                 m.emplace(std::move(k), std::move(v));
             }

@@ -2,7 +2,7 @@
  * @file
  * Snapshot tags: the serializable identity of an in-flight event.
  *
- * Event callbacks are type-erased `InlineFunction` closures and cannot
+ * Event callbacks are type-erased `std::function` closures and cannot
  * be serialized. Instead, every event that can be live when a
  * checkpoint is taken carries a `SnapTag` describing *which* closure
  * it is (kind) and the values it captured (up to five integer args).

@@ -160,12 +160,6 @@ class FleetSim
      */
     bool resume(const std::string &path, std::string *error);
 
-    /** The per-server engines, in server order (tests). */
-    const std::vector<std::unique_ptr<RpcEngine>> &engines() const
-    {
-        return engines_;
-    }
-
   private:
     ServiceGraphSpec spec_;
     hh::cluster::SystemConfig cfg_;

@@ -7,8 +7,6 @@
 
 namespace hh::svc {
 
-using hh::sim::Cycles;
-
 namespace {
 
 /** SplitMix64-style mixer: deterministic, interleaving-independent. */
@@ -22,75 +20,6 @@ mix(std::uint64_t a, std::uint64_t b)
 }
 
 } // namespace
-
-RpcNode &
-NodeArena::create(std::uint64_t id)
-{
-    if (slot_.count(id))
-        hh::sim::panic("NodeArena: duplicate node id ", id);
-    slot_[id] = nodes_.size();
-    nodes_.emplace_back();
-    nodes_.back().id = id;
-    peak_ = std::max(peak_, nodes_.size());
-    return nodes_.back();
-}
-
-RpcNode *
-NodeArena::find(std::uint64_t id)
-{
-    const auto it = slot_.find(id);
-    return it == slot_.end() ? nullptr : &nodes_[it->second];
-}
-
-void
-NodeArena::erase(std::uint64_t id)
-{
-    const auto it = slot_.find(id);
-    if (it == slot_.end())
-        hh::sim::panic("NodeArena: erase of unknown node ", id);
-    const std::size_t s = it->second;
-    slot_.erase(it);
-    if (s + 1 != nodes_.size()) {
-        nodes_[s] = nodes_.back();
-        slot_[nodes_[s].id] = s;
-    }
-    nodes_.pop_back();
-}
-
-std::uint64_t
-NodeArena::footprintBytes() const
-{
-    // Dense storage plus a conservative per-entry estimate for the
-    // slot map (bucket pointer + node with key, value and hash).
-    return nodes_.capacity() * sizeof(RpcNode) +
-           slot_.bucket_count() * sizeof(void *) +
-           slot_.size() * (sizeof(std::uint64_t) * 2 +
-                           sizeof(void *) * 2);
-}
-
-void
-NodeArena::serialize(hh::snap::Archive &ar)
-{
-    // Canonical order: the dense vector's layout depends on the
-    // erase history, so save sorted by id and rebuild on load.
-    if (ar.saving()) {
-        std::vector<RpcNode> sorted = nodes_;
-        std::sort(sorted.begin(), sorted.end(),
-                  [](const RpcNode &a, const RpcNode &b) {
-                      return a.id < b.id;
-                  });
-        ar.io(sorted);
-    } else {
-        nodes_.clear();
-        slot_.clear();
-        ar.io(nodes_);
-        for (std::size_t s = 0; s < nodes_.size(); ++s)
-            slot_[nodes_[s].id] = s;
-    }
-    std::uint64_t peak = peak_;
-    ar.io(peak);
-    peak_ = static_cast<std::size_t>(peak);
-}
 
 RpcEngine::RpcEngine(const ServiceGraphSpec &spec,
                      std::shared_ptr<const GraphRouting> routing,
@@ -119,6 +48,23 @@ RpcEngine::RpcEngine(const ServiceGraphSpec &spec,
     tier_hist_us_.assign(spec_.depth(), hh::stats::LogHistogram());
 }
 
+RpcNode &
+RpcEngine::createNode()
+{
+    const std::uint64_t id = next_node_id_++;
+    RpcNode &n = nodes_[id];
+    n.id = id;
+    peak_nodes_ = std::max(peak_nodes_, nodes_.size());
+    return n;
+}
+
+RpcNode *
+RpcEngine::findNode(std::uint64_t id)
+{
+    const auto it = nodes_.find(id);
+    return it == nodes_.end() ? nullptr : &it->second;
+}
+
 bool
 RpcEngine::admitRoot(std::uint32_t vm)
 {
@@ -135,18 +81,17 @@ RpcEngine::admitRoot(std::uint32_t vm)
 void
 RpcEngine::onRootArrival(std::uint32_t vm, std::uint64_t reqId)
 {
-    const std::uint64_t id = next_node_id_++;
-    RpcNode &n = arena_.create(id);
+    RpcNode &n = createNode();
     n.vm = vm;
     n.tier = 0;
     // Root salt: a pure function of (server, node id) — no RNG, so
     // the whole tree's routing is fixed at the root's creation.
-    n.salt = mix(mix(0x5EAF00D5EAF00D5EULL, self_), id);
+    n.salt = mix(mix(0x5EAF00D5EAF00D5EULL, self_), n.id);
     n.parentServer = RpcNode::kNoParent;
     n.reqId = reqId;
     n.arrival = server_.now();
     ++vm_live_[vm];
-    req_to_node_[reqId] = id;
+    req_to_node_[reqId] = n.id;
 }
 
 bool
@@ -156,7 +101,7 @@ RpcEngine::onCallSite(std::uint64_t reqId)
     if (it == req_to_node_.end())
         hh::sim::panic("RpcEngine: call site of unknown request ",
                        reqId);
-    RpcNode *n = arena_.find(it->second);
+    RpcNode *n = findNode(it->second);
     if (!n)
         hh::sim::panic("RpcEngine: request ", reqId,
                        " maps to dead node");
@@ -178,7 +123,7 @@ RpcEngine::onComplete(std::uint64_t reqId)
                        reqId);
     const std::uint64_t id = it->second;
     req_to_node_.erase(it);
-    RpcNode *n = arena_.find(id);
+    RpcNode *n = findNode(id);
     if (!n)
         hh::sim::panic("RpcEngine: request ", reqId,
                        " completed on dead node");
@@ -207,8 +152,7 @@ RpcEngine::onGraphPacket(const hh::net::Packet &pkt)
             return;
         }
         const std::uint64_t reqId = server_.graphInjectRequest(vm);
-        const std::uint64_t id = next_node_id_++;
-        RpcNode &n = arena_.create(id);
+        RpcNode &n = createNode();
         n.vm = vm;
         n.tier = pkt.tier;
         n.salt = pkt.salt;
@@ -218,11 +162,11 @@ RpcEngine::onGraphPacket(const hh::net::Packet &pkt)
         n.reqId = reqId;
         n.arrival = server_.now();
         ++vm_live_[vm];
-        req_to_node_[reqId] = id;
+        req_to_node_[reqId] = n.id;
         return;
     }
     if (pkt.kind == PacketKind::GraphDone) {
-        RpcNode *n = arena_.find(pkt.nodeRef);
+        RpcNode *n = findNode(pkt.nodeRef);
         if (!n)
             hh::sim::panic("RpcEngine: GraphDone for unknown node ",
                            pkt.nodeRef);
@@ -248,30 +192,24 @@ RpcEngine::onGraphPacket(const hh::net::Packet &pkt)
 void
 RpcEngine::fanOut(std::uint64_t id)
 {
-    RpcNode *n = arena_.find(id);
+    RpcNode *n = findNode(id);
     const std::uint32_t t = n->tier;
     const unsigned fanout = spec_.tiers[t].fanout;
     const auto &slots = routing_->tierSlots[t + 1];
     n->childrenOutstanding = fanout;
     n->fannedOut = true;
-    // Copy the routing inputs out of the arena: send() may loop back
-    // through the NIC, and arena references must not be assumed
-    // stable across anything that can re-enter the engine.
-    const std::uint64_t salt = n->salt;
-    const std::uint32_t vm = n->vm;
-    const Cycles now = server_.now();
     for (unsigned j = 0; j < fanout; ++j) {
         const auto [dstServer, dstVm] =
-            slots[mix(salt, j) % slots.size()];
+            slots[mix(n->salt, j) % slots.size()];
         hh::net::Packet pkt;
         pkt.kind = hh::net::PacketKind::GraphCall;
         pkt.dstVm = dstVm;
         pkt.srcServer = self_;
-        pkt.srcVm = vm;
+        pkt.srcVm = n->vm;
         pkt.nodeRef = id;
-        pkt.salt = mix(salt ^ 0xC2B2AE3D27D4EB4FULL, j);
+        pkt.salt = mix(n->salt ^ 0xC2B2AE3D27D4EB4FULL, j);
         pkt.tier = t + 1;
-        pkt.arrival = now;
+        pkt.arrival = server_.now();
         send(dstServer, pkt);
     }
 }
@@ -279,7 +217,7 @@ RpcEngine::fanOut(std::uint64_t id)
 void
 RpcEngine::maybeFinishNode(std::uint64_t id)
 {
-    RpcNode *n = arena_.find(id);
+    RpcNode *n = findNode(id);
     if (!n)
         hh::sim::panic("RpcEngine: finish of unknown node ", id);
     if (!n->localDone || n->waiting || n->childrenOutstanding > 0)
@@ -315,7 +253,7 @@ RpcEngine::maybeFinishNode(std::uint64_t id)
         send(n->parentServer, pkt);
     }
     --vm_live_[vm];
-    arena_.erase(id);
+    nodes_.erase(id);
 }
 
 void
@@ -355,7 +293,22 @@ RpcEngine::takeOutbox()
 void
 RpcEngine::serialize(hh::snap::Archive &ar)
 {
-    arena_.serialize(ar);
+    // The nodes as a vector of id-sorted records, then the peak.
+    std::vector<RpcNode> nodes;
+    if (ar.saving()) {
+        nodes.reserve(nodes_.size());
+        for (const auto &kv : nodes_)
+            nodes.push_back(kv.second);
+    }
+    ar.io(nodes);
+    if (ar.loading()) {
+        nodes_.clear();
+        for (const RpcNode &n : nodes)
+            nodes_.emplace(n.id, n);
+    }
+    std::uint64_t peak = peak_nodes_;
+    ar.io(peak);
+    peak_nodes_ = static_cast<std::size_t>(peak);
     ar.io(next_node_id_);
     ar.io(req_to_node_);
     ar.io(vm_live_);
@@ -381,7 +334,7 @@ std::optional<std::string>
 RpcEngine::auditInvariant()
 {
     std::vector<std::uint32_t> live(vm_live_.size(), 0);
-    for (const RpcNode &n : arena_.nodes()) {
+    for (const auto &[id, n] : nodes_) {
         if (n.vm >= live.size())
             return "svc: node " + std::to_string(n.id) +
                    " on out-of-range vm";
@@ -401,10 +354,10 @@ RpcEngine::auditInvariant()
         if (live[vm] != vm_live_[vm])
             return "svc: vm " + std::to_string(vm) + " live-count " +
                    std::to_string(vm_live_[vm]) +
-                   " != arena population " + std::to_string(live[vm]);
+                   " != node population " + std::to_string(live[vm]);
     }
     for (const auto &[reqId, id] : req_to_node_) {
-        RpcNode *n = arena_.find(id);
+        RpcNode *n = findNode(id);
         if (!n || n->reqId != reqId)
             return "svc: request " + std::to_string(reqId) +
                    " maps to a dead or mismatched node";
@@ -415,7 +368,11 @@ RpcEngine::auditInvariant()
 std::uint64_t
 RpcEngine::footprintBytes() const
 {
-    std::uint64_t bytes = arena_.footprintBytes();
+    // A tree node holds its key/value pair, three links and a colour
+    // word; a hash node its pair, a next link and the cached hash.
+    std::uint64_t bytes =
+        nodes_.size() * (sizeof(decltype(nodes_)::value_type) +
+                         sizeof(void *) * 4);
     bytes += req_to_node_.size() *
              (sizeof(std::uint64_t) * 2 + sizeof(void *) * 2);
     bytes += vm_live_.capacity() * sizeof(std::uint32_t);

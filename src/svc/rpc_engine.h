@@ -4,8 +4,8 @@
  *
  * Each server in a graph fleet owns one `RpcEngine`, installed into
  * its `ServerSim` as the `GraphHooks` implementation. The engine
- * tracks every live RPC-tree node resident on the server in a
- * compacting arena: a root node per front-tier arrival, plus a child
+ * tracks every live RPC-tree node resident on the server in an
+ * id-ordered map: a root node per front-tier arrival, plus a child
  * node per inbound `GraphCall`. When a node's service invocation hits
  * its first I/O call site (sync tiers), the engine fans out child
  * RPCs into the next tier — same-server children loop back through
@@ -23,8 +23,8 @@
  * Bounded footprint: a VM holding `maxLiveNodesPerVm` live nodes
  * sheds new work (roots at admission, child calls on arrival, both
  * accounted in shed counters and answered with an immediate
- * `GraphDone` so the parent tree still drains). The arena compacts on
- * erase, so resident state tracks the live tree population, not the
+ * `GraphDone` so the parent tree still drains). A finished node is
+ * erased, so resident state tracks the live tree population, not the
  * run's history.
  */
 
@@ -32,6 +32,7 @@
 #define HH_SVC_RPC_ENGINE_H
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -93,36 +94,6 @@ struct RpcNode
 };
 
 /**
- * Compacting id-addressed arena of live RPC-tree nodes.
- *
- * Dense storage (erase swaps the last element in) keeps the resident
- * footprint proportional to the live population; the side map resolves
- * stable ids to slots. References returned by find()/create() are
- * invalidated by any create/erase — re-resolve across mutations.
- */
-class NodeArena
-{
-  public:
-    RpcNode &create(std::uint64_t id);
-    RpcNode *find(std::uint64_t id);
-    void erase(std::uint64_t id);
-
-    std::size_t size() const { return nodes_.size(); }
-    std::size_t peak() const { return peak_; }
-    const std::vector<RpcNode> &nodes() const { return nodes_; }
-
-    std::uint64_t footprintBytes() const;
-
-    /** Canonical (id-sorted) save; restore rebuilds the slot map. */
-    void serialize(hh::snap::Archive &ar);
-
-  private:
-    std::vector<RpcNode> nodes_;
-    std::unordered_map<std::uint64_t, std::size_t> slot_;
-    std::size_t peak_ = 0;
-};
-
-/**
  * A cross-server message awaiting the fleet coordinator's exchange.
  * `Packet` does not carry the destination server — routing is the
  * coordinator's job — so the outbox entry does.
@@ -175,8 +146,8 @@ class RpcEngine : public hh::cluster::GraphHooks
         return roots_done_ + roots_shed_ >= roots_expected_;
     }
 
-    std::size_t liveNodes() const { return arena_.size(); }
-    std::size_t peakLiveNodes() const { return arena_.peak(); }
+    std::size_t liveNodes() const { return nodes_.size(); }
+    std::size_t peakLiveNodes() const { return peak_nodes_; }
     /** @} */
 
     /** @name Statistics @{ */
@@ -202,6 +173,12 @@ class RpcEngine : public hh::cluster::GraphHooks
     /** @} */
 
   private:
+    /** Create a node under the next node id. */
+    RpcNode &createNode();
+
+    /** Live node @p id, or nullptr. */
+    RpcNode *findNode(std::uint64_t id);
+
     /** Issue all child RPCs of @p id into the next tier. */
     void fanOut(std::uint64_t id);
 
@@ -219,7 +196,8 @@ class RpcEngine : public hh::cluster::GraphHooks
     const unsigned self_;
     hh::cluster::ServerSim &server_;
 
-    NodeArena arena_;
+    std::map<std::uint64_t, RpcNode> nodes_;
+    std::size_t peak_nodes_ = 0;
     std::uint64_t next_node_id_ = 1;
     std::unordered_map<std::uint64_t, std::uint64_t> req_to_node_;
 

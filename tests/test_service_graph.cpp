@@ -5,18 +5,26 @@
  * runs, worker-count bit-identity, mid-tree checkpoint-resume with
  * live RPC trees and in-flight wire packets, tree-drain edge cases
  * (zero-fanout leaves, same-server loopback, saturated back tiers),
- * and Zipf-table sharing across identical service instances.
+ * Zipf-table sharing across identical service instances, and the
+ * RPC engine's pinned snapshot encoding of its live nodes.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <memory>
 #include <string>
+#include <vector>
 
+#include "cluster/server.h"
 #include "cluster/system_config.h"
 #include "net/packet.h"
 #include "sim/rng.h"
+#include "snapshot/archive.h"
 #include "svc/fleet.h"
 #include "svc/graph_spec.h"
+#include "svc/rpc_engine.h"
 #include "workload/service.h"
 
 using namespace hh::svc;
@@ -68,6 +76,31 @@ expectedRoots(const ServiceGraphSpec &spec, const SystemConfig &cfg)
         front.vmsPerServer;
     return vms * cfg.requestsPerVm;
 }
+
+/** One server of a single-tier leaf graph with its RPC engine,
+ *  wired as FleetSim wires each of its servers. */
+struct LeafEngine
+{
+    std::unique_ptr<hh::cluster::ServerSim> sim;
+    std::unique_ptr<RpcEngine> engine;
+
+    LeafEngine()
+    {
+        ServiceGraphSpec spec;
+        spec.name = "leaf";
+        spec.servers = 1;
+        spec.tiers.push_back({"UrlShort", 0, true, 0, 0, 2});
+        SystemConfig cfg = quickConfig();
+        cfg.graphSpec = spec.canonicalText();
+        const GraphPlacement placement =
+            buildGraphPlacement(spec, cfg, 1);
+        sim = std::make_unique<hh::cluster::ServerSim>(
+            cfg, "BFS", placement.plans[0], 1);
+        engine = std::make_unique<RpcEngine>(spec, placement.routing, 0,
+                                             *sim, cfg);
+        sim->setGraphHooks(engine.get());
+    }
+};
 
 } // namespace
 
@@ -367,4 +400,94 @@ TEST(Fleet, SaturatedBackTierShedsAreAccounted)
     EXPECT_EQ(r.tiers[1].nodes + r.tiers[1].sheds,
               4 * r.tiers[0].nodes);
     EXPECT_GT(r.tiers[1].sheds, 0u);
+}
+
+TEST(SnapshotRpcNodes, SavedInAscendingIdOrderWithFixedLayout)
+{
+    // Roots for requests 5, 2 and 9 become nodes 1, 2 and 3. Finishing
+    // request 5's root erases node 1, so a store that moves its last
+    // record into the hole now holds node 3 before node 2.
+    LeafEngine le;
+    le.engine->onRootArrival(0, 5);
+    le.engine->onRootArrival(1, 2);
+    le.engine->onRootArrival(0, 9);
+    le.engine->onComplete(5);
+    ASSERT_EQ(le.engine->liveNodes(), 2u);
+    EXPECT_EQ(le.engine->peakLiveNodes(), 3u);
+
+    auto save = hh::snap::Archive::forSave();
+    le.engine->serialize(save);
+    ASSERT_TRUE(save.ok()) << save.error();
+
+    // The section opens with the node count, 71-byte records in id
+    // order, the peak, the next node id and the request -> node map.
+    auto in = hh::snap::Archive::forLoad(save.take());
+    const auto u64 = [&in] {
+        std::uint64_t v = ~0ull;
+        in.io(v);
+        return v;
+    };
+    const auto u32 = [&in] {
+        std::uint32_t v = ~0u;
+        in.io(v);
+        return v;
+    };
+    const auto flag = [&in] {
+        std::uint8_t v = 0xff;
+        in.io(v);
+        return v;
+    };
+    EXPECT_EQ(u64(), 2u);
+    const std::uint64_t ids[] = {2, 3};
+    const std::uint32_t vms[] = {1, 0};
+    const std::uint64_t reqs[] = {2, 9};
+    std::uint64_t salts[2] = {};
+    for (int i = 0; i < 2; ++i) {
+        EXPECT_EQ(u64(), ids[i]) << "id of record " << i;
+        EXPECT_EQ(u32(), vms[i]) << "vm";
+        EXPECT_EQ(u32(), 0u) << "tier";
+        salts[i] = u64();
+        EXPECT_EQ(u32(), RpcNode::kNoParent) << "parentServer";
+        EXPECT_EQ(u32(), 0u) << "parentVm";
+        EXPECT_EQ(u64(), 0u) << "parentNode";
+        EXPECT_EQ(u64(), reqs[i]) << "reqId";
+        EXPECT_EQ(u64(), 0u) << "arrival";
+        EXPECT_EQ(u64(), 0u) << "blockedAt";
+        EXPECT_EQ(u32(), 0u) << "childrenOutstanding";
+        EXPECT_EQ(flag(), 0u) << "localDone";
+        EXPECT_EQ(flag(), 0u) << "fannedOut";
+        EXPECT_EQ(flag(), 0u) << "waiting";
+    }
+    EXPECT_NE(salts[0], salts[1]);
+    EXPECT_EQ(u64(), 3u) << "peak";
+    EXPECT_EQ(u64(), 4u) << "next node id";
+    EXPECT_EQ(u64(), 2u) << "request map size";
+    EXPECT_EQ(u64(), 2u);
+    EXPECT_EQ(u64(), 2u);
+    EXPECT_EQ(u64(), 9u);
+    EXPECT_EQ(u64(), 3u);
+    EXPECT_TRUE(in.ok()) << in.error();
+}
+
+TEST(SnapshotRpcNodes, CorruptNodeCountFailsTheLoad)
+{
+    LeafEngine a;
+    a.engine->onRootArrival(0, 1);
+    auto save = hh::snap::Archive::forSave();
+    a.engine->serialize(save);
+    ASSERT_TRUE(save.ok()) << save.error();
+    std::vector<std::uint8_t> bytes = save.take();
+    const std::uint64_t count = 1000000000;
+    std::memcpy(bytes.data(), &count, sizeof count);
+    const std::size_t remaining = bytes.size() - sizeof count;
+
+    LeafEngine b;
+    auto load = hh::snap::Archive::forLoad(std::move(bytes));
+    b.engine->serialize(load);
+    EXPECT_FALSE(load.ok());
+    EXPECT_EQ(load.error(),
+              "snapshot corrupt: container of 1000000000 elements "
+              "exceeds " +
+                  std::to_string(remaining) + " remaining bytes");
+    EXPECT_EQ(b.engine->liveNodes(), 0u);
 }

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/periodic_task.h"
@@ -17,6 +21,27 @@ using hh::sim::Cycles;
 using hh::sim::PeriodicTask;
 using hh::sim::Simulator;
 using hh::snap::SnapTag;
+
+namespace {
+
+/** Callback state well past any small-buffer size. */
+struct Big
+{
+    std::array<std::uint64_t, 12> words{};
+
+    explicit Big(std::uint64_t v) { words.fill(v); }
+
+    std::uint64_t
+    sum() const
+    {
+        std::uint64_t s = 0;
+        for (const std::uint64_t w : words)
+            s += w;
+        return s;
+    }
+};
+
+} // namespace
 
 TEST(Simulator, ClockStartsAtZero)
 {
@@ -124,6 +149,76 @@ TEST(Simulator, ZeroDelayRunsAtCurrentTime)
     s.schedule(0, [&] { when = s.now(); });
     s.run();
     EXPECT_EQ(when, 10u);
+}
+
+TEST(Simulator, LargeCaptureIsScheduledCancelledAndRun)
+{
+    Simulator s;
+    // The token's use count shows when the queue lets go of a capture.
+    auto token = std::make_shared<int>(0);
+    std::uint64_t sum = 0;
+    auto kept = [big = Big(3), token, &sum] { sum += big.sum(); };
+    auto dropped = [big = Big(5), token, &sum] { sum += big.sum(); };
+    static_assert(sizeof(kept) >= 64 && sizeof(dropped) >= 64);
+
+    const auto kept_id = s.schedule(20, std::move(kept));
+    const auto dropped_id = s.schedule(10, std::move(dropped));
+    EXPECT_EQ(token.use_count(), 3);
+    EXPECT_TRUE(s.cancel(dropped_id));
+    EXPECT_FALSE(s.cancel(dropped_id));
+    EXPECT_EQ(token.use_count(), 2);
+
+    EXPECT_EQ(s.run(), 1u);
+    EXPECT_EQ(sum, 36u);
+    EXPECT_EQ(s.now(), 20u);
+    EXPECT_EQ(token.use_count(), 1);
+    EXPECT_FALSE(s.cancel(kept_id));
+}
+
+TEST(Simulator, LargeCapturesFireInTimeThenScheduleOrder)
+{
+    Simulator s;
+    std::vector<std::pair<Cycles, std::uint64_t>> fired;
+    const Cycles when[] = {30, 10, 30, 20, 10, 30};
+    for (std::uint64_t i = 0; i < 6; ++i) {
+        auto cb = [big = Big(i), &fired, &s] {
+            fired.emplace_back(s.now(), big.words.back());
+        };
+        static_assert(sizeof(cb) >= 64);
+        s.scheduleAt(when[i], std::move(cb));
+    }
+    EXPECT_EQ(s.run(), 6u);
+    EXPECT_EQ(fired, (std::vector<std::pair<Cycles, std::uint64_t>>{
+                         {10, 1}, {10, 4}, {20, 3}, {30, 0}, {30, 2},
+                         {30, 5}}));
+}
+
+TEST(Simulator, LargeCaptureIsRearmedThroughSnapshot)
+{
+    Simulator a;
+    a.schedule(40, hh::snap::tag(SnapTag::kSamplerTick, 7), [] {});
+    a.schedule(25, hh::snap::tag(SnapTag::kSamplerTick, 2), [] {});
+    auto save = hh::snap::Archive::forSave();
+    a.serialize(save, [](const SnapTag &) -> Simulator::Callback {
+        return {};
+    });
+    ASSERT_TRUE(save.ok()) << save.error();
+
+    Simulator b;
+    std::vector<std::pair<Cycles, std::uint64_t>> fired;
+    auto load = hh::snap::Archive::forLoad(save.take());
+    b.serialize(load, [&](const SnapTag &t) -> Simulator::Callback {
+        auto cb = [big = Big(t.a), &fired, &b] {
+            fired.emplace_back(b.now(), big.sum());
+        };
+        static_assert(sizeof(cb) >= 64);
+        return cb;
+    });
+    ASSERT_TRUE(load.ok()) << load.error();
+    EXPECT_EQ(b.nextEventTime(), 25u);
+    EXPECT_EQ(b.run(), 2u);
+    EXPECT_EQ(fired, (std::vector<std::pair<Cycles, std::uint64_t>>{
+                         {25, 24}, {40, 84}}));
 }
 
 TEST(SimulatorPeriodicTask, FiresAtCadenceUntilFireReturnsZero)

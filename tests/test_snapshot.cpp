@@ -4,13 +4,17 @@
  * position-exactness and stream independence, SubQueue state with
  * overflow pending, a cache hierarchy mid-flush (hidden harvest
  * ways), a full server saved while a lend/reclaim race is in flight
- * (the historical race state), the event queue's pinned encoding and
- * the checkpoint manifest's JSON escaping.
+ * (the historical race state), the event queue's pinned encoding, the
+ * live-request map encoding and the checkpoint manifest's JSON
+ * escaping.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <map>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -19,6 +23,7 @@
 #include "cluster/server.h"
 #include "cluster/system_config.h"
 #include "core/rq.h"
+#include "cpu/request.h"
 #include "sim/rng.h"
 #include "snapshot/archive.h"
 #include "snapshot/file.h"
@@ -42,6 +47,25 @@ loadRng(hh::sim::Rng &rng, const std::vector<std::uint8_t> &bytes)
     auto ar = Archive::forLoad(bytes);
     rng.serialize(ar);
     EXPECT_TRUE(ar.ok());
+}
+
+/** Requests created as ids 5, 2 and 9, with id 5 then erased. */
+template <typename Map>
+Map
+liveRequests()
+{
+    Map live;
+    for (const std::uint64_t id : {5, 2, 9}) {
+        hh::cpu::Request r;
+        r.id = id;
+        r.vm = static_cast<std::uint32_t>(id % 4);
+        r.state = hh::cpu::RequestState::Blocked;
+        r.arrival = 100 * id;
+        r.samplingCarry = -static_cast<std::int32_t>(id);
+        live.emplace(id, r);
+    }
+    live.erase(5);
+    return live;
 }
 
 } // namespace
@@ -438,6 +462,68 @@ TEST(SnapshotEventQueue, IdenticalHistoryIdenticalBytes)
 // manifest, so every control character must come out escaped or the
 // manifest is not JSON. Quotes, backslashes and newlines keep the
 // escapes every existing manifest already has.
+TEST(SnapshotRequests, LiveRequestsSaveInAscendingIdOrder)
+{
+    using Map = std::unordered_map<std::uint64_t, hh::cpu::Request>;
+    Map live = liveRequests<Map>();
+    auto save = Archive::forSave();
+    save.io(live);
+    ASSERT_TRUE(save.ok()) << save.error();
+    const std::vector<std::uint8_t> bytes = save.take();
+
+    // The count, then each id followed by its record, ids ascending.
+    auto want = Archive::forSave();
+    std::uint64_t n = 2;
+    want.io(n);
+    for (std::uint64_t id : {2, 9}) {
+        want.io(id);
+        live.at(id).serialize(want);
+    }
+    EXPECT_EQ(bytes, want.take());
+    const std::size_t record = (bytes.size() - 8) / 2 - 8;
+    const auto u64At = [&bytes](std::size_t at) {
+        std::uint64_t v = 0;
+        std::memcpy(&v, bytes.data() + at, sizeof v);
+        return v;
+    };
+    EXPECT_EQ(u64At(0), 2u);
+    EXPECT_EQ(u64At(8), 2u);
+    EXPECT_EQ(u64At(16), 2u) << "record 2 opens with its id";
+    EXPECT_EQ(u64At(16 + record), 9u);
+    EXPECT_EQ(u64At(24 + record), 9u) << "record 9 opens with its id";
+
+    Map back;
+    auto load = Archive::forLoad(bytes);
+    load.io(back);
+    ASSERT_TRUE(load.ok()) << load.error();
+    EXPECT_TRUE(load.atEnd());
+    ASSERT_EQ(back.size(), 2u);
+    EXPECT_EQ(back.at(9).arrival, 900u);
+    EXPECT_EQ(back.at(2).samplingCarry, -2);
+}
+
+TEST(SnapshotRequests, OrderedMapSharesTheEncoding)
+{
+    using Hashed = std::unordered_map<std::uint64_t, hh::cpu::Request>;
+    using Ordered = std::map<std::uint64_t, hh::cpu::Request>;
+    Hashed hashed = liveRequests<Hashed>();
+    Ordered ordered = liveRequests<Ordered>();
+    auto a = Archive::forSave();
+    a.io(hashed);
+    auto b = Archive::forSave();
+    b.io(ordered);
+    const std::vector<std::uint8_t> bytes = a.take();
+    EXPECT_EQ(bytes, b.take());
+
+    Ordered back;
+    auto load = Archive::forLoad(bytes);
+    load.io(back);
+    ASSERT_TRUE(load.ok()) << load.error();
+    ASSERT_EQ(back.size(), 2u);
+    EXPECT_EQ(back.begin()->first, 2u);
+    EXPECT_EQ(back.at(9).vm, 1u);
+}
+
 TEST(SnapshotManifest, ControlCharactersAreEscaped)
 {
     hh::snap::CheckpointFile f;
