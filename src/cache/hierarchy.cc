@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "sim/log.h"
 #include "sim/prof.h"
@@ -143,20 +144,167 @@ CoreHierarchy::access(Cycles now, const MemAccess &a)
     return lat;
 }
 
-void
-CoreHierarchy::prefetch(const MemAccess &a) const
+namespace {
+
+/**
+ * One thread's replay buffers, kept across calls so a replay
+ * allocates only when it is longer than any before it on the thread.
+ */
+struct ReplayScratch
 {
-    if (cfg_.infinite)
-        return;
-    const Addr line_key = a.page * kLinesPerPage + (a.line % kLinesPerPage);
-    l1tlb_->prefetch(a.page);
-    l2tlb_->prefetch(a.page);
-    (a.isInstr ? *l1i_ : *l1d_).prefetch(line_key);
-    l2_->prefetch(line_key);
-    if (l3_)
-        l3_->prefetch(line_key);
-    if (lease_l3_ && lease_l3_mask_)
-        lease_l3_->prefetch(line_key);
+    std::vector<MemAccess> drawn;
+    std::vector<Addr> pages;            //!< TLB keys
+    std::vector<Addr> lines;            //!< cache keys
+    std::vector<std::uint8_t> sharedFlags; //!< TLBs and L3s: shared bit
+    std::vector<std::uint8_t> flags;       //!< L1s and L2: shared, instr
+    std::vector<Cycles> lat;            //!< latency before DRAM
+    std::vector<std::uint32_t> all;     //!< 0, 1, ..., n - 1
+    std::vector<std::uint32_t> instr, data, tlbMiss, walk, instrMiss,
+        dataMiss, l1Miss, l2Miss, l3Miss, memMiss;
+};
+
+ReplayScratch &
+replayScratch()
+{
+    thread_local ReplayScratch s;
+    return s;
+}
+
+} // namespace
+
+std::span<MemAccess>
+CoreHierarchy::drawBuffer(std::uint32_t n)
+{
+    std::vector<MemAccess> &drawn = replayScratch().drawn;
+    drawn.resize(n);
+    return drawn;
+}
+
+Cycles
+CoreHierarchy::replayDrawn(Cycles now, std::span<const MemAccess> drawn)
+{
+    // The fill masks are fixed for the whole call unless a Primary
+    // call starts while the harvest ways are still hidden.
+    const bool fixed_masks = harvest_mode_ || !cfg_.partitioning ||
+                             now >= harvest_visible_at_;
+    const bool own_lease = lease_l3_ && lease_l3_mask_ && lease_l3_ == l3_;
+    if (fixed_masks && !cfg_.infinite && !own_lease)
+        return replayPasses(now, drawn);
+    const unsigned sampling = std::max(1u, cfg_.accessWeight);
+    Cycles t = now;
+    for (const MemAccess &a : drawn)
+        t += sampling * access(t, a);
+    return t - now;
+}
+
+Cycles
+CoreHierarchy::replayPasses(Cycles now, std::span<const MemAccess> drawn)
+{
+    const auto n = static_cast<std::uint32_t>(drawn.size());
+    HH_PROF_SCOPE_N(prof, "cache.hierarchy_access", n);
+    accesses_ += n;
+    ReplayScratch &s = replayScratch();
+    for (auto *v : {&s.pages, &s.lines})
+        v->resize(n);
+    s.sharedFlags.resize(n);
+    s.flags.resize(n);
+    s.lat.resize(n);
+    for (auto *v : {&s.instr, &s.data, &s.tlbMiss, &s.walk, &s.instrMiss,
+                    &s.dataMiss, &s.l1Miss, &s.l2Miss, &s.l3Miss,
+                    &s.memMiss})
+        v->resize(n);
+    for (auto i = static_cast<std::uint32_t>(s.all.size()); i < n; ++i)
+        s.all.push_back(i);
+
+    // Keys, flags and the latency every access pays: the L1 TLB and
+    // its L1. Instruction pages always carry Shared=1 (§4.2.3).
+    const Cycles l1i_lat = l1i_->geometry().latency;
+    const Cycles l1d_lat = l1d_->geometry().latency;
+    const Cycles tlb_lat = l1tlb_->geometry().latency;
+    std::uint32_t n_instr = 0, n_data = 0;
+    for (std::uint32_t i = 0; i < n; ++i) {
+        const MemAccess &a = drawn[i];
+        const bool shared = a.isInstr ? true : a.shared;
+        s.pages[i] = a.page;
+        s.lines[i] = a.page * kLinesPerPage + (a.line % kLinesPerPage);
+        s.sharedFlags[i] = shared ? SetAssocArray::kRunShared : 0;
+        s.flags[i] = static_cast<std::uint8_t>(
+            s.sharedFlags[i] | (a.isInstr ? SetAssocArray::kRunInstr : 0));
+        s.lat[i] = tlb_lat + (a.isInstr ? l1i_lat : l1d_lat);
+        if (a.isInstr)
+            s.instr[n_instr++] = i;
+        else
+            s.data[n_data++] = i;
+    }
+    const auto charge = [&](const std::uint32_t *list, std::uint32_t m,
+                            Cycles c) {
+        for (std::uint32_t k = 0; k < m; ++k)
+            s.lat[list[k]] += c;
+    };
+
+    // -------- Address translation --------
+    const std::uint32_t tlb_misses = l1tlb_->probeRun(
+        s.pages.data(), s.all.data(), n, s.sharedFlags.data(),
+        allowedMask(*l1tlb_, now), s.tlbMiss.data());
+    charge(s.tlbMiss.data(), tlb_misses, l2tlb_->geometry().latency);
+    const std::uint32_t walks = l2tlb_->probeRun(
+        s.pages.data(), s.tlbMiss.data(), tlb_misses, s.sharedFlags.data(),
+        allowedMask(*l2tlb_, now), s.walk.data());
+    charge(s.walk.data(), walks, cfg_.pageWalk);
+
+    // -------- Data/instruction path --------
+    const std::uint32_t instr_misses = l1i_->probeRun(
+        s.lines.data(), s.instr.data(), n_instr, s.flags.data(),
+        allowedMask(*l1i_, now), s.instrMiss.data());
+    const std::uint32_t data_misses = l1d_->probeRun(
+        s.lines.data(), s.data.data(), n_data, s.flags.data(),
+        allowedMask(*l1d_, now), s.dataMiss.data());
+    // L2 sees both L1s' misses in access order.
+    const std::uint32_t l1_misses = static_cast<std::uint32_t>(
+        std::merge(s.instrMiss.begin(), s.instrMiss.begin() + instr_misses,
+                   s.dataMiss.begin(), s.dataMiss.begin() + data_misses,
+                   s.l1Miss.begin()) -
+        s.l1Miss.begin());
+    charge(s.l1Miss.data(), l1_misses, l2_->geometry().latency);
+    std::uint32_t misses = l2_->probeRun(
+        s.lines.data(), s.l1Miss.data(), l1_misses, s.flags.data(),
+        allowedMask(*l2_, now), s.l2Miss.data());
+    std::uint32_t *missed = s.l2Miss.data();
+
+    if (l3_) {
+        charge(missed, misses, l3_->geometry().latency);
+        // Ways leased cross-VM (the L3 partition's harvest mask) are
+        // reserved for the borrower; the owner fills around them.
+        const WayMask own = l3_->allWays() & ~l3_->harvestWays();
+        misses = l3_->probeRun(s.lines.data(), missed, misses,
+                               s.sharedFlags.data(),
+                               own ? own : l3_->allWays(),
+                               s.l3Miss.data());
+        missed = s.l3Miss.data();
+    }
+    // Leased ways borrowed from another VM's partition: no extra
+    // latency (see access()).
+    if (lease_l3_ && lease_l3_mask_) {
+        misses = lease_l3_->probeRun(s.lines.data(), missed, misses,
+                                     s.sharedFlags.data(), lease_l3_mask_,
+                                     s.memMiss.data());
+        missed = s.memMiss.data();
+    }
+
+    // -------- DRAM, in access order along the cursor --------
+    const unsigned sampling = std::max(1u, cfg_.accessWeight);
+    Cycles t = now;
+    std::uint32_t next = 0;
+    for (std::uint32_t i = 0; i < n; ++i) {
+        Cycles lat = s.lat[i];
+        if (next < misses && missed[next] == i) {
+            ++next;
+            lat += dram_ ? dram_->access(t, s.lines[i], cfg_.accessWeight)
+                         : kFlatDramLatency;
+        }
+        t += sampling * lat;
+    }
+    return t - now;
 }
 
 void

@@ -19,10 +19,10 @@
 #define HH_CACHE_HIERARCHY_H
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_set>
 
@@ -85,9 +85,6 @@ struct HierarchyConfig
     unsigned accessWeight = 1;
 };
 
-/** Accesses CoreHierarchy::replay() draws ahead of its probe. */
-inline constexpr std::uint32_t kReplayLookahead = 8;
-
 /**
  * The private hierarchy of one core.
  */
@@ -114,31 +111,23 @@ class CoreHierarchy
     hh::sim::Cycles access(hh::sim::Cycles now, const MemAccess &a);
 
     /**
-     * Start loading, into the host's caches, the set of every
-     * structure that access(a) would probe: both TLBs, L1I or L1D,
-     * L2, the bound L3 partition and the leased L3, if any. Changes
-     * no simulated state.
-     */
-    void prefetch(const MemAccess &a) const;
-
-    /**
      * Replay the sampled share of @p accesses real accesses from
      * @p now and return the memory time they take at full weight.
      *
      * One replayed access stands for accessWeight real ones. The
-     * replayed count is rounded to nearest and the residual weight
+     * replayed count n is rounded to nearest and the residual weight
      * carried in @p carry, so over many calls the replayed total
      * converges to accesses / accessWeight (plain truncation would
      * lose up to accessWeight - 1 accesses per call). The time cursor
      * advances by each access's latency times accessWeight, so DRAM
      * sees correctly spaced traffic instead of a same-instant burst.
      *
-     * @p draw yields the next MemAccess. It is called exactly once
-     * per replayed access, in order, but up to kReplayLookahead
-     * accesses ahead of the probe, and each drawn access is
-     * prefetched: the host loads of successive accesses overlap.
-     * This gives the same result as drawing each access just before
-     * its probe because the stream never depends on cache state.
+     * @p draw(std::span<MemAccess> out) fills out with the next n
+     * accesses, in order; it is called once, and not at all when n is
+     * 0. Drawing every access before probing any gives the same result
+     * as drawing each just before its probe, because the stream never
+     * depends on cache state. The drawn accesses then replay as in
+     * replayDrawn().
      */
     template <typename Draw>
     hh::sim::Cycles
@@ -152,26 +141,11 @@ class CoreHierarchy
             (pool + sampling / 2) / sampling);
         carry = static_cast<std::int32_t>(
             pool - static_cast<std::int64_t>(n) * sampling);
-
-        std::array<MemAccess, kReplayLookahead> ring;
-        std::uint32_t drawn = 0;
-        const auto fetch = [&] {
-            MemAccess &slot = ring[drawn % kReplayLookahead];
-            slot = draw();
-            prefetch(slot);
-            ++drawn;
-        };
-        while (drawn < std::min(n, kReplayLookahead))
-            fetch();
-        hh::sim::Cycles t = now;
-        for (std::uint32_t i = 0; i < n; ++i) {
-            // Copy out before the refill reuses this slot.
-            const MemAccess a = ring[i % kReplayLookahead];
-            if (drawn < n)
-                fetch();
-            t += sampling * access(t, a);
-        }
-        return t - now;
+        if (n == 0)
+            return 0;
+        const std::span<MemAccess> drawn = drawBuffer(n);
+        draw(drawn);
+        return replayDrawn(now, drawn);
     }
 
     /**
@@ -299,6 +273,40 @@ class CoreHierarchy
     }
 
   private:
+    /**
+     * This thread's draw buffer, resized to @p n. One buffer per
+     * thread, shared by every hierarchy the thread replays.
+     */
+    static std::span<MemAccess> drawBuffer(std::uint32_t n);
+
+    /**
+     * Replay @p drawn from @p now, each access at accessWeight, and
+     * return the memory time they take: exactly what access(t, a) for
+     * each a in order would do, the cursor t starting at @p now and
+     * advancing by accessWeight times each latency.
+     *
+     * When the fill masks cannot change during the call (harvest
+     * mode, no partitioning, or the hidden harvest ways already
+     * visible at @p now), it replays level by level instead. Every
+     * array is non-inclusive and fills on each miss, so each level's
+     * state depends only on the order of the misses from the level
+     * above. The passes: both TLB levels, L1I and L1D over their own
+     * accesses, L2 over the L1 misses in access order, the L3
+     * partition, then the leased L3; a last in-order pass charges
+     * DRAM at each access's rebuilt cursor time. Every array sees the
+     * same keys, flags and fill masks in the same order as the
+     * access-major loop, so every simulated byte is the same. A
+     * Primary call inside the flush-bound window, infinite mode and a
+     * lease of the core's own L3 partition keep the access-major
+     * loop.
+     */
+    hh::sim::Cycles replayDrawn(hh::sim::Cycles now,
+                                std::span<const MemAccess> drawn);
+
+    /** The level-by-level replay of replayDrawn(). */
+    hh::sim::Cycles replayPasses(hh::sim::Cycles now,
+                                 std::span<const MemAccess> drawn);
+
     /** Fill mask for a private structure given the current mode. */
     WayMask allowedMask(const SetAssocArray &arr,
                         hh::sim::Cycles now) const;

@@ -27,7 +27,23 @@ namespace hh::cache {
 class CdpPolicy : public ReplacementPolicy
 {
   public:
-    unsigned victim(const SetContext &ctx, bool incoming_shared) override;
+    /** The victim, inline for the array's probe loop. */
+    static unsigned
+    choose(const SetContext &ctx, bool incoming_shared)
+    {
+        // CDP's defining choice: protect instruction entries; evict
+        // data entries first, regardless of their shared/private
+        // nature.
+        return detail::steeredVictim(ctx, incoming_shared,
+                                     ctx.validMask & ~ctx.instrMask);
+    }
+
+    unsigned
+    victim(const SetContext &ctx, bool incoming_shared) override
+    {
+        return detail::checkedVictim(ctx, choose(ctx, incoming_shared),
+                                     "CdpPolicy");
+    }
     const char *name() const override { return "CDP"; }
     bool hasAccessHooks() const override { return false; }
 };

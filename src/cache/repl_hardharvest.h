@@ -44,7 +44,21 @@ namespace hh::cache {
 class HardHarvestPolicy : public ReplacementPolicy
 {
   public:
-    unsigned victim(const SetContext &ctx, bool incoming_shared) override;
+    /** The victim, inline for the array's probe loop. */
+    static unsigned
+    choose(const SetContext &ctx, bool incoming_shared)
+    {
+        // Private entries are the evictable ones (classes 3-4).
+        return detail::steeredVictim(ctx, incoming_shared,
+                                     ctx.validMask & ~ctx.sharedMask);
+    }
+
+    unsigned
+    victim(const SetContext &ctx, bool incoming_shared) override
+    {
+        return detail::checkedVictim(ctx, choose(ctx, incoming_shared),
+                                     "HardHarvestPolicy");
+    }
     const char *name() const override { return "HardHarvest"; }
     bool hasAccessHooks() const override { return false; }
 };

@@ -16,7 +16,28 @@ namespace hh::cache {
 class LruPolicy : public ReplacementPolicy
 {
   public:
-    unsigned victim(const SetContext &ctx, bool incoming_shared) override;
+    /**
+     * The victim, inline for the array's probe loop: the lowest
+     * invalid allowed way, else the LRU allowed way; ctx.ways or more
+     * when the allowed mask is empty.
+     */
+    static unsigned
+    choose(const SetContext &ctx, bool incoming_shared)
+    {
+        (void)incoming_shared;
+        const WayMask allowed = ctx.allowedMask & ctx.wayMask();
+        const WayMask inv = allowed & ~ctx.validMask;
+        if (inv)
+            return static_cast<unsigned>(std::countr_zero(inv));
+        return detail::lruWay(ctx.rank, allowed);
+    }
+
+    unsigned
+    victim(const SetContext &ctx, bool incoming_shared) override
+    {
+        return detail::checkedVictim(ctx, choose(ctx, incoming_shared),
+                                     "LruPolicy");
+    }
     const char *name() const override { return "LRU"; }
     bool hasAccessHooks() const override { return false; }
 };

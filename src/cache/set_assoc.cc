@@ -4,7 +4,12 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <type_traits>
+#include <typeinfo>
 
+#include "cache/repl_cdp.h"
+#include "cache/repl_hardharvest.h"
+#include "cache/repl_lru.h"
 #include "sim/log.h"
 #include "sim/prof.h"
 #include "stats/registry.h"
@@ -14,20 +19,229 @@ namespace hh::cache {
 namespace {
 
 /** Rank bytes per row: ways rounded up to 8. */
-unsigned
+constexpr unsigned
 rankBytes(unsigned ways)
 {
     return (ways + 7) & ~7U;
 }
 
 /** 64-bit words per metadata row: masks, ranks and RRPVs. */
-std::size_t
+constexpr std::size_t
 rowWords(unsigned ways)
 {
     return (SetAssocArray::kRankOffset + rankBytes(ways) + ways + 7) / 8;
 }
 
+/** Probes a run looks ahead when it prefetches a set. */
+constexpr std::uint32_t kRunPrefetchDistance = 8;
+
+/**
+ * Make @p way the most recently used of a set whose @p stride rank
+ * bytes start at @p rank; @p top is the set's highest rank.
+ */
+inline void
+promote(std::uint8_t *rank, unsigned way, unsigned stride, unsigned top)
+{
+    // Every way ranked above the promoted one drops by one, eight
+    // ranks per 64-bit word. Ranks are below 64, so in each byte
+    // (r | 0x80) - (old + 1) keeps bit 7 exactly when r > old and
+    // never borrows from the next byte; the zero padding past the
+    // last way never exceeds old and stays zero.
+    constexpr std::uint64_t kOnes = 0x0101010101010101ULL;
+    constexpr std::uint64_t kHigh = 0x8080808080808080ULL;
+    const unsigned old = rank[way];
+    const std::uint64_t above = (old + 1) * kOnes;
+    for (unsigned w = 0; w < stride; w += 8) {
+        std::uint64_t r;
+        std::memcpy(&r, rank + w, sizeof r);
+        r -= (((r | kHigh) - above) & kHigh) >> 7;
+        std::memcpy(rank + w, &r, sizeof r);
+    }
+    // The promoted way rises past the top - old ways that were above
+    // it, to the top.
+    rank[way] = static_cast<std::uint8_t>(top);
+}
+
+/**
+ * What a probe reads of its array, copied into locals once per call:
+ * a probe's rank stores are byte stores, which may alias any member
+ * as far as the compiler knows, so fields read through `this` would
+ * be reloaded after each one. With a fixed way count W (sets then a
+ * power of two) the geometry is a set of constants instead.
+ */
+template <unsigned W>
+struct ProbeView
+{
+    Addr *tags;
+    std::uint64_t *rows;
+    std::uint32_t sets;
+    unsigned runtimeWays;
+    WayMask harvest;
+    unsigned candidates;
+
+    unsigned ways() const { return W ? W : runtimeWays; }
+    unsigned stride() const { return rankBytes(ways()); }
+    std::size_t words() const { return rowWords(ways()); }
+
+    std::uint32_t
+    setIndex(Addr key) const
+    {
+        if (W || (sets & (sets - 1)) == 0)
+            return static_cast<std::uint32_t>(key & (sets - 1));
+        return static_cast<std::uint32_t>(key % sets);
+    }
+    Addr *
+    setTags(std::uint32_t set) const
+    {
+        return tags + static_cast<std::size_t>(set) * ways();
+    }
+    std::uint64_t *
+    setRow(std::uint32_t set) const
+    {
+        return rows + static_cast<std::size_t>(set) * words();
+    }
+};
+
+/**
+ * The probe body: look up @p key and, on a miss, fill it into the
+ * victim P picks among @p allowed (non-empty, within the ways).
+ * Counts nothing; the entry points do.
+ */
+template <unsigned W, typename P>
+[[gnu::always_inline]] inline AccessResult
+probeBody(const ProbeView<W> &v, ReplacementPolicy &policy, bool hooks,
+          Addr key, bool shared, WayMask allowed, bool instr)
+{
+    constexpr unsigned kValid = SetAssocArray::kValid;
+    constexpr unsigned kShared = SetAssocArray::kShared;
+    constexpr unsigned kInstr = SetAssocArray::kInstr;
+    constexpr bool kVirtual = std::is_same_v<P, ReplacementPolicy>;
+    const unsigned ways = v.ways();
+    const std::uint32_t set = v.setIndex(key);
+    Addr *tags = v.setTags(set);
+    std::uint64_t *row = v.setRow(set);
+    std::uint8_t *rank = reinterpret_cast<std::uint8_t *>(row) +
+                         SetAssocArray::kRankOffset;
+    std::uint8_t *rrpv = rank + v.stride();
+    AccessResult res;
+
+    // Match the whole tag row, then keep the valid ways: at most one
+    // valid way holds the key.
+    const WayMask valid = row[kValid];
+    const WayMask match = detail::matchTags(tags, ways, key) & valid;
+    if (match) {
+        const auto w = static_cast<unsigned>(std::countr_zero(match));
+        res.hit = true;
+        res.way = w;
+        promote(rank, w, v.stride(), ways - 1);
+        if (kVirtual && hooks)
+            policy.touch(rrpv[w]);
+        return res;
+    }
+
+    SetContext ctx;
+    ctx.tags = tags;
+    ctx.rank = rank;
+    ctx.rrpv = rrpv;
+    ctx.ways = ways;
+    ctx.validMask = valid;
+    ctx.sharedMask = row[kShared];
+    ctx.instrMask = row[kInstr];
+    ctx.harvestMask = v.harvest;
+    ctx.allowedMask = allowed;
+    ctx.candidates = v.candidates;
+    ctx.setIndex = set;
+
+    unsigned victim;
+    if constexpr (kVirtual) {
+        // Any policy may be plugged in, so its answer is checked
+        // before it indexes the set. The inline victims always
+        // return an allowed way, and the allowed mask is non-empty.
+        victim = policy.victim(ctx, shared);
+        if (victim >= ways)
+            hh::sim::panic("SetAssocArray: policy returned way ", victim,
+                           " of ", ways);
+    } else {
+        victim = P::choose(ctx, shared);
+    }
+    const WayMask bit = WayMask{1} << victim;
+    if (valid & bit) {
+        res.evictedValid = true;
+        res.victimShared = (row[kShared] & bit) != 0;
+    }
+    tags[victim] = key;
+    promote(rank, victim, v.stride(), ways - 1);
+    if (kVirtual && hooks)
+        policy.fill(rrpv[victim]);
+    row[kValid] |= bit;
+    row[kShared] = shared ? (row[kShared] | bit) : (row[kShared] & ~bit);
+    row[kInstr] = instr ? (row[kInstr] | bit) : (row[kInstr] & ~bit);
+    res.way = victim;
+    return res;
+}
+
 } // namespace
+
+template <unsigned W, typename P>
+AccessResult
+SetAssocArray::accessKernel(Addr key, bool shared, WayMask allowed,
+                            bool instr)
+{
+    const ProbeView<W> v{tags_.data(), rows_.data(),  geom_.sets,
+                         geom_.ways,   harvest_mask_, candidate_count_};
+    const AccessResult res = probeBody<W, P>(v, *policy_, policy_hooks_,
+                                             key, shared, allowed, instr);
+    if (res.hit) {
+        ++hits_;
+    } else {
+        ++misses_;
+        evictions_ += res.evictedValid;
+    }
+    return res;
+}
+
+template <unsigned W, typename P>
+std::uint32_t
+SetAssocArray::runKernel(const Addr *keys, const std::uint32_t *order,
+                         std::uint32_t n, const std::uint8_t *flags,
+                         WayMask allowed, std::uint32_t *misses)
+{
+    const ProbeView<W> v{tags_.data(), rows_.data(),  geom_.sets,
+                         geom_.ways,   harvest_mask_, candidate_count_};
+    ReplacementPolicy &policy = *policy_;
+    const bool hooks = policy_hooks_;
+    std::uint32_t missed = 0;
+    std::uint64_t evicted = 0;
+    for (std::uint32_t k = 0; k < n; ++k) {
+        if (k + kRunPrefetchDistance < n) {
+            const std::uint32_t ahead =
+                v.setIndex(keys[order[k + kRunPrefetchDistance]]);
+            prefetchBytes(v.setTags(ahead), v.ways() * sizeof(Addr));
+            prefetchBytes(v.setRow(ahead),
+                          v.words() * sizeof(std::uint64_t));
+        }
+        const std::uint32_t i = order[k];
+        const AccessResult res = probeBody<W, P>(
+            v, policy, hooks, keys[i], (flags[i] & kRunShared) != 0,
+            allowed, (flags[i] & kRunInstr) != 0);
+        if (!res.hit) {
+            misses[missed++] = i;
+            evicted += res.evictedValid;
+        }
+    }
+    hits_ += n - missed;
+    misses_ += missed;
+    evictions_ += evicted;
+    return missed;
+}
+
+template <unsigned W, typename P>
+void
+SetAssocArray::bindKernels()
+{
+    access_kernel_ = &SetAssocArray::accessKernel<W, P>;
+    run_kernel_ = &SetAssocArray::runKernel<W, P>;
+}
 
 SetAssocArray::SetAssocArray(const Geometry &geom,
                              std::unique_ptr<ReplacementPolicy> policy)
@@ -46,6 +260,30 @@ SetAssocArray::SetAssocArray(const Geometry &geom,
     all_mask_ = geom.ways == 64 ? ~WayMask{0}
                                 : ((WayMask{1} << geom.ways) - 1);
     policy_hooks_ = policy_->hasAccessHooks();
+
+    // The Table 1 way counts over power-of-two sets get a fixed-way
+    // kernel; anything else reads its geometry at run time. Only the
+    // exact LRU, HardHarvest and CDP classes get their victim inlined.
+    const auto bindWays = [&]<typename P>() {
+        const bool pow2 = (geom.sets & (geom.sets - 1)) == 0;
+        switch (pow2 ? geom.ways : 0) {
+          case 4: bindKernels<4, P>(); break;
+          case 8: bindKernels<8, P>(); break;
+          case 12: bindKernels<12, P>(); break;
+          case 16: bindKernels<16, P>(); break;
+          default: bindKernels<0, P>(); break;
+        }
+    };
+    const std::type_info &kind = typeid(*policy_);
+    if (kind == typeid(LruPolicy))
+        bindWays.template operator()<LruPolicy>();
+    else if (kind == typeid(HardHarvestPolicy))
+        bindWays.template operator()<HardHarvestPolicy>();
+    else if (kind == typeid(CdpPolicy))
+        bindWays.template operator()<CdpPolicy>();
+    else
+        bindWays.template operator()<ReplacementPolicy>();
+
     // Every set starts as the same row: no valid way, default RRPVs,
     // ranked by way index (the order of an all-invalid set, where the
     // lowest index counts as least recently used). Build it once and
@@ -86,33 +324,6 @@ SetAssocArray::setCandidateFraction(double f)
                std::lround(f * static_cast<double>(geom_.ways))));
 }
 
-void
-SetAssocArray::promote(std::uint8_t *rank, unsigned way)
-{
-    // Every way ranked above the promoted one drops by one, eight
-    // ranks per 64-bit word. Ranks are below 64, so in each byte
-    // (r | 0x80) - (old + 1) keeps bit 7 exactly when r > old and
-    // never borrows from the next byte; the zero padding past the
-    // last way never exceeds old and stays zero.
-    constexpr std::uint64_t kOnes = 0x0101010101010101ULL;
-    constexpr std::uint64_t kHigh = 0x8080808080808080ULL;
-    // (Members are read once, up front: the byte stores below may
-    // alias them as far as the compiler knows.)
-    const unsigned stride = rank_stride_;
-    const unsigned top = geom_.ways - 1;
-    const unsigned old = rank[way];
-    const std::uint64_t above = (old + 1) * kOnes;
-    for (unsigned w = 0; w < stride; w += 8) {
-        std::uint64_t r;
-        std::memcpy(&r, rank + w, sizeof r);
-        r -= (((r | kHigh) - above) & kHigh) >> 7;
-        std::memcpy(rank + w, &r, sizeof r);
-    }
-    // The promoted way rises past the top - old ways that were above
-    // it, to the top.
-    rank[way] = static_cast<std::uint8_t>(top);
-}
-
 AccessResult
 SetAssocArray::access(Addr key, bool shared, WayMask allowed,
                       bool instr)
@@ -121,63 +332,21 @@ SetAssocArray::access(Addr key, bool shared, WayMask allowed,
     allowed &= all_mask_;
     if (!allowed)
         hh::sim::panic("SetAssocArray::access: empty allowed mask");
+    return (this->*access_kernel_)(key, shared, allowed, instr);
+}
 
-    const std::uint32_t set = setIndex(key);
-    const std::size_t si = static_cast<std::size_t>(set) * geom_.ways;
-    std::uint64_t *row = setRow(set);
-    std::uint8_t *rank = rowRanks(row);
-    std::uint8_t *rrpv = rowRrpv(row);
-    AccessResult res;
-
-    // Match the whole tag row, then keep the valid ways: at most one
-    // valid way holds the key.
-    const WayMask valid = row[kValid];
-    const Addr *tags = &tags_[si];
-    const WayMask match = detail::matchTags(tags, geom_.ways, key) & valid;
-    if (match) {
-        const auto w = static_cast<unsigned>(std::countr_zero(match));
-        res.hit = true;
-        res.way = w;
-        promote(rank, w);
-        if (policy_hooks_)
-            policy_->touch(rrpv[w]);
-        ++hits_;
-        return res;
-    }
-
-    ++misses_;
-    SetContext ctx;
-    ctx.tags = tags;
-    ctx.rank = rank;
-    ctx.rrpv = rrpv;
-    ctx.ways = geom_.ways;
-    ctx.validMask = valid;
-    ctx.sharedMask = row[kShared];
-    ctx.instrMask = row[kInstr];
-    ctx.harvestMask = harvest_mask_;
-    ctx.allowedMask = allowed;
-    ctx.candidates = candidate_count_;
-    ctx.setIndex = set;
-
-    const unsigned victim = policy_->victim(ctx, shared);
-    if (victim >= geom_.ways)
-        hh::sim::panic("SetAssocArray: policy returned way ", victim,
-                       " of ", geom_.ways);
-    const WayMask bit = WayMask{1} << victim;
-    if (valid & bit) {
-        ++evictions_;
-        res.evictedValid = true;
-        res.victimShared = (row[kShared] & bit) != 0;
-    }
-    tags_[si + victim] = key;
-    promote(rank, victim);
-    if (policy_hooks_)
-        policy_->fill(rrpv[victim]);
-    row[kValid] |= bit;
-    row[kShared] = shared ? (row[kShared] | bit) : (row[kShared] & ~bit);
-    row[kInstr] = instr ? (row[kInstr] | bit) : (row[kInstr] & ~bit);
-    res.way = victim;
-    return res;
+std::uint32_t
+SetAssocArray::probeRun(const Addr *keys, const std::uint32_t *order,
+                        std::uint32_t n, const std::uint8_t *flags,
+                        WayMask allowed, std::uint32_t *misses)
+{
+    if (n == 0)
+        return 0;
+    HH_PROF_SCOPE_N(prof, "cache.array_access", n);
+    allowed &= all_mask_;
+    if (!allowed)
+        hh::sim::panic("SetAssocArray::probeRun: empty allowed mask");
+    return (this->*run_kernel_)(keys, order, n, flags, allowed, misses);
 }
 
 bool
@@ -193,29 +362,23 @@ SetAssocArray::probe(Addr key) const
 void
 SetAssocArray::flushAll()
 {
-    std::fill(tags_.begin(), tags_.end(), Addr{0});
-    for (std::uint32_t s = 0; s < geom_.sets; ++s) {
-        std::uint64_t *row = setRow(s);
-        row[kValid] = row[kShared] = row[kInstr] = 0;
-        std::memset(rowRrpv(row), WayState{}.rrpv, geom_.ways);
-    }
+    flushWays(all_mask_);
 }
 
 void
 SetAssocArray::flushWays(WayMask mask)
 {
+    // Only the masks change: an invalid way's tag, rank and RRPV are
+    // never read (every victim takes an invalid allowed way before it
+    // compares anything, and matches are ANDed with the valid mask),
+    // and wayState() reports an invalid way as a flushed one. Rows
+    // with nothing to clear are left untouched, so their host lines
+    // stay clean.
     mask &= all_mask_;
     for (std::uint32_t s = 0; s < geom_.sets; ++s) {
-        const std::size_t si =
-            static_cast<std::size_t>(s) * geom_.ways;
         std::uint64_t *row = setRow(s);
-        std::uint8_t *rrpv = rowRrpv(row);
-        for (WayMask m = mask; m; m &= m - 1) {
-            const auto w =
-                static_cast<unsigned>(std::countr_zero(m));
-            tags_[si + w] = 0;
-            rrpv[w] = WayState{}.rrpv;
-        }
+        if (((row[kValid] | row[kShared] | row[kInstr]) & mask) == 0)
+            continue;
         row[kValid] &= ~mask;
         row[kShared] &= ~mask;
         row[kInstr] &= ~mask;
@@ -271,11 +434,16 @@ SetAssocArray::wayState(std::uint32_t set, unsigned way) const
     const std::uint64_t *row = setRow(set);
     const WayMask bit = WayMask{1} << way;
     WayState ws;
-    ws.valid = (row[kValid] & bit) != 0;
+    ws.rank = rowRanks(row)[way];
+    // An invalid way reads as a flushed one: tag 0, neither shared
+    // nor instr, the default RRPV. Flushes clear only the masks, so
+    // its stored tag and RRPV are stale.
+    if ((row[kValid] & bit) == 0)
+        return ws;
+    ws.valid = true;
     ws.tag = tags_[static_cast<std::size_t>(set) * geom_.ways + way];
     ws.shared = (row[kShared] & bit) != 0;
     ws.instr = (row[kInstr] & bit) != 0;
-    ws.rank = rowRanks(row)[way];
     ws.rrpv = rowRrpv(row)[way];
     return ws;
 }

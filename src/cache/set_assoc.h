@@ -189,20 +189,26 @@ class SetAssocArray
     /** Look up without filling. */
     bool probe(Addr key) const;
 
+    /** @name Probe runs @{ */
+    /** Flag bits of a probe run's accesses. */
+    static constexpr std::uint8_t kRunShared = 1; //!< access()'s shared
+    static constexpr std::uint8_t kRunInstr = 2;  //!< access()'s instr
+
     /**
-     * Ask the host to start loading the tag line(s) and the metadata
-     * row of the set @p key maps to, so a later access() finds them
-     * in its cache. Changes no state: a hint, not a lookup.
+     * Probe a run of keys in order, as that many access() calls
+     * would: for k in [0, n), access(keys[i], flags[i] & kRunShared,
+     * allowed, flags[i] & kRunInstr) with i = order[k]. Each miss
+     * appends its i to @p misses, which must have room for n.
+     *
+     * The run prefetches the set of the key a fixed distance ahead,
+     * and checks @p allowed once, not per probe.
+     *
+     * @return The number of misses.
      */
-    void
-    prefetch(Addr key) const
-    {
-        const std::uint32_t set = setIndex(key);
-        prefetchBytes(tags_.data() +
-                          static_cast<std::size_t>(set) * geom_.ways,
-                      geom_.ways * sizeof(Addr));
-        prefetchBytes(setRow(set), row_words_ * sizeof(std::uint64_t));
-    }
+    std::uint32_t probeRun(const Addr *keys, const std::uint32_t *order,
+                           std::uint32_t n, const std::uint8_t *flags,
+                           WayMask allowed, std::uint32_t *misses);
+    /** @} */
 
     /** Invalidate every entry. */
     void flushAll();
@@ -262,7 +268,9 @@ class SetAssocArray
 
     /**
      * One way's state, assembled from the tag column and the set's
-     * row (tests, examples, snapshot records).
+     * row (tests, examples, snapshot records). An invalid way reads
+     * as tag 0, not shared, not instr, with the default RRPV,
+     * whatever stale tag and RRPV it still stores.
      */
     WayState wayState(std::uint32_t set, unsigned way) const;
 
@@ -277,6 +285,11 @@ class SetAssocArray
         return {tags_.data() + static_cast<std::size_t>(set) * geom_.ways,
                 geom_.ways};
     }
+
+    /** Word indices of the valid, shared and instr masks in a row. */
+    static constexpr unsigned kValid = 0;
+    static constexpr unsigned kShared = 1;
+    static constexpr unsigned kInstr = 2;
 
     /** Byte offset of the rank bytes in a row. */
     static constexpr std::size_t kRankOffset = 3 * sizeof(WayMask);
@@ -347,12 +360,35 @@ class SetAssocArray
         prefetchLine(b + n - 1);
     }
 
-    /** @name Row access @{ */
-    /** Word indices of the per-set masks in a row. */
-    static constexpr unsigned kValid = 0;
-    static constexpr unsigned kShared = 1;
-    static constexpr unsigned kInstr = 2;
+    /**
+     * @name Probe kernels
+     *
+     * One probe body (set_assoc.cc), compiled per way count W and
+     * victim policy P: W = 4, 8, 12 or 16 with a power-of-two set
+     * count, or W = 0, which reads the geometry at run time. P is
+     * LruPolicy, HardHarvestPolicy or CdpPolicy, whose victims are
+     * inlined, or ReplacementPolicy for the virtual victim and hooks.
+     * The constructor picks one instantiation for both entry points.
+     * @{
+     */
+    template <unsigned W, typename P>
+    AccessResult accessKernel(Addr key, bool shared, WayMask allowed,
+                              bool instr);
+    template <unsigned W, typename P>
+    std::uint32_t runKernel(const Addr *keys, const std::uint32_t *order,
+                            std::uint32_t n, const std::uint8_t *flags,
+                            WayMask allowed, std::uint32_t *misses);
+    template <unsigned W, typename P>
+    void bindKernels();
 
+    AccessResult (SetAssocArray::*access_kernel_)(Addr, bool, WayMask,
+                                                  bool) = nullptr;
+    std::uint32_t (SetAssocArray::*run_kernel_)(
+        const Addr *, const std::uint32_t *, std::uint32_t,
+        const std::uint8_t *, WayMask, std::uint32_t *) = nullptr;
+    /** @} */
+
+    /** @name Row access @{ */
     std::uint64_t *
     setRow(std::uint32_t set)
     {
@@ -386,9 +422,6 @@ class SetAssocArray
     }
     /** @} */
 
-    /** Make @p way the most recently used of the set at @p rank. */
-    void promote(std::uint8_t *rank, unsigned way);
-
     /** Read the way records into staged storage, then commit it. */
     void loadContents(hh::snap::Archive &ar);
 
@@ -421,12 +454,15 @@ class SetAssocArray
      * Each set's ranks are a permutation of [0, ways), higher meaning
      * more recent; they start as the way index. A hit or fill
      * promotes the way to ways - 1 and drops every way ranked above
-     * it by one. Flushes leave ranks alone: policies take an invalid
-     * allowed way before comparing ranks, and promotion keeps the
-     * relative order of the other ways, so among valid ways the rank
-     * order is the order of last use. A promotion works on whole
-     * 64-bit words of the rank bytes, so their padding must stay
-     * zero.
+     * it by one. Flushes clear only the valid, shared and instr
+     * masks: an invalid way keeps a stale tag and RRPV that nothing
+     * reads (matches are ANDed with the valid mask, every
+     * policy takes an invalid allowed way before comparing ranks,
+     * RRPVs or tags, and wayState() reports an invalid way as a
+     * flushed one). Promotion keeps the relative order of the other
+     * ways, so among valid ways the rank order is the order of last
+     * use. A promotion works on whole 64-bit words of the rank bytes,
+     * so their padding must stay zero.
      * @{
      */
     std::vector<Addr, detail::LineAllocator<Addr>> tags_;

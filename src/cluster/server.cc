@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <span>
 
 #include "sim/log.h"
 #include "sim/prof.h"
@@ -1037,7 +1038,9 @@ ServerSim::executeSegment(unsigned core, std::uint64_t reqId)
         auto &wl = *vms_[req.vm].service;
         dur += cores_[core]->hierarchy().replay(
             sim_.now(), seg.accesses, req.samplingCarry,
-            [&] { return wl.nextAccess(req.plan); });
+            [&](std::span<hh::cache::MemAccess> out) {
+                wl.nextAccesses(req.plan, out);
+            });
     }
     req.breakdown.execution += dur;
     if (tracer_)
@@ -1463,7 +1466,9 @@ ServerSim::startHarvestSlice(unsigned core)
         HH_PROF_SCOPE("server.replay_harvest");
         dur += cores_[core]->hierarchy().replay(
             sim_.now(), slice.remainingAccesses, slice.samplingCarry,
-            [&] { return batch_->nextAccess(); });
+            [&](std::span<hh::cache::MemAccess> out) {
+                batch_->nextAccesses(out);
+            });
     }
     ctx.slice = slice;
     ctx.sliceStart = sim_.now();

@@ -1,6 +1,7 @@
 #include "sim/event_queue.h"
 
 #include <algorithm>
+#include <string>
 
 #include "sim/log.h"
 #include "snapshot/archive.h"
@@ -110,8 +111,20 @@ EventQueue::serialize(hh::snap::Archive &ar, const RearmFn &rearm)
         return;
     }
 
+    // Each count is checked against the bytes left, as the archive
+    // checks its containers' lengths, before it sizes an allocation:
+    // a corrupt count fails the load instead of asking for exabytes.
+    const auto fits = [&ar](std::uint64_t count, const char *what) {
+        if (ar.ok() && count > ar.remaining())
+            ar.fail(std::string("event queue snapshot: ") + what + " " +
+                    std::to_string(count) + " exceeds the " +
+                    std::to_string(ar.remaining()) + " remaining bytes");
+        return ar.ok();
+    };
     std::uint64_t n = 0;
     ar.io(n);
+    if (!fits(n, "event count"))
+        return;
     struct Saved
     {
         Entry entry;
@@ -130,10 +143,8 @@ EventQueue::serialize(hh::snap::Archive &ar, const RearmFn &rearm)
     }
     std::uint64_t slots = 0;
     ar.io(slots);
-    if (ar.loading() && slots > (1u << 28)) {
-        ar.fail("event queue snapshot: implausible slab size");
+    if (!fits(slots, "slab slot count"))
         return;
-    }
     std::vector<std::uint32_t> gens(
         static_cast<std::size_t>(slots));
     for (auto &g : gens)

@@ -136,7 +136,11 @@ struct Sample
     std::uint64_t hits = 0;
 };
 
-/** All sites with any hits, heaviest first. */
+/**
+ * All site names with any hits, heaviest first. Scopes in different
+ * places may share a name (one layer timed per call in one function
+ * and per run in another); their sites sum into one sample.
+ */
 inline std::vector<Sample>
 snapshot()
 {
@@ -144,16 +148,19 @@ snapshot()
     {
         std::lock_guard<std::mutex> lock(detail::g_registry_mutex);
         for (Site *s = detail::g_sites; s; s = s->next) {
-            Sample sample{s->name};
+            auto it = std::find_if(out.begin(), out.end(),
+                                   [s](const Sample &o) {
+                                       return o.name == s->name;
+                                   });
+            if (it == out.end())
+                it = out.insert(out.end(), Sample{s->name});
             for (const Site::Slot &slot : s->slots) {
-                sample.cycles +=
-                    slot.cycles.load(std::memory_order_relaxed);
-                sample.hits += slot.hits.load(std::memory_order_relaxed);
+                it->cycles += slot.cycles.load(std::memory_order_relaxed);
+                it->hits += slot.hits.load(std::memory_order_relaxed);
             }
-            if (sample.hits > 0)
-                out.push_back(std::move(sample));
         }
     }
+    std::erase_if(out, [](const Sample &o) { return o.hits == 0; });
     std::sort(out.begin(), out.end(),
               [](const Sample &a, const Sample &b) {
                   return a.cycles > b.cycles;
@@ -164,11 +171,16 @@ snapshot()
 /**
  * RAII cycle accumulator. Nested scopes double-count by design
  * (each site reports inclusive time, like a flat gprof profile).
+ *
+ * A scope records @p calls hits, so one scope can time a run of n
+ * operations and still count each of them; setCalls() changes the
+ * count before the scope closes, for runs whose length is known only
+ * at the end.
  */
 class Scope
 {
   public:
-    explicit Scope(Site &site)
+    explicit Scope(Site &site, std::uint64_t calls = 1) : calls_(calls)
     {
         if (!enabled()) [[likely]]
             return;
@@ -183,8 +195,11 @@ class Scope
         Site::Slot &slot = site_->slots[detail::slotId()];
         slot.cycles.fetch_add(detail::now() - start_,
                               std::memory_order_relaxed);
-        slot.hits.fetch_add(1, std::memory_order_relaxed);
+        slot.hits.fetch_add(calls_, std::memory_order_relaxed);
     }
+
+    /** Record @p calls hits when the scope closes. */
+    void setCalls(std::uint64_t calls) { calls_ = calls; }
 
     Scope(const Scope &) = delete;
     Scope &operator=(const Scope &) = delete;
@@ -192,6 +207,7 @@ class Scope
   private:
     Site *site_ = nullptr;
     std::uint64_t start_ = 0;
+    std::uint64_t calls_;
 };
 
 } // namespace hh::sim::prof
@@ -200,14 +216,21 @@ class Scope
 #define HH_PROF_CONCAT(a, b) HH_PROF_CONCAT2(a, b)
 
 /**
- * Accumulate cycles spent in the enclosing scope under @p name.
- * One untaken branch when profiling is off.
+ * Accumulate cycles spent in the enclosing scope under @p name, as
+ * one call. One untaken branch when profiling is off.
  */
 #define HH_PROF_SCOPE(name)                                         \
+    HH_PROF_SCOPE_N(HH_PROF_CONCAT(hh_prof_scope_, __LINE__), name, 1)
+
+/**
+ * Declare the scope @p var, which accumulates the cycles spent in
+ * the enclosing scope under @p name as @p calls calls (see
+ * Scope::setCalls).
+ */
+#define HH_PROF_SCOPE_N(var, name, calls)                           \
     static ::hh::sim::prof::Site HH_PROF_CONCAT(                    \
         hh_prof_site_, __LINE__){name};                             \
-    ::hh::sim::prof::Scope HH_PROF_CONCAT(hh_prof_scope_,           \
-                                          __LINE__)(                \
-        HH_PROF_CONCAT(hh_prof_site_, __LINE__))
+    ::hh::sim::prof::Scope var(HH_PROF_CONCAT(hh_prof_site_, __LINE__), \
+                               calls)
 
 #endif // HH_SIM_PROF_H

@@ -1,6 +1,7 @@
 #include "sim/rng.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <functional>
@@ -8,7 +9,6 @@
 #include <unordered_map>
 
 #include "sim/log.h"
-#include "sim/prof.h"
 #include "snapshot/archive.h"
 
 namespace hh::sim {
@@ -26,12 +26,6 @@ splitmix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed, std::uint64_t stream)
@@ -41,45 +35,10 @@ Rng::Rng(std::uint64_t seed, std::uint64_t stream)
         s = splitmix64(x);
 }
 
-std::uint64_t
-Rng::next()
+void
+Rng::zeroBound()
 {
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
-}
-
-double
-Rng::uniform()
-{
-    // 53 random mantissa bits -> double in [0, 1).
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-double
-Rng::uniform(double lo, double hi)
-{
-    return lo + (hi - lo) * uniform();
-}
-
-std::uint64_t
-Rng::uniformInt(std::uint64_t n)
-{
-    if (n == 0)
-        panic("Rng::uniformInt: n must be > 0");
-    // Rejection sampling to avoid modulo bias.
-    const std::uint64_t limit = max() - max() % n;
-    std::uint64_t v;
-    do {
-        v = next();
-    } while (v >= limit);
-    return v % n;
+    panic("Rng::uniformInt: n must be > 0");
 }
 
 std::int64_t
@@ -89,12 +48,6 @@ Rng::uniformInt(std::int64_t lo, std::int64_t hi)
         panic("Rng::uniformInt: lo > hi");
     const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
     return lo + static_cast<std::int64_t>(uniformInt(span));
-}
-
-bool
-Rng::bernoulli(double p)
-{
-    return uniform() < p;
 }
 
 double
@@ -160,37 +113,19 @@ ZipfSampler::ZipfSampler(std::size_t n, double theta)
     for (auto &v : cdf_)
         v /= sum;
 
-    bucket_.resize(kIndexBuckets + 1);
-    for (std::size_t b = 0; b <= kIndexBuckets; ++b) {
-        const double lo = static_cast<double>(b) /
-                          static_cast<double>(kIndexBuckets);
-        bucket_[b] = static_cast<std::uint32_t>(
-            std::lower_bound(cdf_.begin(), cdf_.end(), lo) -
-            cdf_.begin());
+    // One walk over buckets and CDF values together: item i is
+    // the guide of every bucket whose lower edge lies in
+    // (cdf[i - 1], cdf[i]].
+    const std::size_t buckets = std::bit_ceil(4 * n);
+    guide_.resize(buckets);
+    std::size_t i = 0;
+    for (std::size_t b = 0; b < buckets; ++b) {
+        const double lo =
+            static_cast<double>(b) / static_cast<double>(buckets);
+        while (i < n && cdf_[i] < lo)
+            ++i;
+        guide_[b] = static_cast<std::uint32_t>(i);
     }
-}
-
-std::size_t
-ZipfSampler::sampleAt(double u) const
-{
-    HH_PROF_SCOPE("workload.zipf_sample");
-    // Narrow to the index slice containing u, then lower_bound
-    // inside it: cdf_[bucket_[b]] is the first value >= b/B and u
-    // lies in [b/B, (b+1)/B), so the answer is in
-    // [bucket_[b], bucket_[b+1]] — the +1 below keeps the slice's
-    // one-past-the-answer element searchable.
-    std::size_t b = static_cast<std::size_t>(
-        u * static_cast<double>(kIndexBuckets));
-    b = std::min(b, kIndexBuckets - 1);
-    const auto first = cdf_.begin() + bucket_[b];
-    const auto last =
-        cdf_.begin() +
-        std::min<std::size_t>(bucket_[b + 1] + 1, cdf_.size());
-    const auto it = std::lower_bound(first, last, u);
-    return static_cast<std::size_t>(
-        std::min<std::ptrdiff_t>(it - cdf_.begin(),
-                                 static_cast<std::ptrdiff_t>(cdf_.size()) -
-                                     1));
 }
 
 std::shared_ptr<const ZipfSampler>

@@ -12,6 +12,7 @@
 #ifndef HH_SIM_RNG_H
 #define HH_SIM_RNG_H
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -50,22 +51,54 @@ class Rng
     std::uint64_t operator()() { return next(); }
 
     /** Next raw 64-bit value. */
-    std::uint64_t next();
+    std::uint64_t
+    next()
+    {
+        const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t t = s_[1] << 17;
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = rotl(s_[3], 45);
+        return result;
+    }
 
     /** Uniform double in [0, 1). */
-    double uniform();
+    double
+    uniform()
+    {
+        // 53 random mantissa bits -> double in [0, 1).
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Uniform double in [lo, hi). */
-    double uniform(double lo, double hi);
+    double uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
 
-    /** Uniform integer in [0, n). @pre n > 0. */
-    std::uint64_t uniformInt(std::uint64_t n);
+    /**
+     * Uniform integer in [0, n). @pre n > 0. Inline, so a constant
+     * @p n (a line within a page) needs no division.
+     */
+    std::uint64_t
+    uniformInt(std::uint64_t n)
+    {
+        if (n == 0)
+            zeroBound();
+        // Rejection sampling to avoid modulo bias.
+        const std::uint64_t limit = max() - max() % n;
+        std::uint64_t v;
+        do {
+            v = next();
+        } while (v >= limit);
+        return v % n;
+    }
 
     /** Uniform integer in [lo, hi] inclusive. @pre lo <= hi. */
     std::int64_t uniformInt(std::int64_t lo, std::int64_t hi);
 
     /** Bernoulli trial with success probability p. */
-    bool bernoulli(double p);
+    bool bernoulli(double p) { return uniform() < p; }
 
     /** Exponential variate with the given mean (not rate). */
     double exponential(double mean);
@@ -91,6 +124,15 @@ class Rng
     void serialize(hh::snap::Archive &ar);
 
   private:
+    static constexpr std::uint64_t
+    rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
+    /** uniformInt's panic on an empty range, out of line. */
+    [[noreturn]] static void zeroBound();
+
     std::uint64_t s_[4];
     bool has_cached_normal_ = false;
     double cached_normal_ = 0.0;
@@ -99,8 +141,10 @@ class Rng
 /**
  * Precomputed Zipf sampler over [0, n).
  *
- * Builds the CDF once; each sample is a binary search. Used to model
- * skewed page popularity inside a microservice working set.
+ * Builds the CDF once, plus a guide table: each sample looks up the
+ * bucket its uniform draw falls in and scans forward a few CDF
+ * values. Used to model skewed page popularity inside a
+ * microservice working set.
  */
 class ZipfSampler
 {
@@ -118,8 +162,25 @@ class ZipfSampler
     /**
      * The item a uniform draw @p u in [0, 1] maps to: the first
      * index whose CDF value is >= u (the last index if none is).
+     *
+     * guide_[b] is the first index whose CDF value is >= b / B, and
+     * b / B <= u, so the answer is at or after it; the scan walks to
+     * it. This is std::lower_bound's answer, capped at n - 1.
      */
-    std::size_t sampleAt(double u) const;
+    std::size_t
+    sampleAt(double u) const
+    {
+        const std::size_t buckets = guide_.size();
+        // B is a power of two, so u * B is exact.
+        const auto b = std::min(
+            static_cast<std::size_t>(u * static_cast<double>(buckets)),
+            buckets - 1);
+        std::size_t i = guide_[b];
+        const std::size_t last = cdf_.size() - 1;
+        while (i < last && cdf_[i] < u)
+            ++i;
+        return i;
+    }
 
     std::size_t size() const { return cdf_.size(); }
 
@@ -127,22 +188,16 @@ class ZipfSampler
     const std::vector<double> &cdf() const { return cdf_; }
 
     /**
-     * Buckets of the index below (B). A power of two, so u * B and
-     * b / B are exact; fine enough that the slices stay short in a
-     * Zipf tail, where one bucket of probability covers many items.
+     * Buckets of the guide (B): the power of two at or above 4n, so
+     * the typical bucket holds under one item and the scan stays
+     * short even in the Zipf tail.
      */
-    static constexpr std::size_t kIndexBuckets = 4096;
+    std::size_t guideBuckets() const { return guide_.size(); }
 
   private:
     std::vector<double> cdf_;
-    /**
-     * First-level acceleration index: bucket_[b] is the lower_bound
-     * of b / kIndexBuckets in cdf_, so a sample only binary-searches
-     * the slice [bucket_[b], bucket_[b+1]] its uniform draw falls
-     * in. Pure narrowing — the result is the exact lower_bound the
-     * full-range search would return.
-     */
-    std::vector<std::uint32_t> bucket_;
+    /** guide_[b]: the first index whose CDF value is >= b / B. */
+    std::vector<std::uint32_t> guide_;
 };
 
 /**
@@ -152,7 +207,7 @@ class ZipfSampler
  * carries its own Rng), so instances with identical CDF parameters
  * can share one table. Service-graph fleets place the same tier
  * service on dozens of servers — without sharing, every server would
- * rebuild and hold its own copy of the same CDF plus bucket index.
+ * rebuild and hold its own copy of the same CDF plus guide.
  * Thread-safe: servers construct concurrently under runParallel.
  */
 std::shared_ptr<const ZipfSampler> sharedZipfSampler(std::size_t n,

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "sim/log.h"
+#include "sim/prof.h"
 
 namespace hh::workload {
 
@@ -58,22 +59,33 @@ hh::cache::MemAccess
 BatchWorkload::nextAccess()
 {
     hh::cache::MemAccess a;
-    a.line = static_cast<std::uint32_t>(
-        rng_.uniformInt(hh::cache::kLinesPerPage));
-    if (rng_.bernoulli(spec_.instrFrac)) {
-        a.isInstr = true;
-        a.shared = true;
-        a.page = space_.codePage(
-            static_cast<std::uint32_t>(code_zipf_.sample(rng_)));
-    } else {
-        a.isInstr = false;
-        // Batch data is long-lived application state: shared across
-        // tasks of the same app (Shared=1 in its own VM's terms).
-        a.shared = true;
-        a.page = space_.sharedDataPage(
-            static_cast<std::uint32_t>(data_zipf_.sample(rng_)));
-    }
+    nextAccesses({&a, 1});
     return a;
+}
+
+void
+BatchWorkload::nextAccesses(std::span<hh::cache::MemAccess> out)
+{
+    // Every batch access samples one Zipf table: code or data.
+    HH_PROF_SCOPE_N(prof, "workload.zipf_sample", out.size());
+    for (hh::cache::MemAccess &a : out) {
+        a.line = static_cast<std::uint32_t>(
+            rng_.uniformInt(hh::cache::kLinesPerPage));
+        if (rng_.bernoulli(spec_.instrFrac)) {
+            a.isInstr = true;
+            a.shared = true;
+            a.page = space_.codePage(
+                static_cast<std::uint32_t>(code_zipf_.sample(rng_)));
+        } else {
+            a.isInstr = false;
+            // Batch data is long-lived application state: shared
+            // across tasks of the same app (Shared=1 in its own VM's
+            // terms).
+            a.shared = true;
+            a.page = space_.sharedDataPage(
+                static_cast<std::uint32_t>(data_zipf_.sample(rng_)));
+        }
+    }
 }
 
 } // namespace hh::workload

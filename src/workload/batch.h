@@ -17,6 +17,7 @@
 #define HH_WORKLOAD_BATCH_H
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -81,6 +82,13 @@ class BatchWorkload
 
     /** Draw the next memory access for an executing task. */
     hh::cache::MemAccess nextAccess();
+
+    /**
+     * Draw the next out.size() accesses, in order. The run is timed
+     * under the "workload.zipf_sample" profile site as one call per
+     * Zipf sample.
+     */
+    void nextAccesses(std::span<hh::cache::MemAccess> out);
 
     const BatchSpec &spec() const { return spec_; }
 

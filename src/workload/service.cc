@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "sim/log.h"
+#include "sim/prof.h"
 
 namespace hh::workload {
 
@@ -105,33 +106,50 @@ hh::cache::MemAccess
 ServiceWorkload::nextAccess(const InvocationPlan &plan)
 {
     hh::cache::MemAccess a;
-    a.line = static_cast<std::uint32_t>(
-        rng_.uniformInt(hh::cache::kLinesPerPage));
-
-    if (rng_.bernoulli(spec_.instrFrac)) {
-        a.isInstr = true;
-        a.shared = true;
-        a.page = space_.codePage(
-            static_cast<std::uint32_t>(code_zipf_->sample(rng_)));
-        return a;
-    }
-
-    a.isInstr = false;
-    if (spec_.sharedDataPages > 0 && rng_.bernoulli(spec_.sharedFrac)) {
-        a.shared = true;
-        a.page = space_.sharedDataPage(
-            static_cast<std::uint32_t>(shared_zipf_->sample(rng_)));
-    } else if (!plan.privatePages.empty()) {
-        a.shared = false;
-        a.page = plan.privatePages[rng_.uniformInt(
-            plan.privatePages.size())];
-    } else {
-        // Degenerate spec with no private pages: fall back to shared.
-        a.shared = true;
-        a.page = space_.sharedDataPage(
-            static_cast<std::uint32_t>(shared_zipf_->sample(rng_)));
-    }
+    nextAccesses(plan, {&a, 1});
     return a;
+}
+
+void
+ServiceWorkload::nextAccesses(const InvocationPlan &plan,
+                              std::span<hh::cache::MemAccess> out)
+{
+    HH_PROF_SCOPE_N(prof, "workload.zipf_sample", 0);
+    std::uint64_t zipf = 0; // Zipf samples drawn
+    for (hh::cache::MemAccess &a : out) {
+        a.line = static_cast<std::uint32_t>(
+            rng_.uniformInt(hh::cache::kLinesPerPage));
+
+        if (rng_.bernoulli(spec_.instrFrac)) {
+            a.isInstr = true;
+            a.shared = true;
+            a.page = space_.codePage(
+                static_cast<std::uint32_t>(code_zipf_->sample(rng_)));
+            ++zipf;
+            continue;
+        }
+
+        a.isInstr = false;
+        if (spec_.sharedDataPages > 0 &&
+            rng_.bernoulli(spec_.sharedFrac)) {
+            a.shared = true;
+            a.page = space_.sharedDataPage(
+                static_cast<std::uint32_t>(shared_zipf_->sample(rng_)));
+            ++zipf;
+        } else if (!plan.privatePages.empty()) {
+            a.shared = false;
+            a.page = plan.privatePages[rng_.uniformInt(
+                plan.privatePages.size())];
+        } else {
+            // Degenerate spec with no private pages: fall back to
+            // shared.
+            a.shared = true;
+            a.page = space_.sharedDataPage(
+                static_cast<std::uint32_t>(shared_zipf_->sample(rng_)));
+            ++zipf;
+        }
+    }
+    prof.setCalls(zipf);
 }
 
 } // namespace hh::workload

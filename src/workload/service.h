@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -131,6 +132,14 @@ class ServiceWorkload
      */
     hh::cache::MemAccess nextAccess(const InvocationPlan &plan);
 
+    /**
+     * Draw the next out.size() accesses of @p plan, in order. The run
+     * is timed under the "workload.zipf_sample" profile site as one
+     * call per Zipf sample.
+     */
+    void nextAccesses(const InvocationPlan &plan,
+                      std::span<hh::cache::MemAccess> out);
+
     const ServiceSpec &spec() const { return spec_; }
     AddressSpace &addressSpace() { return space_; }
 
@@ -151,7 +160,7 @@ class ServiceWorkload
     AddressSpace space_;
     hh::sim::Rng rng_;
     /** Shared across instances with identical (pages, theta): the
-     *  CDF + bucket index are immutable, and a service-graph fleet
+     *  CDF + guide are immutable, and a service-graph fleet
      *  replicates the same tier spec on dozens of servers. */
     std::shared_ptr<const hh::sim::ZipfSampler> code_zipf_;
     std::shared_ptr<const hh::sim::ZipfSampler> shared_zipf_;

@@ -2,21 +2,25 @@
  * @file
  * Unit tests for the per-core cache/TLB hierarchy: latency
  * composition, partitioning semantics, selective flush, the
- * side-channel hiding window, and the lookahead replay with its
- * prefetches and metadata rows.
+ * side-channel hiding window, and the level-by-level replay against
+ * the per-access loop.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <numeric>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "cache/hierarchy.h"
+#include "cache/repl_belady.h"
 #include "mem/dram.h"
 #include "sim/rng.h"
 #include "snapshot/archive.h"
 #include "workload/batch.h"
+#include "workload/service.h"
 
 using namespace hh::cache;
 using hh::sim::Cycles;
@@ -270,7 +274,7 @@ TEST(Hierarchy, SeparateVmsNeverAlias)
     EXPECT_GT(other_vm, same);
 }
 
-// ------------------------------------------------ lookahead replay
+// ------------------------------------------------ level-by-level replay
 
 namespace {
 
@@ -283,26 +287,29 @@ saveBytes(T &obj)
     return ar.take();
 }
 
-/**
- * One core replaying a batch stream: the Table 1 hierarchy under the
- * HardHarvest policy in harvest mode, an L3 partition, a leased L3
- * and DRAM, so every structure prefetch() names is bound.
- */
-struct ReplayRig
+/** A replacement policy for the L3 arrays; Belady needs an oracle. */
+std::unique_ptr<ReplacementPolicy>
+l3Policy(ReplKind kind, const NextUseOracle &oracle)
 {
-    explicit ReplayRig(unsigned weight)
-        : l3(Geometry{96, 16, 36}, makePolicy(ReplKind::HardHarvest)),
-          lease(Geometry{96, 16, 36}, makePolicy(ReplKind::HardHarvest)),
-          h(config(weight), &l3, &dram),
-          wl(hh::workload::batchApplications().front(), 5, 11)
-    {
-        l3.setCandidateFraction(0.75);
-        h.setHarvestMode(true);
-        h.setLeaseL3(&lease, 0xF);
-    }
+    if (kind == ReplKind::Belady)
+        return std::make_unique<BeladyPolicy>(oracle);
+    return makePolicy(kind);
+}
 
+/** One core's replay setup; see PassRig. */
+struct RigSpec
+{
+    HierarchyConfig cfg = defaultConfig(1);
+    Geometry l3 = Geometry{96, 16, 36}; //!< 96 sets: not a power of two
+    ReplKind l3Repl = ReplKind::HardHarvest;
+    bool harvestMode = true;
+    WayMask l3Leased = 0x3; //!< L3 ways leased out (owner fills around)
+    WayMask leaseMask = 0xF; //!< leased L3 ways borrowed; 0 = none
+    bool service = false;   //!< a service stream with private pages
+
+    /** A lent core: Table 1 under HardHarvest with partitioning. */
     static HierarchyConfig
-    config(unsigned weight)
+    defaultConfig(unsigned weight)
     {
         HierarchyConfig cfg;
         cfg.repl = ReplKind::HardHarvest;
@@ -311,34 +318,99 @@ struct ReplayRig
         cfg.accessWeight = weight;
         return cfg;
     }
+};
 
-    /** Every simulated byte: hierarchy, L3s, DRAM and stream. */
+/**
+ * One core replaying a stream: a hierarchy with an L3 partition, a
+ * leased L3 and DRAM, drawing from a batch stream or from a service
+ * stream's invocation. Two rigs from one RigSpec hold the same bytes
+ * until they replay differently.
+ */
+struct PassRig
+{
+    explicit PassRig(const RigSpec &spec)
+        : oracle(oracleTrace()),
+          l3(spec.l3, l3Policy(spec.l3Repl, oracle)),
+          lease(spec.l3, l3Policy(spec.l3Repl, oracle)),
+          h(spec.cfg, &l3, &dram),
+          wl(hh::workload::batchApplications().front(), 5, 11),
+          svc(hh::workload::deathStarBenchServices().front(), 6, 13),
+          plan(svc.planInvocation()), service(spec.service)
+    {
+        l3.setCandidateFraction(0.75);
+        l3.setHarvestWays(spec.l3Leased);
+        h.setHarvestMode(spec.harvestMode);
+        if (spec.leaseMask)
+            h.setLeaseL3(&lease, spec.leaseMask);
+    }
+
+    /** Line keys of a batch stream, for the Belady oracle. */
+    static std::vector<Addr>
+    oracleTrace()
+    {
+        hh::workload::BatchWorkload w(hh::workload::batchApplications().front(),
+                                      5, 11);
+        std::vector<Addr> keys;
+        for (int i = 0; i < 4000; ++i) {
+            const MemAccess a = w.nextAccess();
+            keys.push_back(a.page * kLinesPerPage + a.line);
+        }
+        return keys;
+    }
+
+    /** The replay under test. */
+    Cycles
+    replay(Cycles now, std::uint32_t accesses, std::int32_t &carry)
+    {
+        return h.replay(now, accesses, carry,
+                        [&](std::span<MemAccess> out) {
+                            if (service)
+                                svc.nextAccesses(plan, out);
+                            else
+                                wl.nextAccesses(out);
+                        });
+    }
+
+    /**
+     * The reference: round the sampled count as replay() does, then
+     * draw one access, probe it through access(), advance the cursor
+     * by its weighted latency, repeat.
+     */
+    Cycles
+    plainReplay(Cycles now, std::uint32_t accesses, std::int32_t &carry)
+    {
+        const unsigned w = std::max(1u, h.config().accessWeight);
+        const std::int64_t pool = std::int64_t{accesses} + carry;
+        const std::int64_t n = (pool + w / 2) / w;
+        carry = static_cast<std::int32_t>(pool - n * w);
+        Cycles t = now;
+        for (std::int64_t i = 0; i < n; ++i)
+            t += w * h.access(t, service ? svc.nextAccess(plan)
+                                         : wl.nextAccess());
+        return t - now;
+    }
+
+    /** Every simulated byte: hierarchy, L3s, DRAM and streams. */
     std::vector<std::uint8_t>
     state()
     {
         std::vector<std::uint8_t> all;
         for (auto part : {saveBytes(h), saveBytes(l3), saveBytes(lease),
-                          saveBytes(dram), saveBytes(wl)})
+                          saveBytes(dram), saveBytes(wl), saveBytes(svc)})
             all.insert(all.end(), part.begin(), part.end());
         return all;
     }
 
+    NextUseOracle oracle;
     hh::mem::Dram dram;
     SetAssocArray l3;
     SetAssocArray lease;
     CoreHierarchy h;
     hh::workload::BatchWorkload wl;
+    hh::workload::ServiceWorkload svc;
+    hh::workload::InvocationPlan plan;
+    bool service;
 };
-
-/** The replay without lookahead: draw one access, probe it, repeat. */
-Cycles
-plainReplay(ReplayRig &r, Cycles now, std::uint32_t n)
-{
-    Cycles t = now;
-    for (std::uint32_t i = 0; i < n; ++i)
-        t += r.h.access(t, r.wl.nextAccess());
-    return t - now;
-}
 
 void
 expectSameCounters(SetAssocArray &a, SetAssocArray &b, const char *what)
@@ -348,88 +420,240 @@ expectSameCounters(SetAssocArray &a, SetAssocArray &b, const char *what)
     EXPECT_EQ(a.evictions(), b.evictions()) << what;
 }
 
-} // namespace
-
-TEST(ReplayLookahead, MatchesDrawThenProbe)
+/**
+ * Replay @p accesses from @p now on @p pass with replay() and on
+ * @p plain with the reference loop: the durations, carries, per-array
+ * counters and every simulated byte must agree.
+ */
+void
+expectSameReplay(PassRig &pass, PassRig &plain, Cycles now,
+                 std::uint32_t accesses, std::int32_t &carry_pass,
+                 std::int32_t &carry_plain)
 {
-    const std::uint32_t k = kReplayLookahead;
-    for (const std::uint32_t n :
-         {0u, 1u, k - 1, k, k + 1, 2 * k + 3, 20000u}) {
-        ReplayRig ahead(1);
-        ReplayRig plain(1);
-        // A warm start, so hits and evictions both occur.
-        std::int32_t carry = 0;
-        ahead.h.replay(0, 3000, carry, [&] { return ahead.wl.nextAccess(); });
-        plainReplay(plain, 0, 3000);
-        ASSERT_EQ(ahead.state(), plain.state());
+    SCOPED_TRACE("now " + std::to_string(now) + " accesses " +
+                 std::to_string(accesses));
+    const Cycles got = pass.replay(now, accesses, carry_pass);
+    const Cycles want = plain.plainReplay(now, accesses, carry_plain);
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(carry_pass, carry_plain);
+    EXPECT_EQ(pass.h.accesses(), plain.h.accesses());
+    expectSameCounters(pass.h.l1d(), plain.h.l1d(), "l1d");
+    expectSameCounters(pass.h.l1i(), plain.h.l1i(), "l1i");
+    expectSameCounters(pass.h.l2(), plain.h.l2(), "l2");
+    expectSameCounters(pass.h.l1tlb(), plain.h.l1tlb(), "l1tlb");
+    expectSameCounters(pass.h.l2tlb(), plain.h.l2tlb(), "l2tlb");
+    expectSameCounters(pass.l3, plain.l3, "l3");
+    expectSameCounters(pass.lease, plain.lease, "leased l3");
+    EXPECT_EQ(pass.dram.accesses(), plain.dram.accesses());
+    ASSERT_EQ(pass.state(), plain.state());
+}
 
-        const Cycles now = 123456;
-        carry = 0;
-        const Cycles got = ahead.h.replay(
-            now, n, carry, [&] { return ahead.wl.nextAccess(); });
-        const Cycles want = plainReplay(plain, now, n);
-        EXPECT_EQ(got, want) << "n = " << n;
-        EXPECT_EQ(carry, 0) << "n = " << n;
-        expectSameCounters(ahead.h.l1d(), plain.h.l1d(), "l1d");
-        expectSameCounters(ahead.h.l1i(), plain.h.l1i(), "l1i");
-        expectSameCounters(ahead.h.l2(), plain.h.l2(), "l2");
-        expectSameCounters(ahead.h.l1tlb(), plain.h.l1tlb(), "l1tlb");
-        expectSameCounters(ahead.h.l2tlb(), plain.h.l2tlb(), "l2tlb");
-        expectSameCounters(ahead.l3, plain.l3, "l3");
-        expectSameCounters(ahead.lease, plain.lease, "leased l3");
-        // The stream's Rng drew exactly n accesses, not n + K.
-        EXPECT_EQ(saveBytes(ahead.wl), saveBytes(plain.wl)) << "n = " << n;
-        EXPECT_EQ(ahead.state(), plain.state()) << "n = " << n;
+/**
+ * Two rigs from @p spec: a warm-up, then one call per entry of
+ * @p calls (accesses), all at weight-scaled cursor times from
+ * @p now, compared call by call.
+ */
+void
+expectPassesMatchLoop(const RigSpec &spec,
+                      std::initializer_list<std::uint32_t> calls,
+                      Cycles now = 123456)
+{
+    PassRig pass(spec);
+    PassRig plain(spec);
+    ASSERT_EQ(pass.state(), plain.state());
+    std::int32_t carry_pass = 0, carry_plain = 0;
+    // A warm start, so hits and evictions both occur.
+    expectSameReplay(pass, plain, 0, 3000, carry_pass, carry_plain);
+    for (const std::uint32_t accesses : calls) {
+        expectSameReplay(pass, plain, now, accesses, carry_pass,
+                         carry_plain);
+        if (::testing::Test::HasFatalFailure())
+            return;
+        now += 40000;
     }
 }
 
-TEST(ReplayLookahead, DrawsTheRoundedSampledCount)
+} // namespace
+
+TEST(PassReplay, MatchesDrawThenProbe)
+{
+    // A lent core: harvest mode over the harvest ways, an L3 with
+    // leased-out ways, and a leased L3.
+    RigSpec spec;
+    expectPassesMatchLoop(spec, {0, 1, 2, 7, 8, 9, 19, 20000, 3});
+}
+
+TEST(PassReplay, NativeHarvestCoreTakesTheRestrictedPath)
+{
+    // A Primary-mode core with partitioning and no hidden ways fills
+    // every way: more allowed ways than M = 12 of 16, so victims take
+    // the candidate-restricted path. The service stream mixes private
+    // and shared pages.
+    RigSpec spec;
+    spec.harvestMode = false;
+    spec.service = true;
+    expectPassesMatchLoop(spec, {0, 1, 2, 20000, 500});
+}
+
+TEST(PassReplay, WithoutPartitioning)
+{
+    for (const ReplKind kind :
+         {ReplKind::LRU, ReplKind::HardHarvest, ReplKind::CDP}) {
+        RigSpec spec;
+        spec.cfg.partitioning = false;
+        spec.cfg.repl = kind;
+        spec.l3Repl = kind;
+        spec.service = true;
+        SCOPED_TRACE(static_cast<int>(kind));
+        expectPassesMatchLoop(spec, {1, 2, 20000});
+    }
+}
+
+TEST(PassReplay, LeasedL3WithALeaseMask)
+{
+    for (const WayMask mask : {WayMask{0x1}, WayMask{0xF0}, WayMask{0xFFFF}}) {
+        RigSpec spec;
+        spec.leaseMask = mask;
+        spec.l3Leased = mask & 0xFF;
+        SCOPED_TRACE(mask);
+        expectPassesMatchLoop(spec, {2, 20000, 64});
+    }
+    // No lease: L3 misses go straight to DRAM.
+    RigSpec none;
+    none.leaseMask = 0;
+    expectPassesMatchLoop(none, {1, 20000});
+}
+
+TEST(PassReplay, RripAndBeladyKeepTheirHooks)
+{
+    // RRIP everywhere, then Belady in the L3s (the hierarchy's own
+    // arrays cannot take an offline policy).
+    RigSpec rrip;
+    rrip.cfg.repl = ReplKind::RRIP;
+    rrip.l3Repl = ReplKind::RRIP;
+    rrip.service = true;
+    expectPassesMatchLoop(rrip, {1, 2, 20000});
+    RigSpec belady;
+    belady.cfg.repl = ReplKind::RRIP;
+    belady.l3Repl = ReplKind::Belady;
+    expectPassesMatchLoop(belady, {1, 2, 5000});
+}
+
+TEST(PassReplay, ScaledWaysAndOddSetCounts)
+{
+    // Fig 7's scaled ways (odd way counts, the run-time-geometry
+    // kernel), and L3s of 80 sets x 12 ways (Fig 18's non-power-of-
+    // two sizes), 128 x 16 and 64 x 5.
+    for (const double fraction : {1.0, 0.7, 0.3}) {
+        for (const Geometry l3 : {Geometry{80, 12, 36}, Geometry{128, 16, 36},
+                                  Geometry{64, 5, 36}}) {
+            RigSpec spec;
+            spec.cfg.waysFraction = fraction;
+            spec.l3 = l3;
+            spec.service = true;
+            SCOPED_TRACE(std::to_string(fraction) + " ways, " +
+                         std::to_string(l3.sets) + " sets");
+            expectPassesMatchLoop(spec, {1, 2, 8000});
+            if (HasFatalFailure())
+                return;
+        }
+    }
+}
+
+TEST(PassReplay, EverySampling)
+{
+    for (const unsigned weight : {1u, 8u, 32u}) {
+        RigSpec spec;
+        spec.cfg.accessWeight = weight;
+        SCOPED_TRACE(weight);
+        expectPassesMatchLoop(spec, {0, 1, 2, 15, 16, 17, 31, 20000, 48});
+    }
+}
+
+TEST(PassReplay, CrossesADramUtilisationWindow)
+{
+    // Start 100 cycles before a window edge at weight 32: DRAM-heavy
+    // calls cross many windows, so each access's queueing depends on
+    // its rebuilt cursor time.
+    const Cycles window = hh::mem::DramConfig{}.window;
+    RigSpec spec;
+    spec.cfg.accessWeight = 32;
+    spec.l3 = Geometry{16, 4, 36};
+    spec.leaseMask = 0;
+    expectPassesMatchLoop(spec, {20000, 2, 20000}, 7 * window - 100);
+}
+
+TEST(PassReplay, PrimarySegmentsAroundTheFlushBound)
+{
+    // A Primary core after a harvest-region flush: calls that start
+    // before harvest_visible_at_ keep the per-access loop (the masks
+    // change mid-call), calls at or after it run level by level.
+    const Cycles flush_at = 200000;
+    const Cycles bound = 50000;
+    RigSpec spec;
+    spec.harvestMode = false;
+    spec.service = true;
+    PassRig pass(spec);
+    PassRig plain(spec);
+    std::int32_t cp = 0, cq = 0;
+    expectSameReplay(pass, plain, 0, 5000, cp, cq);
+    pass.h.flushHarvestRegion(flush_at, bound);
+    plain.h.flushHarvestRegion(flush_at, bound);
+    const Cycles visible = flush_at + bound;
+    for (const Cycles now : {flush_at, visible - 3000, visible - 1,
+                             visible, visible + 1, visible + 90000}) {
+        expectSameReplay(pass, plain, now, 2000, cp, cq);
+        expectSameReplay(pass, plain, now, 1, cp, cq);
+    }
+}
+
+TEST(PassReplay, LeaseOfTheOwnPartitionKeepsTheLoop)
+{
+    // With the leased L3 the core's own partition, each access probes
+    // that one array twice in a row; passes would reorder the probes,
+    // so the call keeps the per-access loop.
+    RigSpec spec;
+    spec.leaseMask = 0;
+    PassRig pass(spec);
+    PassRig plain(spec);
+    pass.h.setLeaseL3(&pass.l3, 0x3);
+    plain.h.setLeaseL3(&plain.l3, 0x3);
+    std::int32_t cp = 0, cq = 0;
+    for (const std::uint32_t n : {0u, 1u, 2u, 20000u})
+        expectSameReplay(pass, plain, 1000, n, cp, cq);
+}
+
+TEST(PassReplay, InfiniteModeKeepsTheLoop)
+{
+    RigSpec spec;
+    spec.cfg.infinite = true;
+    expectPassesMatchLoop(spec, {0, 1, 2, 20000});
+}
+
+TEST(PassReplay, DrawsTheRoundedSampledCount)
 {
     // Weight 32: each call replays round(pool / 32) accesses and
     // banks the rest, pool being the accesses plus the carry.
-    ReplayRig r(32);
+    RigSpec spec;
+    spec.cfg.accessWeight = 32;
+    PassRig r(spec);
     std::int32_t carry = 0;
     std::int64_t want_carry = 0;
     for (const std::uint32_t accesses :
          {0u, 15u, 16u, 17u, 31u, 100u, 4000u, 1u, 48u}) {
-        std::uint32_t draws = 0;
-        r.h.replay(0, accesses, carry, [&] {
-            ++draws;
-            return r.wl.nextAccess();
+        std::int64_t draws = 0, calls = 0;
+        r.h.replay(0, accesses, carry, [&](std::span<MemAccess> out) {
+            ++calls;
+            draws += static_cast<std::int64_t>(out.size());
+            r.wl.nextAccesses(out);
         });
         const std::int64_t pool = accesses + want_carry;
         const std::int64_t n = (pool + 16) / 32;
         want_carry = pool - n * 32;
-        EXPECT_EQ(static_cast<std::int64_t>(draws), n) << accesses;
+        EXPECT_EQ(draws, n) << accesses;
+        EXPECT_EQ(calls, n > 0 ? 1 : 0) << accesses;
         EXPECT_EQ(carry, want_carry) << accesses;
     }
-}
-
-TEST(ReplayLookahead, PrefetchLeavesStateUnchanged)
-{
-    ReplayRig r(1);
-    std::int32_t carry = 0;
-    r.h.replay(0, 5000, carry, [&] { return r.wl.nextAccess(); });
-    const auto before = r.state();
-    hh::sim::Rng keys(3);
-    for (int i = 0; i < 2000; ++i) {
-        MemAccess a;
-        a.page = keys.uniformInt(std::uint64_t{1} << 40);
-        a.line = static_cast<std::uint32_t>(keys.uniformInt(std::uint64_t{64}));
-        a.isInstr = keys.bernoulli(0.3);
-        r.h.prefetch(a);
-        r.l3.prefetch(keys.next());
-        r.h.l2().prefetch(~Addr{0} - static_cast<Addr>(i));
-    }
-    EXPECT_EQ(r.state(), before);
-
-    // Infinite structures have no sets to prefetch.
-    auto cfg = ReplayRig::config(1);
-    cfg.infinite = true;
-    CoreHierarchy inf(cfg, nullptr, nullptr);
-    const auto inf_before = saveBytes(inf);
-    inf.prefetch(dataAccess(7, 3));
-    EXPECT_EQ(saveBytes(inf), inf_before);
 }
 
 namespace {
@@ -500,7 +724,7 @@ paddingError(const SetAssocArray &arr)
 
 } // namespace
 
-TEST(ReplayLookahead, RowPaddingStaysZero)
+TEST(PassReplay, RowPaddingStaysZero)
 {
     // Ways that leave rank padding (5, 12), none (8, 16, 64) and the
     // Table 1 geometries; rows stay within 56 bytes for the latter.

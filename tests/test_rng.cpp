@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
 #include <utility>
 #include <vector>
@@ -224,6 +225,40 @@ TEST(Zipf, EmptyPanics)
     EXPECT_THROW(ZipfSampler(0, 0.9), std::logic_error);
 }
 
+namespace {
+
+/** std::lower_bound's item for @p u, capped at the last item. */
+std::size_t
+plainLowerBound(const std::vector<double> &cdf, double u)
+{
+    const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+    return std::min<std::size_t>(static_cast<std::size_t>(it - cdf.begin()),
+                                 cdf.size() - 1);
+}
+
+/**
+ * The guide search agrees with the plain lower_bound at every bucket
+ * edge b / B, every CDF value and the neighbours of each.
+ */
+void
+expectGuideExact(const ZipfSampler &z)
+{
+    const std::vector<double> &cdf = z.cdf();
+    const auto check = [&](double u) {
+        for (const double v :
+             {std::nextafter(u, 0.0), u, std::nextafter(u, 1.0)})
+            ASSERT_EQ(z.sampleAt(v), plainLowerBound(cdf, v))
+                << "n " << cdf.size() << " u " << v;
+    };
+    const std::size_t buckets = z.guideBuckets();
+    for (std::size_t b = 0; b <= buckets; ++b)
+        check(static_cast<double>(b) / static_cast<double>(buckets));
+    for (const double c : cdf)
+        check(c);
+}
+
+} // namespace
+
 TEST(ZipfSampler, IndexedSearchIsThePlainLowerBound)
 {
     // Every (n, theta) a batch application samples from: its data
@@ -235,33 +270,80 @@ TEST(ZipfSampler, IndexedSearchIsThePlainLowerBound)
     }
     for (const auto &[n, theta] : shapes) {
         const ZipfSampler z(n, theta);
-        const std::vector<double> &cdf = z.cdf();
-        ASSERT_EQ(cdf.size(), n);
-        const auto plain = [&](double u) {
-            const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
-            return std::min<std::size_t>(
-                static_cast<std::size_t>(it - cdf.begin()), n - 1);
-        };
-        const auto check = [&](double u) {
-            for (const double v :
-                 {std::nextafter(u, 0.0), u, std::nextafter(u, 1.0)})
-                ASSERT_EQ(z.sampleAt(v), plain(v))
-                    << "n " << n << " theta " << theta << " u "
-                    << v;
-        };
-        // Every bucket edge b / B and its neighbours.
-        const auto buckets = ZipfSampler::kIndexBuckets;
-        for (std::size_t b = 0; b <= buckets; ++b)
-            check(static_cast<double>(b) / static_cast<double>(buckets));
-        // Every CDF value and its neighbours.
-        for (const double c : cdf)
-            check(c);
+        ASSERT_EQ(z.cdf().size(), n);
+        expectGuideExact(z);
         // Random draws, through sample() as the workloads call it.
         Rng draw(29);
         Rng same(29);
         for (int i = 0; i < 20000; ++i)
-            ASSERT_EQ(z.sample(draw), plain(same.uniform()))
+            ASSERT_EQ(z.sample(draw), plainLowerBound(z.cdf(), same.uniform()))
                 << "n " << n << " theta " << theta << " draw " << i;
+    }
+}
+
+TEST(ZipfSampler, GuideIsExactAtEveryEdge)
+{
+    // Sizes from one item to the largest batch data set, over
+    // uniform, typical and steep skews.
+    for (const std::size_t n : {1u, 2u, 24u, 3072u, 8192u}) {
+        for (const double theta : {0.0, 0.35, 0.99, 1.6}) {
+            const ZipfSampler z(n, theta);
+            // A power of two with at least four buckets per item.
+            EXPECT_GE(z.guideBuckets(), 4 * n);
+            EXPECT_EQ(z.guideBuckets() & (z.guideBuckets() - 1), 0u);
+            expectGuideExact(z);
+            if (HasFatalFailure())
+                return;
+        }
+    }
+}
+
+TEST(Rng, FirstHundredDrawsArePinned)
+{
+    // Three streams, each drawing through next(), uniformInt(64),
+    // uniform(), bernoulli(0.3) and uniformInt(1000) in turn; the
+    // values were captured from the out-of-line implementation.
+    struct Pin
+    {
+        std::uint64_t seed, stream;
+        std::uint64_t first[5];
+        std::uint64_t fnv; //!< FNV-1a of all 100 draws, 8 bytes each
+    };
+    const Pin pins[] = {
+        {1, 0, {0x99ec5f36cb75f2b4ULL, 42, 0x3fba5f849d4933e0ULL, 0, 737},
+         0x1f710855d399ea82ULL},
+        {42, 7, {0xb020fc35d4d02bcaULL, 63, 0x3fe46152bd3ae95eULL, 0, 53},
+         0x4c5d66f02a8e5fa5ULL},
+        {0xDEADBEEF, 3,
+         {0x10895fc57414a98dULL, 52, 0x3fe6706e60ba8db5ULL, 0, 309},
+         0xa9d1b3a6159fac35ULL},
+    };
+    for (const Pin &pin : pins) {
+        Rng r(pin.seed, pin.stream);
+        std::uint64_t h = 0xcbf29ce484222325ULL;
+        for (int i = 0; i < 100; ++i) {
+            std::uint64_t v = 0;
+            switch (i % 5) {
+              case 0: v = r.next(); break;
+              case 1: v = r.uniformInt(std::uint64_t{64}); break;
+              case 2: {
+                  const double u = r.uniform();
+                  std::memcpy(&v, &u, sizeof v);
+                  break;
+              }
+              case 3: v = r.bernoulli(0.3); break;
+              default: v = r.uniformInt(std::uint64_t{1000}); break;
+            }
+            if (i < 5) {
+                EXPECT_EQ(v, pin.first[i])
+                    << "seed " << pin.seed << " draw " << i;
+            }
+            for (int b = 0; b < 8; ++b) {
+                h ^= (v >> (8 * b)) & 0xFF;
+                h *= 0x100000001b3ULL;
+            }
+        }
+        EXPECT_EQ(h, pin.fnv) << "seed " << pin.seed;
     }
 }
 

@@ -8,11 +8,15 @@
 
 #include <bit>
 #include <ostream>
+#include <string>
 #include <vector>
 
+#include "cache/repl_belady.h"
 #include "cache/repl_lru.h"
 #include "cache/set_assoc.h"
+#include "sim/rng.h"
 
+using hh::cache::Addr;
 using hh::cache::Geometry;
 using hh::cache::LruPolicy;
 using hh::cache::SetAssocArray;
@@ -484,4 +488,190 @@ TEST(SetAssocLayout, ColumnsStartOnHostLines)
     EXPECT_EQ(
         reinterpret_cast<std::uintptr_t>(a.metadataRow(0).data()) % 64,
         0u);
+}
+
+// ------------------------------------------------------- probe runs
+
+namespace {
+
+/** A policy of @p kind; Belady reads @p oracle. */
+std::unique_ptr<hh::cache::ReplacementPolicy>
+runPolicy(hh::cache::ReplKind kind, const hh::cache::NextUseOracle &oracle)
+{
+    if (kind == hh::cache::ReplKind::Belady)
+        return std::make_unique<hh::cache::BeladyPolicy>(oracle);
+    return hh::cache::makePolicy(kind);
+}
+
+/** First way whose state differs between @p a and @p b, or "". */
+std::string
+firstWayDiff(const SetAssocArray &a, const SetAssocArray &b)
+{
+    const Geometry &g = a.geometry();
+    for (std::uint32_t s = 0; s < g.sets; ++s) {
+        for (unsigned w = 0; w < g.ways; ++w) {
+            const auto x = a.wayState(s, w);
+            const auto y = b.wayState(s, w);
+            if (x.valid != y.valid || x.tag != y.tag ||
+                x.shared != y.shared || x.instr != y.instr ||
+                x.rank != y.rank || x.rrpv != y.rrpv)
+                return "set " + std::to_string(s) + " way " +
+                       std::to_string(w);
+        }
+    }
+    return "";
+}
+
+} // namespace
+
+// probeRun() against access(): one array probes random runs, its twin
+// takes the same probes one access() at a time. Runs use the identity
+// order, ascending subsets (the hierarchy's miss lists) and random
+// orders with repeats; flushes and harvest-mask changes interleave.
+// The fixed-way kernels (4, 8, 12 and 16 ways over power-of-two sets)
+// and the run-time one (other way counts, 48 and 96 sets) both run,
+// under every policy.
+TEST(ProbeRun, MatchesAccessPerProbe)
+{
+    using hh::cache::ReplKind;
+    const Geometry geoms[] = {
+        {64, 4, 1}, {32, 8, 1}, {16, 12, 1}, {16, 16, 1}, {48, 16, 1},
+        {96, 12, 1}, {16, 1, 1}, {8, 3, 1}, {8, 5, 1}, {4, 64, 1}};
+    const ReplKind kinds[] = {ReplKind::LRU, ReplKind::HardHarvest,
+                              ReplKind::CDP, ReplKind::RRIP,
+                              ReplKind::Belady};
+    for (const Geometry &g : geoms) {
+        for (const ReplKind kind : kinds) {
+            SCOPED_TRACE(std::to_string(g.sets) + " x " +
+                         std::to_string(g.ways) + " policy " +
+                         std::to_string(static_cast<int>(kind)));
+            hh::sim::Rng rng(g.sets * 7919 + g.ways * 31 +
+                             static_cast<unsigned>(kind));
+            const Addr span = std::uint64_t{3} * g.sets * g.ways;
+            std::vector<Addr> trace;
+            for (int i = 0; i < 2000; ++i)
+                trace.push_back(rng.uniformInt(span));
+            const hh::cache::NextUseOracle oracle(trace);
+            SetAssocArray run(g, runPolicy(kind, oracle));
+            SetAssocArray one(g, runPolicy(kind, oracle));
+            for (SetAssocArray *a : {&run, &one}) {
+                a->setCandidateFraction(0.75);
+                a->setHarvestWayCount(g.ways / 2);
+            }
+            for (int round = 0; round < 60; ++round) {
+                const auto n =
+                    static_cast<std::uint32_t>(rng.uniformInt(std::uint64_t{300}));
+                std::vector<Addr> keys(n);
+                std::vector<std::uint8_t> flags(n);
+                for (std::uint32_t i = 0; i < n; ++i) {
+                    keys[i] = rng.uniformInt(span);
+                    flags[i] = static_cast<std::uint8_t>(
+                        rng.uniformInt(std::uint64_t{4}));
+                }
+                std::vector<std::uint32_t> order;
+                const auto shape = rng.uniformInt(std::uint64_t{3});
+                for (std::uint32_t i = 0; i < n; ++i) {
+                    if (shape == 0 || (shape == 1 && rng.bernoulli(0.5)))
+                        order.push_back(i);
+                    else if (shape == 2)
+                        order.push_back(static_cast<std::uint32_t>(
+                            rng.uniformInt(std::uint64_t{n})));
+                }
+                const WayMask allowed =
+                    rng.bernoulli(0.3) ? ~WayMask{0}
+                    : rng.bernoulli(0.5)
+                        ? run.harvestWays() | (WayMask{1} << (g.ways - 1))
+                        : rng.next() | 1;
+                std::vector<std::uint32_t> got(order.size());
+                const std::uint32_t missed = run.probeRun(
+                    keys.data(), order.data(),
+                    static_cast<std::uint32_t>(order.size()), flags.data(),
+                    allowed, got.data());
+                got.resize(missed);
+                std::vector<std::uint32_t> want;
+                for (const std::uint32_t i : order) {
+                    if (!one.access(keys[i],
+                                    flags[i] & SetAssocArray::kRunShared,
+                                    allowed,
+                                    flags[i] & SetAssocArray::kRunInstr)
+                             .hit)
+                        want.push_back(i);
+                }
+                ASSERT_EQ(got, want) << "round " << round;
+                ASSERT_EQ(run.hits(), one.hits());
+                ASSERT_EQ(run.misses(), one.misses());
+                ASSERT_EQ(run.evictions(), one.evictions());
+                ASSERT_EQ(firstWayDiff(run, one), "") << "round " << round;
+                if (round % 7 == 3) {
+                    const WayMask m = rng.next();
+                    run.flushWays(m);
+                    one.flushWays(m);
+                } else if (round % 11 == 5) {
+                    run.flushAll();
+                    one.flushAll();
+                } else if (round % 13 == 8) {
+                    const auto h = static_cast<unsigned>(
+                        rng.uniformInt(std::uint64_t{g.ways + 1}));
+                    run.setHarvestWayCount(h);
+                    one.setHarvestWayCount(h);
+                }
+            }
+        }
+    }
+}
+
+TEST(ProbeRun, ChecksTheAllowedMaskOncePerRun)
+{
+    auto a = makeArray(4, 4);
+    // Three keys of set 1.
+    const Addr keys[] = {1, 5, 9};
+    const std::uint32_t all[] = {0, 1, 2};
+    const std::uint8_t flags[] = {0, 1, 3};
+    std::uint32_t misses[3];
+    // Bits beyond the ways do not count; an empty run never probes.
+    EXPECT_THROW(a.probeRun(keys, all, 3, flags, WayMask{1} << 4, misses),
+                 std::logic_error);
+    EXPECT_EQ(a.probeRun(keys, all, 0, flags, 0, misses), 0u);
+    EXPECT_EQ(a.misses(), 0u);
+    // Two allowed ways: key 9 evicts key 1, the LRU of the two.
+    EXPECT_EQ(a.probeRun(keys, all, 3, flags, 0b0110, misses), 3u);
+    EXPECT_EQ(a.evictions(), 1u);
+    const std::uint32_t last_two[] = {1, 2};
+    EXPECT_EQ(a.probeRun(keys, last_two, 2, flags, 0b0110, misses), 0u);
+    EXPECT_EQ(a.probeRun(keys, all, 1, flags, 0b0110, misses), 1u);
+    EXPECT_EQ(misses[0], 0u);
+    EXPECT_EQ(a.hits(), 2u);
+    EXPECT_EQ(a.misses(), 4u);
+}
+
+TEST(SetAssoc, FlushClearsMasksAndReadsAsZeroedWays)
+{
+    // A flush leaves an invalid way's tag and RRPV behind, yet the
+    // way reads as a flushed one and its key no longer hits.
+    SetAssocArray a(Geometry{4, 4, 1},
+                    hh::cache::makePolicy(hh::cache::ReplKind::RRIP));
+    for (Addr k = 1; k <= 16; ++k)
+        a.access(k, true, ~WayMask{0}, k % 2 == 0);
+    a.access(4, true); // hit: RRPV 0
+    a.flushWays(0b0011);
+    for (std::uint32_t s = 0; s < 4; ++s) {
+        for (unsigned w = 0; w < 2; ++w) {
+            const auto ws = a.wayState(s, w);
+            EXPECT_FALSE(ws.valid);
+            EXPECT_EQ(ws.tag, 0u);
+            EXPECT_FALSE(ws.shared);
+            EXPECT_FALSE(ws.instr);
+            EXPECT_EQ(ws.rrpv, hh::cache::WayState{}.rrpv);
+        }
+    }
+    EXPECT_EQ(a.validCount(), 8u);
+    // The flushed keys miss and refill the invalid ways first.
+    const std::uint64_t misses = a.misses();
+    for (Addr k = 1; k <= 8; ++k)
+        EXPECT_FALSE(a.access(k, false).hit) << k;
+    EXPECT_EQ(a.misses(), misses + 8);
+    EXPECT_EQ(a.evictions(), 0u);
+    a.flushAll();
+    EXPECT_EQ(a.validCount(), 0u);
+    EXPECT_EQ(a.wayState(3, 3).tag, 0u);
 }

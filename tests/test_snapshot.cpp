@@ -458,6 +458,38 @@ TEST(SnapshotEventQueue, IdenticalHistoryIdenticalBytes)
     EXPECT_EQ(drainQueue(restored, restored_log), want);
 }
 
+// A corrupt event or slab-slot count fails the load cleanly: each is
+// checked against the bytes left before anything is sized from it,
+// so 2^62 neither throws nor aborts, and 2^27 slots allocate nothing.
+TEST(SnapshotEventQueue, CorruptCountsFailTheArchive)
+{
+    struct Counts
+    {
+        std::uint64_t events, slots;
+    };
+    for (Counts c : {Counts{std::uint64_t{1} << 62, 0},
+                     Counts{0, std::uint64_t{1} << 62},
+                     Counts{0, std::uint64_t{1} << 27},
+                     Counts{64, 0}}) {
+        auto save = Archive::forSave();
+        std::uint32_t section = 0x45565451u; // 'EVTQ'
+        save.io(section);
+        save.io(c.events);
+        if (c.events == 0)
+            save.io(c.slots);
+        std::uint64_t tail = 0;
+        save.io(tail);
+        hh::sim::EventQueue q;
+        auto load = Archive::forLoad(save.take());
+        EXPECT_NO_THROW(q.serialize(load, [](const hh::snap::SnapTag &) {
+            return hh::sim::EventQueue::Callback([] {});
+        }));
+        EXPECT_FALSE(load.ok()) << c.events << " events, " << c.slots
+                                << " slots";
+        EXPECT_EQ(q.size(), 0u);
+    }
+}
+
 // A graph name is free text and rides the fingerprint into the
 // manifest, so every control character must come out escaped or the
 // manifest is not JSON. Quotes, backslashes and newlines keep the

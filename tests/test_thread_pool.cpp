@@ -227,3 +227,37 @@ TEST(Prof, ConcurrentScopesSumExactly)
     for (const auto &s : prof::snapshot())
         EXPECT_NE(s.name, "test.prof.concurrent");
 }
+
+TEST(Prof, CountedScopeRecordsNCalls)
+{
+    // One scope timing a run of n operations counts n calls: given up
+    // front, or set before the scope closes. Sites sharing a name sum
+    // into one sample.
+    namespace prof = hh::sim::prof;
+    static prof::Site run_site("test.prof.counted");
+    static prof::Site call_site("test.prof.counted");
+    prof::reset();
+    prof::setEnabled(true);
+    { prof::Scope scope(run_site, 1000); }
+    {
+        prof::Scope scope(run_site, 0);
+        scope.setCalls(24);
+    }
+    { prof::Scope scope(call_site); }
+    { prof::Scope empty(run_site, 0); }
+    prof::setEnabled(false);
+    // Disabled scopes record nothing, whatever their count.
+    { prof::Scope scope(run_site, 5); }
+
+    std::uint64_t hits = 0;
+    unsigned samples = 0;
+    for (const auto &s : prof::snapshot()) {
+        if (s.name == "test.prof.counted") {
+            hits = s.hits;
+            ++samples;
+        }
+    }
+    EXPECT_EQ(samples, 1u);
+    EXPECT_EQ(hits, 1000u + 24u + 1u);
+    prof::reset();
+}
