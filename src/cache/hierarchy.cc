@@ -1,6 +1,7 @@
 #include "cache/hierarchy.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <vector>
 
@@ -26,14 +27,36 @@ harvestWayCount(const Geometry &g, double fraction)
     return std::min(std::max(1u, n), g.ways - 1);
 }
 
+/**
+ * The private structures' geometries scaled by cfg.waysFraction, in
+ * build order: L1D, L1I, L2, L1 TLB, L2 TLB.
+ */
+std::array<Geometry, 5>
+privateGeometries(const HierarchyConfig &cfg)
+{
+    std::array<Geometry, 5> g{cfg.l1d, cfg.l1i, cfg.l2, cfg.l1tlb,
+                              cfg.l2tlb};
+    for (Geometry &x : g)
+        x = scaleWays(x, cfg.waysFraction);
+    return g;
+}
+
 } // namespace
 
-std::unique_ptr<SetAssocArray>
-CoreHierarchy::makeArray(const Geometry &g) const
+std::size_t
+CoreHierarchy::columnBytes(const HierarchyConfig &cfg)
 {
-    const Geometry scaled = scaleWays(g, cfg_.waysFraction);
-    auto arr = std::make_unique<SetAssocArray>(scaled,
-                                               makePolicy(cfg_.repl));
+    std::size_t bytes = 0;
+    for (const Geometry &g : privateGeometries(cfg))
+        bytes += ColumnArena::bytesFor(g).total();
+    return bytes;
+}
+
+std::unique_ptr<SetAssocArray>
+CoreHierarchy::makeArray(const Geometry &scaled, ColumnArena *arena) const
+{
+    auto arr = std::make_unique<SetAssocArray>(
+        scaled, makePolicy(cfg_.repl), arena);
     arr->setCandidateFraction(cfg_.candidateFraction);
     if (cfg_.partitioning && scaled.ways >= 2) {
         arr->setHarvestWayCount(
@@ -43,16 +66,18 @@ CoreHierarchy::makeArray(const Geometry &g) const
 }
 
 CoreHierarchy::CoreHierarchy(const HierarchyConfig &cfg,
-                             SetAssocArray *l3, hh::mem::Dram *dram)
+                             SetAssocArray *l3, hh::mem::Dram *dram,
+                             ColumnArena *arena)
     : cfg_(cfg), l3_(l3), dram_(dram)
 {
     if (cfg.waysFraction <= 0.0 || cfg.waysFraction > 1.0)
         hh::sim::fatal("CoreHierarchy: waysFraction must be in (0, 1]");
-    l1d_ = makeArray(cfg.l1d);
-    l1i_ = makeArray(cfg.l1i);
-    l2_ = makeArray(cfg.l2);
-    l1tlb_ = makeArray(cfg.l1tlb);
-    l2tlb_ = makeArray(cfg.l2tlb);
+    const auto g = privateGeometries(cfg);
+    l1d_ = makeArray(g[0], arena);
+    l1i_ = makeArray(g[1], arena);
+    l2_ = makeArray(g[2], arena);
+    l1tlb_ = makeArray(g[3], arena);
+    l2tlb_ = makeArray(g[4], arena);
 }
 
 WayMask

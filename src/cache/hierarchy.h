@@ -98,9 +98,16 @@ class CoreHierarchy
      *             DRAM. Re-bindable on VM switches via setL3().
      * @param dram Server DRAM model (must outlive the hierarchy), or
      *             nullptr to charge a fixed latency.
+     * @param arena Host memory for the private arrays' columns
+     *             (columnBytes(cfg) of it; must outlive the
+     *             hierarchy), or nullptr for one private arena per
+     *             array.
      */
     CoreHierarchy(const HierarchyConfig &cfg, SetAssocArray *l3,
-                  hh::mem::Dram *dram);
+                  hh::mem::Dram *dram, ColumnArena *arena = nullptr);
+
+    /** Arena bytes the private arrays of a @p cfg hierarchy take. */
+    static std::size_t columnBytes(const HierarchyConfig &cfg);
 
     /**
      * Perform one memory access and return its total latency.
@@ -311,7 +318,8 @@ class CoreHierarchy
     WayMask allowedMask(const SetAssocArray &arr,
                         hh::sim::Cycles now) const;
 
-    std::unique_ptr<SetAssocArray> makeArray(const Geometry &g) const;
+    std::unique_ptr<SetAssocArray> makeArray(const Geometry &scaled,
+                                             ColumnArena *arena) const;
 
     /** Recompute one array's harvest mask, flushing departing ways. */
     void repartitionArray(SetAssocArray &arr, unsigned extraWays);

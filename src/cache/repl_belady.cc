@@ -8,19 +8,19 @@ namespace hh::cache {
 
 NextUseOracle::NextUseOracle(const std::vector<Addr> &trace)
 {
+    uses_.reserve(trace.size());
     for (std::uint64_t i = 0; i < trace.size(); ++i)
-        positions_[trace[i]].push_back(i);
+        uses_.emplace_back(trace[i], i);
+    std::sort(uses_.begin(), uses_.end());
 }
 
 std::uint64_t
 NextUseOracle::nextUse(Addr key, std::uint64_t pos) const
 {
-    const auto it = positions_.find(key);
-    if (it == positions_.end())
-        return kNever;
-    const auto &v = it->second;
-    const auto p = std::upper_bound(v.begin(), v.end(), pos);
-    return p == v.end() ? kNever : *p;
+    // The first use after (key, pos) is key's next one, if it is key's.
+    const auto it = std::upper_bound(uses_.begin(), uses_.end(),
+                                     std::pair{key, pos});
+    return it != uses_.end() && it->first == key ? it->second : kNever;
 }
 
 unsigned

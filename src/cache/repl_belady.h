@@ -14,7 +14,7 @@
 #define HH_CACHE_REPL_BELADY_H
 
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cache/replacement.h"
@@ -41,7 +41,12 @@ class NextUseOracle
     static constexpr std::uint64_t kNever = ~std::uint64_t{0};
 
   private:
-    std::unordered_map<Addr, std::vector<std::uint64_t>> positions_;
+    /**
+     * Every (key, position) of the trace, sorted: one flat block
+     * instead of a vector per key, whose many small allocations
+     * fragmented the heap of a worker that builds oracles.
+     */
+    std::vector<std::pair<Addr, std::uint64_t>> uses_;
 };
 
 /**

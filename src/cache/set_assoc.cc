@@ -6,6 +6,7 @@
 #include <cstring>
 #include <type_traits>
 #include <typeinfo>
+#include <vector>
 
 #include "cache/repl_cdp.h"
 #include "cache/repl_hardharvest.h"
@@ -23,13 +24,6 @@ constexpr unsigned
 rankBytes(unsigned ways)
 {
     return (ways + 7) & ~7U;
-}
-
-/** 64-bit words per metadata row: masks, ranks and RRPVs. */
-constexpr std::size_t
-rowWords(unsigned ways)
-{
-    return (SetAssocArray::kRankOffset + rankBytes(ways) + ways + 7) / 8;
 }
 
 /** Probes a run looks ahead when it prefetches a set. */
@@ -81,7 +75,7 @@ struct ProbeView
 
     unsigned ways() const { return W ? W : runtimeWays; }
     unsigned stride() const { return rankBytes(ways()); }
-    std::size_t words() const { return rowWords(ways()); }
+    std::size_t words() const { return SetAssocArray::rowWords(ways()); }
 
     std::uint32_t
     setIndex(Addr key) const
@@ -187,8 +181,8 @@ AccessResult
 SetAssocArray::accessKernel(Addr key, bool shared, WayMask allowed,
                             bool instr)
 {
-    const ProbeView<W> v{tags_.data(), rows_.data(),  geom_.sets,
-                         geom_.ways,   harvest_mask_, candidate_count_};
+    const ProbeView<W> v{tags_,      rows_,         geom_.sets,
+                         geom_.ways, harvest_mask_, candidate_count_};
     const AccessResult res = probeBody<W, P>(v, *policy_, policy_hooks_,
                                              key, shared, allowed, instr);
     if (res.hit) {
@@ -206,8 +200,8 @@ SetAssocArray::runKernel(const Addr *keys, const std::uint32_t *order,
                          std::uint32_t n, const std::uint8_t *flags,
                          WayMask allowed, std::uint32_t *misses)
 {
-    const ProbeView<W> v{tags_.data(), rows_.data(),  geom_.sets,
-                         geom_.ways,   harvest_mask_, candidate_count_};
+    const ProbeView<W> v{tags_,      rows_,         geom_.sets,
+                         geom_.ways, harvest_mask_, candidate_count_};
     ReplacementPolicy &policy = *policy_;
     const bool hooks = policy_hooks_;
     std::uint32_t missed = 0;
@@ -244,9 +238,9 @@ SetAssocArray::bindKernels()
 }
 
 SetAssocArray::SetAssocArray(const Geometry &geom,
-                             std::unique_ptr<ReplacementPolicy> policy)
+                             std::unique_ptr<ReplacementPolicy> policy,
+                             ColumnArena *arena)
     : geom_(geom), policy_(std::move(policy)),
-      tags_(static_cast<std::size_t>(geom.sets) * geom.ways),
       candidate_count_(geom.ways), rank_stride_(rankBytes(geom.ways)),
       row_words_(rowWords(geom.ways))
 {
@@ -284,20 +278,33 @@ SetAssocArray::SetAssocArray(const Geometry &geom,
     else
         bindWays.template operator()<ReplacementPolicy>();
 
-    // Every set starts as the same row: no valid way, default RRPVs,
-    // ranked by way index (the order of an all-invalid set, where the
-    // lowest index counts as least recently used). Build it once and
-    // copy it out in doubling blocks.
-    rows_.resize(static_cast<std::size_t>(geom.sets) * row_words_);
+    // Each take is the exact column; the arena pads it to a host line
+    // (ColumnArena::bytesFor counts the padding).
+    if (!arena) {
+        own_arena_ = std::make_unique<ColumnArena>(
+            ColumnArena::bytesFor(geom).total());
+        arena = own_arena_.get();
+    }
+    const std::size_t words = rowCount();
+    tags_ = static_cast<Addr *>(arena->take(tagCount() * sizeof(Addr)));
+    rows_ = static_cast<std::uint64_t *>(
+        arena->take(words * sizeof(std::uint64_t)));
+
+    // Write both columns now, so no first-touch fault lands in a timed
+    // run. Tags start zeroed. Every set starts as the same row: no
+    // valid way, default RRPVs, ranked by way index (the order of an
+    // all-invalid set, where the lowest index counts as least recently
+    // used). Build it once and copy it out in doubling blocks.
+    std::memset(tags_, 0, tagCount() * sizeof(Addr));
     std::uint64_t *first = setRow(0);
+    std::memset(first, 0, row_words_ * sizeof(std::uint64_t));
     for (unsigned w = 0; w < geom.ways; ++w) {
         rowRanks(first)[w] = static_cast<std::uint8_t>(w);
         rowRrpv(first)[w] = WayState{}.rrpv;
     }
-    for (std::size_t done = row_words_; done < rows_.size(); done *= 2)
-        std::memcpy(rows_.data() + done, rows_.data(),
-                    std::min(done, rows_.size() - done) *
-                        sizeof(std::uint64_t));
+    for (std::size_t done = row_words_; done < words; done *= 2)
+        std::memcpy(rows_ + done, rows_,
+                    std::min(done, words - done) * sizeof(std::uint64_t));
 }
 
 void
@@ -354,7 +361,7 @@ SetAssocArray::probe(Addr key) const
 {
     const std::uint32_t set = setIndex(key);
     return (detail::matchTags(
-                &tags_[static_cast<std::size_t>(set) * geom_.ways],
+                tags_ + static_cast<std::size_t>(set) * geom_.ways,
                 geom_.ways, key) &
             setRow(set)[kValid]) != 0;
 }
@@ -454,14 +461,14 @@ SetAssocArray::serialize(hh::snap::Archive &ar)
     // The count and records match the encoding of a
     // std::vector<WayState>, so the bytes are those of the 'HHCP'
     // format.
-    std::uint64_t count = tags_.size();
+    std::uint64_t count = tagCount();
     ar.io(count);
     if (!ar.ok())
         return;
-    if (count != tags_.size()) {
+    if (count != tagCount()) {
         ar.fail("snapshot cache way count " + std::to_string(count) +
                 " does not match the array's " +
-                std::to_string(tags_.size()) + " (sets x ways)");
+                std::to_string(tagCount()) + " (sets x ways)");
         return;
     }
     if (ar.saving()) {
@@ -486,8 +493,8 @@ SetAssocArray::serialize(hh::snap::Archive &ar)
 void
 SetAssocArray::loadContents(hh::snap::Archive &ar)
 {
-    decltype(tags_) tags(tags_.size());
-    decltype(rows_) rows(rows_.size());
+    std::vector<Addr> tags(tagCount());
+    std::vector<std::uint64_t> rows(rowCount());
     for (std::uint32_t s = 0; s < geom_.sets; ++s) {
         const std::size_t si =
             static_cast<std::size_t>(s) * geom_.ways;
@@ -518,8 +525,8 @@ SetAssocArray::loadContents(hh::snap::Archive &ar)
             return;
         }
     }
-    tags_.swap(tags);
-    rows_.swap(rows);
+    std::memcpy(tags_, tags.data(), tags.size() * sizeof(Addr));
+    std::memcpy(rows_, rows.data(), rows.size() * sizeof(std::uint64_t));
 }
 
 } // namespace hh::cache

@@ -21,16 +21,15 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <span>
 #include <string>
-#include <vector>
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
 #endif
 
+#include "cache/column_arena.h"
 #include "cache/config.h"
 #include "cache/replacement.h"
 
@@ -84,53 +83,6 @@ matchTags(const Addr *tags, unsigned ways, Addr key)
     return match;
 }
 
-/**
- * Storage aligned to a 64-byte host cache line, so a set whose tags
- * or row fit in one line lie in one line.
- *
- * It takes a plain block one line (plus a pointer) longer and keeps
- * the block's address just below the aligned start: the aligned
- * operator new (glibc memalign) raised the experiment engine's peak
- * RSS, and its spread across runs, by about a MiB.
- */
-template <typename T>
-struct LineAllocator
-{
-    using value_type = T;
-    static constexpr std::size_t kLine = 64;
-
-    LineAllocator() = default;
-    template <typename U>
-    LineAllocator(const LineAllocator<U> &) noexcept
-    {}
-
-    T *
-    allocate(std::size_t n)
-    {
-        char *raw = static_cast<char *>(
-            ::operator new(n * sizeof(T) + kLine - 1 + sizeof raw));
-        // The first line boundary with room for `raw` below it.
-        const auto base = reinterpret_cast<std::uintptr_t>(raw);
-        const auto at = (base + sizeof raw + kLine - 1) & ~(kLine - 1);
-        char *start = raw + (at - base);
-        std::memcpy(start - sizeof raw, &raw, sizeof raw);
-        return reinterpret_cast<T *>(start);
-    }
-    void
-    deallocate(T *p, std::size_t) noexcept
-    {
-        char *raw;
-        std::memcpy(&raw, reinterpret_cast<char *>(p) - sizeof raw,
-                    sizeof raw);
-        ::operator delete(raw);
-    }
-    friend bool
-    operator==(const LineAllocator &, const LineAllocator &)
-    {
-        return true;
-    }
-};
-
 } // namespace detail
 
 /** Outcome of one array access. */
@@ -151,9 +103,14 @@ class SetAssocArray
     /**
      * @param geom   Structure geometry (ways must be <= 64).
      * @param policy Replacement policy instance (owned).
+     * @param arena  Host memory for the columns, which take
+     *               ColumnArena::bytesFor(geom) of it; it must outlive
+     *               the array. Null gives the array a private arena
+     *               sized for itself.
      */
     SetAssocArray(const Geometry &geom,
-                  std::unique_ptr<ReplacementPolicy> policy);
+                  std::unique_ptr<ReplacementPolicy> policy,
+                  ColumnArena *arena = nullptr);
 
     /**
      * Designate the harvest region.
@@ -282,7 +239,7 @@ class SetAssocArray
     std::span<const Addr>
     tagRow(std::uint32_t set) const
     {
-        return {tags_.data() + static_cast<std::size_t>(set) * geom_.ways,
+        return {tags_ + static_cast<std::size_t>(set) * geom_.ways,
                 geom_.ways};
     }
 
@@ -296,6 +253,13 @@ class SetAssocArray
 
     /** Rank bytes per row: ways rounded up to 8, zero padding. */
     unsigned rankStride() const { return rank_stride_; }
+
+    /** 64-bit words per metadata row of a @p ways-way set. */
+    static constexpr std::size_t
+    rowWords(unsigned ways)
+    {
+        return (kRankOffset + ((ways + 7) & ~7U) + ways + 7) / 8;
+    }
 
     /** The metadata row of @p set, padding included. */
     std::span<const std::uint8_t>
@@ -422,6 +386,19 @@ class SetAssocArray
     }
     /** @} */
 
+    /** Tags in the tag column: sets * ways. */
+    std::size_t
+    tagCount() const
+    {
+        return static_cast<std::size_t>(geom_.sets) * geom_.ways;
+    }
+    /** 64-bit words of metadata rows: sets * row_words_. */
+    std::size_t
+    rowCount() const
+    {
+        return static_cast<std::size_t>(geom_.sets) * row_words_;
+    }
+
     /** Read the way records into staged storage, then commit it. */
     void loadContents(hh::snap::Archive &ar);
 
@@ -439,8 +416,9 @@ class SetAssocArray
      *   [24 + S, 24 + S + W)  RRPV bytes, W = ways
      *   then zero padding to a multiple of 8 bytes.
      *
-     * Both columns start on a 64-byte host line (detail::
-     * LineAllocator; operator new only promises 16 bytes). Set s's
+     * Both columns are carved from a ColumnArena, each starting on a
+     * 64-byte host line, and a snapshot load copies into them in
+     * place, so they never move. Set s's
      * tags start 8 * ways * s bytes in, so an 8-way set's tags fill
      * exactly one host line and a 16-way set's exactly two. Rows are
      * not padded to host lines (at most 56 bytes for the Table 1
@@ -465,10 +443,11 @@ class SetAssocArray
      * so their padding must stay zero.
      * @{
      */
-    std::vector<Addr, detail::LineAllocator<Addr>> tags_;
-    std::vector<std::uint64_t, detail::LineAllocator<std::uint64_t>>
-        rows_;
+    Addr *tags_ = nullptr;
+    std::uint64_t *rows_ = nullptr;
     /** @} */
+    /** The columns' arena when the array was built without one. */
+    std::unique_ptr<ColumnArena> own_arena_;
     WayMask harvest_mask_ = 0;
     WayMask all_mask_ = 0;
     unsigned candidate_count_; //!< M as an absolute way count.

@@ -27,6 +27,45 @@ l3PartitionGeometry(double mbPerCore, unsigned vmCores)
     return hh::cache::Geometry{sets, 16, hh::cache::kL3PerCore.latency};
 }
 
+/** The private hierarchy every core of a @p cfg server builds. */
+hh::cache::HierarchyConfig
+hierarchyConfig(const SystemConfig &cfg)
+{
+    hh::cache::HierarchyConfig hcfg;
+    hcfg.repl = cfg.repl;
+    hcfg.candidateFraction =
+        cfg.repl == hh::cache::ReplKind::HardHarvest
+            ? cfg.candidateFraction
+            : 1.0;
+    hcfg.harvestWayFraction = cfg.harvestWayFraction;
+    hcfg.partitioning = cfg.partitioning;
+    hcfg.waysFraction = cfg.waysFraction;
+    hcfg.infinite = cfg.infiniteCaches;
+    hcfg.accessWeight = std::max(1u, cfg.accessSampling);
+    return hcfg;
+}
+
+/**
+ * Arena bytes of every cache array a @p cfg server builds: one L3
+ * partition per VM and one private hierarchy per VM core.
+ */
+std::size_t
+serverColumnBytes(const SystemConfig &cfg)
+{
+    const std::size_t per_core =
+        hh::cache::CoreHierarchy::columnBytes(hierarchyConfig(cfg));
+    std::size_t bytes = 0;
+    for (const auto &desc : hh::vm::defaultServerLayout(
+             cfg.cores, cfg.primaryVms, cfg.coresPerPrimary)) {
+        const auto cores = static_cast<unsigned>(desc.cores.size());
+        bytes += hh::cache::ColumnArena::bytesFor(
+                     l3PartitionGeometry(cfg.llcMbPerCore, cores))
+                     .total() +
+                 cores * per_core;
+    }
+    return bytes;
+}
+
 } // namespace
 
 double
@@ -60,6 +99,7 @@ ServerSim::ServerSim(const SystemConfig &cfg, const std::string &batchApp,
                      const GraphServerPlan &plan, std::uint64_t seed)
     : cfg_(cfg), seed_(seed ? seed : cfg.seed), dram_(),
       mesh_(6, 6), fabric_(), rng_(seed_, 0x5E8FULL),
+      arena_(serverColumnBytes(cfg_)),
       telemetry_task_(sim_, SnapTag::kTelemetryTick,
                       [this] {
                           telemetry_->record(counters(sim_.now()));
@@ -90,6 +130,9 @@ ServerSim::ServerSim(const SystemConfig &cfg, const std::string &batchApp,
 
     buildVms(batchApp);
     buildCores();
+    if (arena_.used() != arena_.capacity())
+        hh::sim::panic("ServerSim: cache arrays took ", arena_.used(),
+                       " bytes of an arena sized ", arena_.capacity());
 
     // Every periodic service is built here when its flag is set, so
     // a snapshot restore finds the re-arm target of a pending tick.
@@ -198,7 +241,7 @@ ServerSim::buildVms(const std::string &batchApp)
             l3PartitionGeometry(cfg_.llcMbPerCore,
                                 static_cast<unsigned>(
                                     desc.cores.size())),
-            hh::cache::makePolicy(hh::cache::ReplKind::LRU));
+            hh::cache::makePolicy(hh::cache::ReplKind::LRU), &arena_);
         if (desc.isPrimary() && graph_plan_.enabled) {
             // Graph mode: the placement plan decides which slots host
             // a tier service and which of those generate open-loop
@@ -259,18 +302,7 @@ ServerSim::buildVms(const std::string &batchApp)
 void
 ServerSim::buildCores()
 {
-    hh::cache::HierarchyConfig hcfg;
-    hcfg.repl = cfg_.repl;
-    hcfg.candidateFraction =
-        cfg_.repl == hh::cache::ReplKind::HardHarvest
-            ? cfg_.candidateFraction
-            : 1.0;
-    hcfg.harvestWayFraction = cfg_.harvestWayFraction;
-    hcfg.partitioning = cfg_.partitioning;
-    hcfg.waysFraction = cfg_.waysFraction;
-    hcfg.infinite = cfg_.infiniteCaches;
-    hcfg.accessWeight = std::max(1u, cfg_.accessSampling);
-
+    const hh::cache::HierarchyConfig hcfg = hierarchyConfig(cfg_);
     core_ctx_.assign(cfg_.cores, CoreCtx{});
     core_loan_start_.assign(cfg_.cores, kNotLent);
     for (const auto &v : vms_) {
@@ -283,7 +315,7 @@ ServerSim::buildCores()
     for (const auto &v : vms_) {
         for (unsigned c : v.desc.cores) {
             cores_[c] = std::make_unique<hh::cpu::Core>(
-                c, hcfg, v.l3.get(), &dram_);
+                c, hcfg, v.l3.get(), &dram_, &arena_);
             cores_[c]->setBoundVm(v.desc.id);
         }
     }

@@ -295,6 +295,9 @@ class ServerSim
 
     const SystemConfig &config() const { return cfg_; }
 
+    /** The arena every cache array of this server lives in (tests). */
+    const hh::cache::ColumnArena &columnArena() const { return arena_; }
+
     /** @name Service-graph seam (src/svc/ FleetSim + RpcEngine) @{ */
 
     /** Install the RPC-tree engine. Not owned; must outlive the sim. */
@@ -594,6 +597,14 @@ class ServerSim
     std::unique_ptr<hh::vm::Hypervisor> hyp_;
     hh::vm::SmartHarvestPolicy sw_policy_;
     hh::sim::Rng rng_;
+
+    /**
+     * Host memory behind every cache array of this server (each VM's
+     * L3 partition, each core's private levels), sized up front from
+     * the geometries buildVms() and buildCores() build. Declared
+     * before vms_ and cores_, so it outlives them.
+     */
+    hh::cache::ColumnArena arena_;
 
     std::vector<VmCtx> vms_;      //!< [0..primaryVms-1] primary, last harvest.
     std::uint32_t harvest_vm_ = 0;

@@ -3,9 +3,10 @@
 namespace hh::cpu {
 
 Core::Core(unsigned id, const hh::cache::HierarchyConfig &cfg,
-           hh::cache::SetAssocArray *l3, hh::mem::Dram *dram)
-    : id_(id),
-      hier_(std::make_unique<hh::cache::CoreHierarchy>(cfg, l3, dram))
+           hh::cache::SetAssocArray *l3, hh::mem::Dram *dram,
+           hh::cache::ColumnArena *arena)
+    : id_(id), hier_(std::make_unique<hh::cache::CoreHierarchy>(
+                   cfg, l3, dram, arena))
 {
 }
 

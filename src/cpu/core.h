@@ -43,9 +43,12 @@ class Core
      * @param cfg  Hierarchy configuration.
      * @param l3   The owning VM's L3 partition (re-bound on loans).
      * @param dram Server DRAM.
+     * @param arena Host memory for the hierarchy's columns, or
+     *             nullptr (see CoreHierarchy).
      */
     Core(unsigned id, const hh::cache::HierarchyConfig &cfg,
-         hh::cache::SetAssocArray *l3, hh::mem::Dram *dram);
+         hh::cache::SetAssocArray *l3, hh::mem::Dram *dram,
+         hh::cache::ColumnArena *arena = nullptr);
 
     unsigned id() const { return id_; }
 

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <unordered_map>
 #include <vector>
 
 #include "cache/repl_belady.h"
@@ -35,6 +37,66 @@ TEST(NextUseOracle, FirstUseFromMinusInfinity)
     NextUseOracle o(trace);
     // nextUse strictly after position 0 does not exist.
     EXPECT_EQ(o.nextUse(3, 0), NextUseOracle::kNever);
+}
+
+namespace {
+
+/** The per-key position lists the flat oracle replaced. */
+class MapOracle
+{
+  public:
+    explicit MapOracle(const std::vector<Addr> &trace)
+    {
+        for (std::uint64_t i = 0; i < trace.size(); ++i)
+            positions_[trace[i]].push_back(i);
+    }
+    std::uint64_t
+    nextUse(Addr key, std::uint64_t pos) const
+    {
+        const auto it = positions_.find(key);
+        if (it == positions_.end())
+            return NextUseOracle::kNever;
+        const auto p = std::upper_bound(it->second.begin(),
+                                        it->second.end(), pos);
+        return p == it->second.end() ? NextUseOracle::kNever : *p;
+    }
+
+  private:
+    std::unordered_map<Addr, std::vector<std::uint64_t>> positions_;
+};
+
+} // namespace
+
+TEST(NextUseOracle, MatchesPerKeyPositionLists)
+{
+    hh::sim::Rng rng(5, 77);
+    for (unsigned round = 0; round < 40; ++round) {
+        // Few distinct keys make long repeat chains, many make keys
+        // used once or never; every fourth trace uses keys up to the
+        // largest Addr.
+        const std::uint64_t distinct =
+            1 + rng.uniformInt(round < 20 ? 8 : 400);
+        const std::uint64_t len = rng.uniformInt(300);
+        const Addr offset = round % 4 == 3 ? ~Addr{0} - distinct : 1000;
+        std::vector<Addr> trace;
+        for (std::uint64_t i = 0; i < len; ++i)
+            trace.push_back(offset + rng.uniformInt(distinct));
+        const NextUseOracle flat(trace);
+        const MapOracle ref(trace);
+        // Every key of the range and an absent one on each side, at
+        // every position, the last one and past the end.
+        for (Addr k = offset - 1;; ++k) {
+            for (std::uint64_t pos = 0; pos <= len + 2; ++pos)
+                ASSERT_EQ(flat.nextUse(k, pos), ref.nextUse(k, pos))
+                    << "round " << round << " key " << k << " pos "
+                    << pos;
+            for (std::uint64_t pos : {NextUseOracle::kNever - 1,
+                                      NextUseOracle::kNever})
+                ASSERT_EQ(flat.nextUse(k, pos), ref.nextUse(k, pos));
+            if (k == offset + distinct)
+                break;
+        }
+    }
 }
 
 namespace {
